@@ -254,11 +254,7 @@ class Cochain:
             return max((abs(self.value(t)) for t in support),
                        default=Fraction(0))
         f = self.materialize(cap=cap)
-        n = self.group.order()
-        best = max((abs(v) for v in f.table.values()), default=Fraction(0))
-        if len(f.table) < n ** self.degree:
-            best = max(best, Fraction(0))
-        return best
+        return max((abs(v) for v in f.table.values()), default=Fraction(0))
 
 
 def coboundary(f: Cochain, cap=DEFAULT_SIZE_CAP) -> Cochain:

@@ -864,16 +864,3 @@ def free_product_inclusion(P: FreeProduct, k) -> Homomorphism:
         return () if _f.eq(g, _f.identity()) else ((_k, g),)
 
     return Homomorphism(f, P, fn, name="fp-incl%d" % k)
-
-
-def free_product_projection(P: FreeProduct, k) -> Homomorphism:
-    f = P.factors[k]
-
-    def fn(word, _f=f, _k=k):
-        out = _f.identity()
-        for fi, x in word:
-            if fi == _k:
-                out = _f.mul(out, x)
-        return out
-
-    return Homomorphism(P, f, fn, name="fp-proj%d" % k)

@@ -1,10 +1,16 @@
 """Exact rational linear programming and l1-minimal fillings.
 
-The solver is a dense two-phase simplex over Fraction with Bland's
-rule (smallest eligible variable index enters; ratio ties leave by
-smallest basis index), so runs terminate and are deterministic.
-Problem sizes here are small: supports of fillings over the groups the
-workbench targets.
+The solver is a two-phase simplex with Bland's rule (smallest eligible
+variable index enters; ratio ties leave by smallest basis index), so
+runs terminate and are deterministic.  Its tableau is sparse and
+fraction-free: each row is a dict from column to nonzero integer
+numerator, over one positive denominator that the row shares with its
+rhs.  That denominator is the row's entry in its basic column, and an
+updated row is divided by the gcd of its entries.  A pivot updates only
+the rows holding the entering column, and only at the pivot row's
+nonzeros.  Every decision (entering column, ratio test, artificial
+drive-out, dropped redundant rows) is made on exact values, so the
+pivots and the outputs are those of a dense Fraction tableau.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
@@ -16,14 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
-                         chain_from_vector, index_tuple, l1_norm,
-                         tuple_boundary)
+                         chain_from_vector, index_tuple, is_cycle, l1_norm,
+                         push_chain, tuple_boundary)
 from .groups import FreeGroup
-from .barcomplex import push_chain
 
 
 class Infeasible(Exception):
@@ -65,49 +70,107 @@ class LpResult:
     dual: list | None = None
 
 
-def _pivot(rows, rhs, cost, basis, r, c):
-    pv = rows[r][c]
-    inv = Fraction(1) / pv
-    rows[r] = [v * inv for v in rows[r]]
-    rhs[r] *= inv
-    prow = rows[r]
-    prhs = rhs[r]
-    for i in range(len(rows)):
-        if i == r:
-            continue
-        f = rows[i][c]
-        if f != 0:
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-            rhs[i] -= f * prhs
-    f = cost[c]
-    if f != 0:
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+def _eliminate(row, b, prow, pb, c):
+    """Clear column c of the integer row (row, b) with the pivot row
+    (prow, pb), where prow[c] > 0.
+
+    This is row - (row[c] / prow[c]) * prow, scaled by the positive
+    factor prow[c] / gcd(row[c], prow[c]) so that it stays integral,
+    then divided by the gcd of its entries.  Only the pivot row's
+    nonzeros are touched.
+    """
+    f = row[c]
+    p = prow[c]
+    g = gcd(f, p)
+    s, f = p // g, f // g
+    if s != 1:
+        row = {j: v * s for j, v in row.items()}
+        b *= s
+    for j, v in prow.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    b -= f * pb
+    g = gcd(b, *row.values())
+    if g > 1:
+        row = {j: v // g for j, v in row.items()}
+        b //= g
+    return row, b
+
+
+def _pivot(rows, rhs, basis, r, c):
+    if rows[r][c] < 0:
+        rows[r] = {j: -v for j, v in rows[r].items()}
+        rhs[r] = -rhs[r]
+    prow, pb = rows[r], rhs[r]
+    for i, row in enumerate(rows):
+        if i != r and c in row:
+            rows[i], rhs[i] = _eliminate(row, rhs[i], prow, pb, c)
     basis[r] = c
 
 
-def _optimize(rows, rhs, cost, basis, ncols):
+def _price_out(cost, rows, rhs, basis):
+    """Reduced costs of the cost row against the current basis."""
+    for i, bi in enumerate(basis):
+        if bi in cost:
+            cost, _ = _eliminate(cost, 0, rows[i], rhs[i], bi)
+    return cost
+
+
+def _optimize(rows, rhs, cost, basis):
     while True:
-        enter = None
-        for j in range(ncols):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = min((j for j, v in cost.items() if v < 0), default=None)
         if enter is None:
             return "optimal"
+        # ratio test: rhs[i] / rows[i][enter] needs no denominator, as
+        # a row and its rhs share one; compare by cross-multiplying
         leave = None
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row.get(enter, 0)
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, lb, la = i, rhs[i], a
+                    continue
+                d = rhs[i] * la - lb * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave, lb, la = i, rhs[i], a
         if leave is None:
             return "unbounded"
-        _pivot(rows, rhs, cost, basis, leave, enter)
+        _pivot(rows, rhs, basis, leave, enter)
+        cost, _ = _eliminate(cost, 0, rows[leave], rhs[leave], enter)
+
+
+def _integer_row(values, b):
+    """One constraint as (nonzero entries, rhs) scaled to integers, with
+    the row negated when its rhs is negative; returns the scale too."""
+    vals = {j: Fraction(v) for j, v in enumerate(values) if v}
+    b = Fraction(b)
+    scale = lcm(b.denominator, *(v.denominator for v in vals.values()))
+    if b < 0:
+        scale = -scale
+    row = {j: v.numerator * (scale // v.denominator) for j, v in vals.items()}
+    return row, b.numerator * (scale // b.denominator), abs(scale)
+
+
+def _basis_dual(a, rowmap, basis, c):
+    """y with sum_i a[rowmap[i]][b] * y[i] = c[b] for each basic column
+    b, by Gauss-Jordan on the same integer rows; None when singular."""
+    eqs, rhs = [], []
+    for b in basis:
+        row, rb, _ = _integer_row([a[r][b] for r in rowmap], c[b])
+        eqs.append(row)
+        rhs.append(rb)
+    cols = [None] * len(eqs)
+    for r in range(len(eqs)):
+        if not eqs[r]:
+            return None
+        _pivot(eqs, rhs, cols, r, min(eqs[r]))
+    y = [None] * len(eqs)
+    for r, i in enumerate(cols):
+        y[i] = Fraction(rhs[r], eqs[r][i])
+    return y
 
 
 def lp_solve(prob: LpProblem) -> LpResult:
@@ -118,25 +181,19 @@ def lp_solve(prob: LpProblem) -> LpResult:
         if any(v < 0 for v in c):
             return LpResult("unbounded")
         return LpResult("optimal", [Fraction(0)] * n, Fraction(0), [])
-    rows = [[Fraction(v) for v in r] for r in prob.rows]
-    rhs = [Fraction(v) for v in prob.rhs]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    orig_rows = [r[:] for r in rows]
-    orig_rhs = rhs[:]
 
-    # phase 1: artificial basis, minimize its total
-    width = n + m
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(int(j == i)) for j in range(m)]
+    # phase 1: artificial basis, minimize its total.  Artificial i is
+    # column n + i; its entry in row i is the row's denominator.
+    rows, rhs = [], []
+    for i, (r, b) in enumerate(zip(prob.rows, prob.rhs)):
+        row, b, den = _integer_row(r, b)
+        row[n + i] = den
+        rows.append(row)
+        rhs.append(b)
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * width
-    for j in range(n):
-        cost[j] = -sum(rows[i][j] for i in range(m))
-    _optimize(rows, rhs, cost, basis, width)
-    if sum(rhs[i] for i in range(m) if basis[i] >= n) > 0:
+    cost = _price_out({n + i: 1 for i in range(m)}, rows, rhs, basis)
+    _optimize(rows, rhs, cost, basis)
+    if any(rhs[i] > 0 for i in range(m) if basis[i] >= n):
         return LpResult("infeasible")
 
     # drive leftover artificial basics out, drop redundant rows
@@ -144,43 +201,32 @@ def lp_solve(prob: LpProblem) -> LpResult:
     i = 0
     while i < len(rows):
         if basis[i] >= n:
-            piv = None
-            for j in range(n):
-                if rows[i][j] != 0:
-                    piv = j
-                    break
+            piv = min((j for j in rows[i] if j < n), default=None)
             if piv is None:
                 del rows[i], rhs[i], basis[i], rowmap[i]
                 continue
-            _pivot(rows, rhs, cost, basis, i, piv)
+            _pivot(rows, rhs, basis, i, piv)
         i += 1
 
     # phase 2 on the original columns
-    rows = [r[:n] for r in rows]
-    cost = c[:]
-    for i, bi in enumerate(basis):
-        f = cost[bi]
-        if f != 0:
-            for j in range(n):
-                cost[j] -= f * rows[i][j]
-    status = _optimize(rows, rhs, cost, basis, n)
+    rows = [{j: v for j, v in row.items() if j < n} for row in rows]
+    cost, _, _ = _integer_row(c, 0)
+    status = _optimize(rows, rhs, _price_out(cost, rows, rhs, basis), basis)
     if status == "unbounded":
         return LpResult("unbounded")
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    objective = sum((c[j] * x[j] for j in range(n)), Fraction(0))
+        # a basic column is a unit column scaled by the row's denominator
+        x[bi] = Fraction(rhs[i], rows[i][bi])
+    objective = sum((c[bi] * x[bi] for bi in basis), Fraction(0))
 
-    # dual vector from the final basis, padded with 0 on dropped rows
+    # dual vector from the final basis in the caller's row frame,
+    # padded with 0 on dropped rows
     dual = [Fraction(0)] * m
-    if basis:
-        bt = [[orig_rows[rowmap[i]][basis[k]] for i in range(len(basis))]
-              for k in range(len(basis))]
-        cb = [c[bi] for bi in basis]
-        y = linalg.solve_square(bt, cb)
-        if y is not None:
-            for i, yi in zip(rowmap, y):
-                dual[i] = yi
+    y = _basis_dual(prob.rows, rowmap, basis, c)
+    if y is not None:
+        for i, yi in zip(rowmap, y):
+            dual[i] = yi
     return LpResult("optimal", x, objective, dual)
 
 
@@ -324,7 +370,15 @@ def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
 
 def is_boundary(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
                 start_radius=3, max_radius=12) -> bool:
-    """LP feasibility verdict for the support actually used."""
+    """Whether z is a boundary.
+
+    Over a finite group with no explicit support, a chain of degree
+    >= 1 is a boundary exactly when it is a cycle, since H_q(G; Q) = 0
+    for q >= 1 (transfer; Brown, Cohomology of Groups, III.10).  That
+    answer needs no LP, so cap does not limit it.  With an explicit
+    support, or over a free group (word balls of doubling radius), the
+    verdict is LP feasibility over the support actually used.
+    """
     if z.degree == 0:
         return z.is_zero()
     if z.is_zero():
@@ -333,8 +387,7 @@ def is_boundary(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
     if support is not None:
         return _solve_fill(z, list(support), minimize=False) is not None
     if G.is_finite():
-        return _solve_fill(z, full_support(G, z.degree + 1, cap=cap),
-                           minimize=False) is not None
+        return is_cycle(z)
     if isinstance(G, FreeGroup):
         radius = start_radius
         while True:

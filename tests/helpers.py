@@ -55,3 +55,40 @@ def cochain_equal(f, g, G, degree):
         if f.value(t) != g.value(t):
             return False
     return True
+
+
+
+def column_span_oracle(dmat):
+    """A test of whether a chain lies in the rational column span of the
+    boundary matrix dmat, by sparse elimination over Fraction."""
+    from barl1.barcomplex import tuple_index
+
+    def reduce(vec):
+        while True:
+            hits = [p for p in vec if p in echelon]
+            if not hits:
+                return vec
+            p = min(hits)
+            f = vec[p]
+            for k, x in echelon[p].items():
+                w = vec.get(k, 0) - f * x
+                if w:
+                    vec[k] = w
+                else:
+                    del vec[k]
+
+    cols = [{} for _ in range(dmat.ncols)]
+    for (i, j), v in dmat.entries.items():
+        cols[j][i] = Fraction(v)
+    echelon = {}
+    for col in cols:
+        vec = reduce(col)
+        if vec:
+            p = min(vec)
+            echelon[p] = {k: x / vec[p] for k, x in vec.items()}
+
+    def in_span(z):
+        return not reduce({tuple_index(dmat.group, t): Fraction(c)
+                           for t, c in z.terms()})
+
+    return in_span

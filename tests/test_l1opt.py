@@ -1,21 +1,25 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from barl1 import linalg
+from barl1 import l1opt, linalg
 from barl1.barcomplex import (Chain, SizeCapError, boundary, boundary_matrix,
                               chain_to_vector, l1_norm)
 from barl1.groups import (FreeGroup, cyclic_group, identity_hom,
-                          trivial_hom)
+                          symmetric_group_perm, trivial_hom)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          full_support, is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
-from helpers import brute_lp_min, random_chain
+from barl1.products import xi_fill
+from helpers import brute_lp_min, column_span_oracle, random_chain
 
 G1 = cyclic_group(1)
 G2 = cyclic_group(2)
 G3 = cyclic_group(3)
+S3 = symmetric_group_perm(3)
 
 
 def test_lp_basic_optimal():
@@ -70,8 +74,9 @@ def test_lp_against_basis_enumeration():
 
 
 def test_lp_dual_certificates_midsize():
-    """On 20x40 instances the returned dual must certify the optimum:
-    A^T y <= c exactly and y.b equal to the objective."""
+    """On 20x40 instances the returned dual must certify the optimum on
+    the caller's own rows and rhs: A^T y <= c exactly and y.b equal to
+    the objective."""
     rng = random.Random(7)
     for _ in range(10):
         m, n = 20, 40
@@ -83,11 +88,8 @@ def test_lp_dual_certificates_midsize():
         res = lp_solve(LpProblem(tuple(map(tuple, rows)), tuple(rhs),
                                  tuple(obj)))
         assert res.status == "optimal"
-        # normalize to the solver's frame: rows with negative rhs flipped
-        for i in range(m):
-            if rhs[i] < 0:
-                rows[i] = [-v for v in rows[i]]
-                rhs[i] = -rhs[i]
+        # rows with negative rhs are where a sign-flipped dual would fail
+        assert any(b < 0 for b in rhs)
         y = res.dual
         assert sum(y[i] * rhs[i] for i in range(m)) == res.objective
         for j in range(n):
@@ -104,6 +106,71 @@ def test_lp_deterministic():
     first = lp_solve(LpProblem(rows, rhs, obj))
     second = lp_solve(LpProblem(rows, rhs, obj))
     assert first.x == second.x and first.objective == second.objective
+
+
+def _xi_fill_problem(monkeypatch):
+    """The 16x128 LP that xi_fill solves for one fixed Z/2 degree-2 boundary."""
+    seen = []
+    solve = l1opt.lp_solve
+
+    def record(prob):
+        seen.append(prob)
+        return solve(prob)
+
+    monkeypatch.setattr(l1opt, "lp_solve", record)
+    xi_fill(boundary(Chain(G2, 3, {(1, 1, 0): Fraction(1),
+                                   (0, 1, 1): Fraction(-2)})))
+    monkeypatch.undo()
+    (prob,) = seen
+    assert (len(prob.rows), len(prob.objective)) == (16, 128)
+    return prob
+
+
+def _pinned_problems(monkeypatch):
+    rng = random.Random(41)
+    probs = []
+    for _ in range(40):
+        # small entries make ratio and entering ties common; negative
+        # rhs rows get flipped; some costs are negative (unbounded cases)
+        rows = tuple(tuple(rng.randrange(-3, 4) for _ in range(8))
+                     for _ in range(4))
+        rhs = tuple(rng.randrange(-4, 5) for _ in range(4))
+        obj = tuple(rng.randrange(-1, 5) for _ in range(8))
+        probs.append(LpProblem(rows, rhs, obj))
+    for _ in range(3):
+        m, n = 20, 40
+        rows = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                 for _ in range(n)] for _ in range(m)]
+        x0 = [Fraction(rng.randrange(0, 3)) for _ in range(n)]
+        rhs = [sum(rows[i][j] * x0[j] for j in range(n)) for i in range(m)]
+        obj = [Fraction(rng.randrange(1, 6)) for _ in range(n)]
+        probs.append(LpProblem(tuple(map(tuple, rows)), tuple(rhs),
+                               tuple(obj)))
+    probs.append(LpProblem(((1, 1),), (-1,), (1, 1)))
+    probs.append(LpProblem(((1, -1),), (0,), (-1, 0)))
+    # row 1 is twice row 0: its artificial stays basic at level 0 and
+    # the row is dropped
+    probs.append(LpProblem(((1, 1, 0), (2, 2, 0), (0, 1, 1)), (1, 2, 1),
+                           (1, 2, 3)))
+    probs.append(_xi_fill_problem(monkeypatch))
+    return probs
+
+
+def test_lp_pinned_outputs(monkeypatch):
+    """Status, x and objective over a fixed batch hash to a pinned value,
+    so any change of pivot under ties, or of a redundant-row or
+    artificial-variable decision, shows."""
+    out = []
+    for prob in _pinned_problems(monkeypatch):
+        res = lp_solve(prob)
+        out.append([res.status,
+                    None if res.x is None else [str(v) for v in res.x],
+                    None if res.objective is None else str(res.objective)])
+    statuses = {r[0] for r in out}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == (
+        "c018e6221dd95a7b4f838daf35f25e02330837299c9836908994091f50179227")
 
 
 def test_fill_min_z2_hand_example():
@@ -190,6 +257,38 @@ def test_is_boundary_matches_rank_oracle():
         assert is_boundary(z) == expected
         hits[expected] += 1
     assert hits[True] and hits[False]
+
+
+@pytest.mark.parametrize("G", [G2, G3, S3], ids=["Z2", "Z3", "S3"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_is_boundary_matches_span_oracle(G, q):
+    # rational acyclicity: over a finite group the verdict is is_cycle,
+    # checked here against membership in the column span of d_{q+1}
+    in_span = column_span_oracle(boundary_matrix(G, q + 1))
+    rng = random.Random(37 + q)
+    hits = {True: 0, False: 0}
+    for k in range(10):
+        z = (boundary(random_chain(G, q + 1, rng)) if k % 2
+             else random_chain(G, q, rng))
+        expected = in_span(z)
+        assert is_boundary(z) == expected
+        hits[expected] += 1
+    assert hits[True]
+    # in degree 1 every chain is a cycle, hence a boundary
+    assert hits[False] or q == 1
+
+
+def test_is_boundary_past_support_cap():
+    # the full support over S3 in degree 3 has 216 tuples; no LP is
+    # built, so a cap below that no longer raises SizeCapError
+    rng = random.Random(43)
+    z = boundary(random_chain(S3, 3, rng))
+    assert not z.is_zero()
+    assert is_boundary(z, cap=100)
+    assert not is_boundary(z + Chain.single(S3, (S3.identity(), S3.identity())),
+                           cap=100)
+    with pytest.raises(SizeCapError):
+        full_support(S3, 3, cap=100)
 
 
 def test_fill_min_free_group_ball():
