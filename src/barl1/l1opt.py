@@ -10,7 +10,9 @@ updated row is divided by the gcd of its entries.  A pivot updates only
 the rows holding the entering column, and only at the pivot row's
 nonzeros.  Every decision (entering column, ratio test, artificial
 drive-out, dropped redundant rows) is made on exact values, so the
-pivots and the outputs are those of a dense Fraction tableau.
+pivots and the outputs are those of a dense Fraction tableau.  The row
+kernel is linalg's (int_row / eliminate / pivot), and the dual comes
+from linalg.solve_square on the final basis.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
@@ -70,52 +72,11 @@ class LpResult:
     dual: list | None = None
 
 
-def _eliminate(row, b, prow, pb, c):
-    """Clear column c of the integer row (row, b) with the pivot row
-    (prow, pb), where prow[c] > 0.
-
-    This is row - (row[c] / prow[c]) * prow, scaled by the positive
-    factor prow[c] / gcd(row[c], prow[c]) so that it stays integral,
-    then divided by the gcd of its entries.  Only the pivot row's
-    nonzeros are touched.
-    """
-    f = row[c]
-    p = prow[c]
-    g = gcd(f, p)
-    s, f = p // g, f // g
-    if s != 1:
-        row = {j: v * s for j, v in row.items()}
-        b *= s
-    for j, v in prow.items():
-        w = row.get(j, 0) - f * v
-        if w:
-            row[j] = w
-        else:
-            del row[j]
-    b -= f * pb
-    g = gcd(b, *row.values())
-    if g > 1:
-        row = {j: v // g for j, v in row.items()}
-        b //= g
-    return row, b
-
-
-def _pivot(rows, rhs, basis, r, c):
-    if rows[r][c] < 0:
-        rows[r] = {j: -v for j, v in rows[r].items()}
-        rhs[r] = -rhs[r]
-    prow, pb = rows[r], rhs[r]
-    for i, row in enumerate(rows):
-        if i != r and c in row:
-            rows[i], rhs[i] = _eliminate(row, rhs[i], prow, pb, c)
-    basis[r] = c
-
-
 def _price_out(cost, rows, rhs, basis):
     """Reduced costs of the cost row against the current basis."""
     for i, bi in enumerate(basis):
         if bi in cost:
-            cost, _ = _eliminate(cost, 0, rows[i], rhs[i], bi)
+            cost, _ = linalg.eliminate(cost, 0, rows[i], rhs[i], bi)
     return cost
 
 
@@ -138,39 +99,8 @@ def _optimize(rows, rhs, cost, basis):
                     leave, lb, la = i, rhs[i], a
         if leave is None:
             return "unbounded"
-        _pivot(rows, rhs, basis, leave, enter)
-        cost, _ = _eliminate(cost, 0, rows[leave], rhs[leave], enter)
-
-
-def _integer_row(values, b):
-    """One constraint as (nonzero entries, rhs) scaled to integers, with
-    the row negated when its rhs is negative; returns the scale too."""
-    vals = {j: Fraction(v) for j, v in enumerate(values) if v}
-    b = Fraction(b)
-    scale = lcm(b.denominator, *(v.denominator for v in vals.values()))
-    if b < 0:
-        scale = -scale
-    row = {j: v.numerator * (scale // v.denominator) for j, v in vals.items()}
-    return row, b.numerator * (scale // b.denominator), abs(scale)
-
-
-def _basis_dual(a, rowmap, basis, c):
-    """y with sum_i a[rowmap[i]][b] * y[i] = c[b] for each basic column
-    b, by Gauss-Jordan on the same integer rows; None when singular."""
-    eqs, rhs = [], []
-    for b in basis:
-        row, rb, _ = _integer_row([a[r][b] for r in rowmap], c[b])
-        eqs.append(row)
-        rhs.append(rb)
-    cols = [None] * len(eqs)
-    for r in range(len(eqs)):
-        if not eqs[r]:
-            return None
-        _pivot(eqs, rhs, cols, r, min(eqs[r]))
-    y = [None] * len(eqs)
-    for r, i in enumerate(cols):
-        y[i] = Fraction(rhs[r], eqs[r][i])
-    return y
+        linalg.pivot(rows, rhs, basis, leave, enter)
+        cost, _ = linalg.eliminate(cost, 0, rows[leave], rhs[leave], enter)
 
 
 def lp_solve(prob: LpProblem) -> LpResult:
@@ -186,7 +116,7 @@ def lp_solve(prob: LpProblem) -> LpResult:
     # column n + i; its entry in row i is the row's denominator.
     rows, rhs = [], []
     for i, (r, b) in enumerate(zip(prob.rows, prob.rhs)):
-        row, b, den = _integer_row(r, b)
+        row, b, den = linalg.int_row(r, b)
         row[n + i] = den
         rows.append(row)
         rhs.append(b)
@@ -205,12 +135,12 @@ def lp_solve(prob: LpProblem) -> LpResult:
             if piv is None:
                 del rows[i], rhs[i], basis[i], rowmap[i]
                 continue
-            _pivot(rows, rhs, basis, i, piv)
+            linalg.pivot(rows, rhs, basis, i, piv)
         i += 1
 
     # phase 2 on the original columns
     rows = [{j: v for j, v in row.items() if j < n} for row in rows]
-    cost, _, _ = _integer_row(c, 0)
+    cost, _, _ = linalg.int_row(c, 0)
     status = _optimize(rows, rhs, _price_out(cost, rows, rhs, basis), basis)
     if status == "unbounded":
         return LpResult("unbounded")
@@ -220,13 +150,15 @@ def lp_solve(prob: LpProblem) -> LpResult:
         x[bi] = Fraction(rhs[i], rows[i][bi])
     objective = sum((c[bi] * x[bi] for bi in basis), Fraction(0))
 
-    # dual vector from the final basis in the caller's row frame,
-    # padded with 0 on dropped rows
+    # dual vector from the final basis, solved on the caller's own rows
+    # (so in the caller's sign frame), padded with 0 on dropped rows
     dual = [Fraction(0)] * m
-    y = _basis_dual(prob.rows, rowmap, basis, c)
-    if y is not None:
-        for i, yi in zip(rowmap, y):
-            dual[i] = yi
+    if basis:
+        bt = [[prob.rows[i][bk] for i in rowmap] for bk in basis]
+        y = linalg.solve_square(bt, [c[bk] for bk in basis])
+        if y is not None:
+            for i, yi in zip(rowmap, y):
+                dual[i] = yi
     return LpResult("optimal", x, objective, dual)
 
 

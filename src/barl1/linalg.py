@@ -1,14 +1,17 @@
 """Small exact linear algebra kernel: ranks, RREF, square solves.
 
-Matrices are lists of row lists.  Integer matrices go through
-fraction-free (Bareiss) elimination, everything else through plain
-Fraction elimination.  Sizes here are modest (boundary matrices of
-small groups, decomposition blocks), so dense is fine.
+Matrices are lists of row lists.  Integer ranks go through
+fraction-free (Bareiss) elimination and rref through plain Fraction
+elimination.  Square solves and inverses share the sparse integer-row
+Gauss-Jordan kernel (int_row / eliminate / pivot) that the simplex in
+l1opt runs on: each row is a dict of nonzero integer entries whose rhs
+is scaled with it, and every updated row is divided by its gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rank_int(rows, ncols=None) -> int:
@@ -78,49 +81,112 @@ def rank_fraction(rows) -> int:
     return len(rref(rows)[1])
 
 
+def int_row(values, b):
+    """One equation values . x = b as (row, rhs, scale): row maps column
+    to nonzero integer entry, and row, rhs are the equation times scale,
+    the positive lcm of all denominators, negated when b < 0 so that the
+    rhs is nonnegative."""
+    vals = {j: Fraction(v) for j, v in enumerate(values) if v}
+    b = Fraction(b)
+    scale = lcm(b.denominator, *(v.denominator for v in vals.values()))
+    if b < 0:
+        scale = -scale
+    row = {j: v.numerator * (scale // v.denominator) for j, v in vals.items()}
+    return row, b.numerator * (scale // b.denominator), abs(scale)
+
+
+def eliminate(row, b, prow, pb, c):
+    """Clear column c of the integer row (row, b) with the pivot row
+    (prow, pb), where prow[c] > 0.
+
+    This is row - (row[c] / prow[c]) * prow, scaled by the positive
+    factor prow[c] / gcd(row[c], prow[c]) so that it stays integral,
+    then divided by the gcd of its entries.  Only the pivot row's
+    nonzeros are touched.
+    """
+    f = row[c]
+    p = prow[c]
+    g = gcd(f, p)
+    s, f = p // g, f // g
+    if s != 1:
+        row = {j: v * s for j, v in row.items()}
+        b *= s
+    for j, v in prow.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    b -= f * pb
+    g = gcd(b, *row.values())
+    if g > 1:
+        row = {j: v // g for j, v in row.items()}
+        b //= g
+    return row, b
+
+
+def pivot(rows, rhs, basis, r, c):
+    """Gauss-Jordan step on integer rows: make row r's entry in column c
+    positive and clear column c from every other row holding it."""
+    if rows[r][c] < 0:
+        rows[r] = {j: -v for j, v in rows[r].items()}
+        rhs[r] = -rhs[r]
+    prow, pb = rows[r], rhs[r]
+    for i, row in enumerate(rows):
+        if i != r and c in row:
+            rows[i], rhs[i] = eliminate(row, rhs[i], prow, pb, c)
+    basis[r] = c
+
+
+def _reduce_square(rows, rhs, ncols):
+    """Gauss-Jordan on n integer rows over columns < ncols, pivoting each
+    row on its first such column; the pivot column of each row, or None
+    when the rows are dependent there."""
+    cols = [None] * len(rows)
+    for r, row in enumerate(rows):
+        c = min((j for j in row if j < ncols), default=None)
+        if c is None:
+            return None
+        pivot(rows, rhs, cols, r, c)
+    return cols
+
+
 def solve_square(a, b):
     """Solve a x = b for square a; None when singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [u - f * v for u, v in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    rows, rhs = [], []
+    for values, bi in zip(a, b):
+        row, bi, _ = int_row(values, bi)
+        rows.append(row)
+        rhs.append(bi)
+    n = len(rows)
+    cols = _reduce_square(rows, rhs, n)
+    if cols is None:
+        return None
+    x = [None] * n
+    for r, c in enumerate(cols):
+        # row r is now rows[r][c] * x[c] = rhs[r]
+        x[c] = Fraction(rhs[r], rows[r][c])
+    return x
 
 
 def invert(a):
     """Inverse of a square Fraction matrix; None when singular."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [u - f * v for u, v in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    rows, rhs = [], []
+    for i, values in enumerate(a):
+        # identity block in columns n .. 2n-1
+        row, _, scale = int_row(values, 0)
+        row[n + i] = scale
+        rows.append(row)
+        rhs.append(0)
+    cols = _reduce_square(rows, rhs, n)
+    if cols is None:
+        return None
+    inv = [None] * n
+    for r, c in enumerate(cols):
+        p = rows[r][c]
+        inv[c] = [Fraction(rows[r].get(n + k, 0), p) for k in range(n)]
+    return inv
 
 
 def rank_factorization(rows):

@@ -57,10 +57,11 @@ def cochain_equal(f, g, G, degree):
     return True
 
 
-
 def column_span_oracle(dmat):
-    """A test of whether a chain lies in the rational column span of the
-    boundary matrix dmat, by sparse elimination over Fraction."""
+    """Rank oracle for boundaries: z is in the rational column span of
+    the boundary matrix dmat exactly when appending z as a column leaves
+    the rank unchanged, i.e. when z reduces to 0 against an echelon
+    basis of the columns.  Sparse elimination over Fraction."""
     from barl1.barcomplex import tuple_index
 
     def reduce(vec):

@@ -43,6 +43,31 @@ def test_solve_square_and_invert():
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
+def test_solve_square_and_invert_random():
+    # the integer-row kernel against rank_int (Bareiss) on singularity
+    # and against exact substitution otherwise
+    rng = random.Random(13)
+    singular = 0
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        a = [[Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+              for _ in range(n)] for _ in range(n)]
+        b = [Fraction(rng.randrange(-4, 5)) for _ in range(n)]
+        x = solve_square(a, b)
+        inv = invert(a)
+        scaled = [[int(v * 4) for v in row] for row in a]
+        if rank_int(scaled) < n:
+            assert x is None and inv is None
+            singular += 1
+            continue
+        for i in range(n):
+            assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
+            for k in range(n):
+                assert sum(a[i][j] * inv[j][k] for j in range(n)) == (i == k)
+    assert 0 < singular < 150
+    assert solve_square([], []) == [] and invert([]) == []
+
+
 def test_rank_factorization_reconstructs():
     rng = random.Random(9)
     for _ in range(60):
