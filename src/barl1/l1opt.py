@@ -16,7 +16,9 @@ from linalg.solve_square on the final basis.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
-u, w >= 0 and minimizing sum(u) + sum(w).
+u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
+LP rows.  ubc_kappa_exact maximizes the filling ratio over the
+circuits (elementary vectors) of the boundary subspace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
@@ -47,7 +49,10 @@ class SupportExhausted(Exception):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x  subject to  rows . x = rhs, x >= 0."""
+    """min objective . x  subject to  rows . x = rhs, x >= 0.
+
+    A row is a dense sequence of one entry per column, or a mapping
+    {column: value} of its nonzero entries."""
 
     rows: tuple
     rhs: tuple
@@ -59,9 +64,13 @@ class LpProblem:
             raise ValueError("row count %d does not match rhs length %d"
                              % (len(self.rows), len(self.rhs)))
         for r in self.rows:
-            if len(r) != n:
-                raise ValueError("row length %d does not match objective length %d"
-                                 % (len(r), n))
+            if (any(not 0 <= j < n for j in r) if isinstance(r, dict)
+                    else len(r) != n):
+                raise ValueError("row %r does not fit %d columns" % (r, n))
+
+    def __hash__(self):
+        return hash((tuple(frozenset(r.items()) if isinstance(r, dict) else r
+                           for r in self.rows), self.rhs, self.objective))
 
 
 @dataclass
@@ -106,7 +115,7 @@ def _optimize(rows, rhs, cost, basis):
 def lp_solve(prob: LpProblem) -> LpResult:
     m = len(prob.rows)
     n = len(prob.objective)
-    c = [Fraction(v) for v in prob.objective]
+    c = [linalg.exact(v) for v in prob.objective]
     if m == 0:
         if any(v < 0 for v in c):
             return LpResult("unbounded")
@@ -114,8 +123,9 @@ def lp_solve(prob: LpProblem) -> LpResult:
 
     # phase 1: artificial basis, minimize its total.  Artificial i is
     # column n + i; its entry in row i is the row's denominator.
+    given = [r if isinstance(r, dict) else dict(enumerate(r)) for r in prob.rows]
     rows, rhs = [], []
-    for i, (r, b) in enumerate(zip(prob.rows, prob.rhs)):
+    for i, (r, b) in enumerate(zip(given, prob.rhs)):
         row, b, den = linalg.int_row(r, b)
         row[n + i] = den
         rows.append(row)
@@ -154,7 +164,7 @@ def lp_solve(prob: LpProblem) -> LpResult:
     # (so in the caller's sign frame), padded with 0 on dropped rows
     dual = [Fraction(0)] * m
     if basis:
-        bt = [[prob.rows[i][bk] for i in rowmap] for bk in basis]
+        bt = [[given[i].get(bk, 0) for i in rowmap] for bk in basis]
         y = linalg.solve_square(bt, [c[bk] for bk in basis])
         if y is not None:
             for i, yi in zip(rowmap, y):
@@ -229,16 +239,18 @@ def _solve_fill(z: Chain, support, minimize=True):
             row_index[tup] = len(row_index)
     m = len(row_index)
     S = len(support)
-    a = [[Fraction(0)] * (2 * S) for _ in range(m)]
+    # sparse rows: column j is u_j, column S + j is w_j
+    a = [{} for _ in range(m)]
     for j, col in enumerate(rows_of_col):
         for r, v in col.items():
-            a[r][j] = Fraction(v)
-            a[r][S + j] = Fraction(-v)
+            if v:
+                a[r][j] = v
+                a[r][S + j] = -v
     b = [Fraction(0)] * m
     for tup, r in z.coeffs.items():
         b[row_index[tup]] = r
     obj = [Fraction(1)] * (2 * S) if minimize else [Fraction(0)] * (2 * S)
-    res = lp_solve(LpProblem(tuple(map(tuple, a)), tuple(b), tuple(obj)))
+    res = lp_solve(LpProblem(tuple(a), tuple(b), tuple(obj)))
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
@@ -363,53 +375,42 @@ class UbcConstant:
     strategy: str = ""
 
 
-def _vertex_candidates(N, vcols, budget):
-    """Basic feasible points of {u - w = V y, sum u + sum w = 1, all >= 0},
-    projected to x = u - w and deduplicated up to sign."""
-    d = len(vcols)
-    nv = 2 * N + 2 * d
-    nrows = N + 1
-    if comb(nv, nrows) > budget:
+def _circuits(vrows, d, budget):
+    """Elementary vectors of the column space of the N x d matrix vrows
+    (rank d), scaled to |x|_1 = 1 with first nonzero entry positive and
+    sorted; None when the C(N, d-1) row subsets exceed budget.
+
+    Rows R (|R| = d-1) of rank d-1 have a kernel line y, and x = V y
+    vanishes on R.  Any x' = V y' with support inside that of x has y'
+    in the same kernel, so x is elementary; conversely the zero set of
+    an elementary vector holds such an R (Rockafellar 1969)."""
+    N = len(vrows)
+    if comb(N, d - 1) > budget:
         return None
-    cols = []
-    for j in range(N):
-        cols.append([Fraction(int(i == j)) for i in range(N)] + [Fraction(1)])
-    for j in range(N):
-        cols.append([Fraction(-int(i == j)) for i in range(N)] + [Fraction(1)])
-    for k in range(d):
-        cols.append([-v for v in vcols[k]] + [Fraction(0)])
-    for k in range(d):
-        cols.append(list(vcols[k]) + [Fraction(0)])
-    rhs = [Fraction(0)] * N + [Fraction(1)]
     seen = set()
-    for idxs in itertools.combinations(range(nv), nrows):
-        bmat = [[cols[j][i] for j in idxs] for i in range(nrows)]
-        sol = linalg.solve_square(bmat, rhs)
-        if sol is None or any(v < 0 for v in sol):
+    for R in itertools.combinations(range(N), d - 1):
+        y = linalg.null_vector([vrows[i] for i in R], d)
+        if y is None:
             continue
-        x = [Fraction(0)] * N
-        for val, j in zip(sol, idxs):
-            if j < N:
-                x[j] += val
-            elif j < 2 * N:
-                x[j - N] -= val
-        if all(v == 0 for v in x):
-            continue
-        for v in x:
-            if v != 0:
-                if v < 0:
-                    x = [-u for u in x]
-                break
-        seen.add(tuple(x))
-    return sorted(seen)
+        x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
+        g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
+        seen.add(tuple(v // g for v in x))
+    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
 
 
-def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_cap=24,
-                    enum_budget=200_000, samples=100, rng=None) -> UbcConstant:
-    """kappa(G, q) = max of fill_min over the vertices of the polytope
-    {z in im d_{q+1} : |z|_1 <= 1}, enumerated exactly when the lifted
-    dimension 2N + 2d fits under enum_cap; otherwise returns a
-    certified (sampled lower, section-bound upper) pair."""
+def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=200_000,
+                    samples=100, rng=None) -> UbcConstant:
+    """kappa(G, q), the largest l1-minimal filling ratio of a degree-q
+    boundary.
+
+    The minimal filling norm is convex on {z in im d : |z|_1 <= 1}, so
+    it peaks at a vertex, and the vertices are the circuits of im d
+    scaled to |z|_1 = 1.  With d = rank d_{q+1} over N degree-q tuples,
+    the C(N, d-1) row subsets of the pivot columns of d give them, one
+    kernel line each, and each is filled exactly (strategy "circuits").
+    Past enum_budget subsets the result is a certified bracket instead:
+    a sampled lower bound and a basis-section upper bound.
+    """
     from .barcomplex import boundary_matrix
 
     if not G.is_finite():
@@ -423,32 +424,14 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_cap=24,
         # no nonzero boundaries: the polytope is empty and kappa = 0
         return UbcConstant(q, Fraction(0), Fraction(0), Fraction(0),
                            "vertex-enumeration", [], strategy="trivial")
-    vcols = [[Fraction(dense[i][j]) for i in range(N)] for j in pivots]
+    vrows = [[row[j] for j in pivots] for row in dense]
 
-    if d == N:
-        # the boundary subspace is everything: the polytope is the full
-        # l1 ball, its vertices the signed basis tuples
-        certs = []
-        kappa = Fraction(0)
-        for i in range(N):
-            z = chain_from_vector(G, q, [Fraction(int(j == i)) for j in range(N)])
-            cert = fill_min(z, cap=cap)
-            certs.append(cert)
-            kappa = max(kappa, cert.ratio)
-        return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration", certs, strategy="basis")
-
-    verts = None
-    if 2 * N + 2 * d <= enum_cap:
-        verts = _vertex_candidates(N, vcols, enum_budget)
+    verts = _circuits(vrows, d, enum_budget)
     if verts is not None:
-        certs = []
-        kappa = Fraction(0)
-        for x in verts:
-            z = chain_from_vector(G, q, list(x))
-            cert = fill_min(z, cap=cap)
-            certs.append(cert)
-            kappa = max(kappa, cert.ratio)
-        return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration", certs, strategy="lifted-bfs")
+        certs = [fill_min(chain_from_vector(G, q, x), cap=cap) for x in verts]
+        kappa = max(cert.ratio for cert in certs)
+        return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration",
+                           certs, strategy="circuits")
 
     # fallback: sampled lower bound plus a certified basis-section upper
     # bound max_j minfill(v_j) * |V_I^{-1}|_{1->1}
@@ -467,16 +450,12 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_cap=24,
         cert = fill_min(z, cap=cap)
         certs.append(cert)
         lower = max(lower, cert.ratio)
-    basis_fills = []
-    for k in range(d):
-        z = chain_from_vector(G, q, vcols[k])
-        basis_fills.append(l1_norm(fill_min(z, cap=cap).c))
-    vrows = [[vcols[k][i] for k in range(d)] for i in range(N)]
-    _, prow = linalg.rref([list(r) for r in zip(*vrows)])
-    vi = [vrows[i] for i in prow]
-    vinv = linalg.invert(vi)
+    basis_fill = max(l1_norm(fill_min(chain_from_vector(G, q, col), cap=cap).c)
+                     for col in zip(*vrows))
+    _, prow = linalg.rref(list(zip(*vrows)))
+    vinv = linalg.invert([vrows[i] for i in prow])
     colnorm = max(sum(abs(vinv[i][j]) for i in range(d)) for j in range(d))
-    upper = max(basis_fills) * colnorm
+    upper = basis_fill * colnorm
     if lower > upper:
         raise AssertionError("sampled lower bound exceeds certified upper bound")
     return UbcConstant(q, None, lower, upper, "sampled", certs, strategy="basis-section")

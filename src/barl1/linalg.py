@@ -1,11 +1,11 @@
 """Small exact linear algebra kernel: ranks, RREF, square solves.
 
 Matrices are lists of row lists.  Integer ranks go through
-fraction-free (Bareiss) elimination and rref through plain Fraction
-elimination.  Square solves and inverses share the sparse integer-row
-Gauss-Jordan kernel (int_row / eliminate / pivot) that the simplex in
-l1opt runs on: each row is a dict of nonzero integer entries whose rhs
-is scaled with it, and every updated row is divided by its gcd.
+fraction-free (Bareiss) elimination.  RREF, square solves, inverses and
+kernel lines share the sparse integer-row Gauss-Jordan kernel (int_row
+/ eliminate / pivot) that the simplex in l1opt runs on: each row is a
+dict of nonzero integer entries whose rhs is scaled with it, and every
+updated row is divided by its gcd.
 """
 
 from __future__ import annotations
@@ -47,47 +47,20 @@ def rank_int(rows, ncols=None) -> int:
     return rank
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank_fraction(rows) -> int:
-    return len(rref(rows)[1])
+def exact(v):
+    """v as an exact number: ints and Fractions as they are."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def int_row(values, b):
-    """One equation values . x = b as (row, rhs, scale): row maps column
-    to nonzero integer entry, and row, rhs are the equation times scale,
+    """One equation values . x = b as (row, rhs, scale): values is a
+    dense sequence or a {column: value} mapping, row maps column to
+    nonzero integer entry, and row, rhs are the equation times scale,
     the positive lcm of all denominators, negated when b < 0 so that the
     rhs is nonnegative."""
-    vals = {j: Fraction(v) for j, v in enumerate(values) if v}
-    b = Fraction(b)
+    items = values.items() if isinstance(values, dict) else enumerate(values)
+    vals = {j: exact(v) for j, v in items if v}
+    b = exact(b)
     scale = lcm(b.denominator, *(v.denominator for v in vals.values()))
     if b < 0:
         scale = -scale
@@ -189,6 +162,51 @@ def invert(a):
     return inv
 
 
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Each integer row pivots in turn on its first nonzero column, which
+    pivot clears from every other row.  The RREF is unique, so dividing
+    the pivot rows by their pivot entries and sorting them by pivot
+    column gives it; rows that reduced to zero follow as zero rows.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    ints = [int_row(values, 0)[0] for values in rows]
+    zeros = [0] * len(ints)
+    cols = [None] * len(ints)
+    for r, row in enumerate(ints):
+        if row:
+            pivot(ints, zeros, cols, r, min(row))
+    order = sorted((c, r) for r, c in enumerate(cols) if c is not None)
+    red = [[Fraction(ints[r].get(j, 0), ints[r][c]) for j in range(ncols)]
+           for c, r in order]
+    red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(order))]
+    return red, [c for c, _ in order]
+
+
+def rank_fraction(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def null_vector(a, ncols):
+    """Integer y spanning the kernel of a, a matrix of ncols - 1 rows;
+    None when its rank is lower, so that the kernel is no line."""
+    rows = [int_row(values, 0)[0] for values in a]
+    cols = _reduce_square(rows, [0] * len(rows), ncols)
+    if cols is None:
+        return None
+    # after Gauss-Jordan row r reads p * y[c] + f * y[free] = 0
+    free = min(set(range(ncols)).difference(cols))
+    scale = lcm(*(rows[r][c] for r, c in enumerate(cols)))
+    y = [0] * ncols
+    y[free] = scale
+    for r, c in enumerate(cols):
+        y[c] = -rows[r].get(free, 0) * scale // rows[r][c]
+    return y
+
+
 def rank_factorization(rows):
     """Write the matrix as sum of outer products, W = sum col_i * row_i.
 
@@ -198,9 +216,5 @@ def rank_factorization(rows):
     the nonzero rows of rref(W) (inside the row space).
     """
     red, pivots = rref(rows)
-    out = []
-    for i, col in enumerate(pivots):
-        colvec = [Fraction(r[col]) for r in rows]
-        rowvec = red[i]
-        out.append((colvec, rowvec))
-    return out
+    return [([Fraction(r[col]) for r in rows], red[i])
+            for i, col in enumerate(pivots)]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,24 @@ def test_boundary_command(tmp_path, z2file, capsys):
 def test_kappa_exact_line(z2file, capsys):
     assert run(["kappa", "--group", z2file, "--degree", "1"]) == 0
     assert "kappa = 1 (exact, vertex-enumeration)" in capsys.readouterr().out
+
+
+def test_kappa_circuits_record_verifies(tmp_path, z3file, capsys):
+    out = str(tmp_path / "kappa.json")
+    assert run(["kappa", "--group", z3file, "--degree", "2", "--out", out]) == 0
+    assert "kappa = 1/2 (exact, vertex-enumeration)" in capsys.readouterr().out
+    assert run(["verify", "--json", out]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_python_m_barl1_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "barl1", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: barl1" in proc.stdout
 
 
 def test_fill_certificate_round_trip(tmp_path, z2file, capsys):

@@ -7,12 +7,13 @@ import pytest
 
 from barl1 import l1opt
 from barl1.barcomplex import (Chain, SizeCapError, boundary, boundary_matrix,
-                              l1_norm)
+                              index_tuple, l1_norm)
 from barl1.groups import (FreeGroup, cyclic_group, identity_hom,
                           symmetric_group_perm, trivial_hom)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          full_support, is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
+from barl1.linalg import rank_int
 from barl1.products import xi_fill
 from helpers import brute_lp_min, column_span_oracle, random_chain
 
@@ -49,6 +50,24 @@ def test_lp_shape_validation():
         LpProblem(((1, 2),), (1, 2), (1, 1))
     with pytest.raises(ValueError):
         LpProblem(((1,),), (1,), (1, 1))
+
+
+def test_lp_mapping_rows():
+    # {column: value} rows solve as their dense rows do, dual included,
+    # are checked against the column count, and hash by their entries
+    rng = random.Random(7)
+    for _ in range(30):
+        rows = tuple(tuple(rng.randrange(-3, 4) for _ in range(8))
+                     for _ in range(4))
+        rhs = tuple(rng.randrange(-4, 5) for _ in range(4))
+        obj = tuple(rng.randrange(-1, 5) for _ in range(8))
+        sparse = tuple({j: v for j, v in enumerate(r) if v} for r in rows)
+        assert lp_solve(LpProblem(sparse, rhs, obj)) == lp_solve(
+            LpProblem(rows, rhs, obj))
+    with pytest.raises(ValueError):
+        LpProblem(({2: 1},), (1,), (1, 1))
+    assert (hash(LpProblem(({0: 1, 1: -1},), (1,), (1, 1)))
+            == hash(LpProblem(({1: -1, 0: 1},), (1,), (1, 1))))
 
 
 def test_lp_against_basis_enumeration():
@@ -316,7 +335,7 @@ def test_fill_min_free_group_non_boundary():
 def test_kappa_z2_degree_one():
     res = ubc_kappa_exact(G2, 1)
     assert res.kappa == 1 and res.lower == 1 and res.upper == 1
-    assert res.method == "vertex-enumeration" and res.strategy == "basis"
+    assert res.method == "vertex-enumeration" and res.strategy == "circuits"
     assert all(cert.verify() == [] for cert in res.certificates)
 
 
@@ -327,16 +346,44 @@ def test_kappa_small_groups():
     assert ubc_kappa_exact(G3, 1).kappa == 1
 
 
-def test_kappa_z2_degree_two_lifted():
+def test_kappa_z2_degree_two_circuits():
     res = ubc_kappa_exact(G2, 2)
     assert res.kappa == Fraction(1, 2)
-    assert res.method == "vertex-enumeration" and res.strategy == "lifted-bfs"
-    assert len(res.certificates) == 3
+    assert res.method == "vertex-enumeration" and res.strategy == "circuits"
+    # the three vertices that enumerating the bases of the lifted
+    # program {u - w = V y, sum u + sum w = 1} finds, in the same order
+    h = Fraction(1, 2)
+    assert [cert.z.coeffs for cert in res.certificates] == [
+        {(0, 1): h, (1, 0): -h}, {(0, 0): h, (0, 1): -h},
+        {(0, 0): h, (1, 0): -h}]
     assert all(cert.verify() == [] for cert in res.certificates)
 
 
+@pytest.mark.parametrize("G, q, kappa, count",
+                         [(G3, 2, Fraction(1, 2), 21), (G2, 3, Fraction(1), 13)],
+                         ids=["Z3_q2", "Z2_q3"])
+def test_kappa_circuits_are_elementary(G, q, kappa, count):
+    res = ubc_kappa_exact(G, q)
+    assert res.kappa == kappa and res.method == "vertex-enumeration"
+    assert len(res.certificates) == count
+    assert all(cert.verify() == [] for cert in res.certificates)
+    dmat = boundary_matrix(G, q + 1)
+    dense = dmat.dense_rows()
+    rank = rank_int(dense)
+    in_span = column_span_oracle(dmat)
+    supports = [set(cert.z.coeffs) for cert in res.certificates]
+    for cert, sup in zip(res.certificates, supports):
+        assert in_span(cert.z) and l1_norm(cert.z) == 1
+        assert not any(other < sup for other in supports)
+        # im d meets the coordinate subspace of sup in a line exactly
+        # when the rows off sup drop the rank by one
+        off = [row for i, row in enumerate(dense)
+               if index_tuple(G, i, q) not in sup]
+        assert rank - rank_int(off, dmat.ncols) == 1
+
+
 def test_kappa_sampled_brackets_exact():
-    res = ubc_kappa_exact(G2, 2, enum_cap=0, samples=30,
+    res = ubc_kappa_exact(G2, 2, enum_budget=0, samples=30,
                           rng=random.Random(3))
     assert res.method == "sampled" and res.strategy == "basis-section"
     assert res.kappa is None

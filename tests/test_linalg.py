@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
-from barl1.linalg import (invert, rank_factorization, rank_fraction,
-                          rank_int, rref, solve_square)
+from barl1.linalg import (invert, null_vector, rank_factorization,
+                          rank_fraction, rank_int, rref, solve_square)
 
 
 def _random_int_matrix(rng, m, n, lo=-4, hi=4):
@@ -30,6 +31,49 @@ def test_rref_pivots():
                          [Fraction(1), Fraction(2)]])
     assert pivots == [0]
     assert rows[0] == [Fraction(1), Fraction(2)]
+
+
+def test_rref_random():
+    # the integer-row rref against its definition and against rank_int
+    rng = random.Random(17)
+    for _ in range(150):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        a = _random_int_matrix(rng, m, n, -3, 3)
+        if rng.random() < 0.3:
+            a.append([x + y for x, y in zip(a[0], a[-1])])
+        red, pivots = rref(a)
+        rank = rank_int(a)
+        assert len(pivots) == rank and len(red) == len(a)
+        assert pivots == sorted(set(pivots))
+        assert all(not any(row) for row in red[rank:])
+        for i, c in enumerate(pivots):
+            assert red[i][c] == 1 and not any(red[i][:c])
+            assert all(red[k][c] == 0 for k in range(len(red)) if k != i)
+            # each result row lies in the row span of a
+            den = lcm(*(v.denominator for v in red[i]))
+            assert rank_int(a + [[int(v * den) for v in red[i]]]) == rank
+        # each row of a is the combination of the result rows that its
+        # entries in the pivot columns give
+        for row in a:
+            assert [sum(row[c] * red[i][j] for i, c in enumerate(pivots))
+                    for j in range(n)] == row
+
+
+def test_null_vector_random():
+    rng = random.Random(19)
+    lines = 0
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        a = [[Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+              for _ in range(n)] for _ in range(n - 1)]
+        y = null_vector(a, n)
+        if rank_int([[int(v * 2) for v in row] for row in a], n) < n - 1:
+            assert y is None
+            continue
+        lines += 1
+        assert any(y) and all(isinstance(v, int) for v in y)
+        assert all(sum(v * w for v, w in zip(row, y)) == 0 for row in a)
+    assert 0 < lines < 150
 
 
 def test_solve_square_and_invert():
