@@ -83,10 +83,8 @@ class Chain:
         return not self.coeffs
 
     def terms(self):
-        """Deterministically ordered (tuple, coefficient) pairs."""
-        key = self.group.canonical_key
-        return sorted(self.coeffs.items(),
-                      key=lambda it: tuple(key(x) for x in it[0]))
+        """(tuple, coefficient) pairs in the order of the tuples."""
+        return sorted(self.coeffs.items())
 
     def support(self):
         return list(self.coeffs)
@@ -310,9 +308,6 @@ class BoundaryMatrix:
     nrows: int
     ncols: int
     entries: dict  # (row, col) -> int
-
-    def column(self, j):
-        return {r: v for (r, c), v in self.entries.items() if c == j}
 
     def dense_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]

@@ -47,23 +47,22 @@ def _size_cap(args) -> int:
     return DEFAULT_SIZE_CAP
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        text = fileio.dump_json(report)
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    body = "\n".join(lines) + "\n"
+def _emit(args, report: dict, lines: list[str], saved_as=None) -> None:
+    """Write the report as JSON (--json) or as text lines, to --out or
+    stdout.  A report named by saved_as goes to --out as JSON even
+    without --json, and its text lines then go to stdout."""
+    as_json = getattr(args, "json", False)
     out = getattr(args, "out", None)
+    if saved_as and out and not as_json:
+        fileio.dump_json(report, out)
+        lines = lines + ["%s written to %s" % (saved_as, out)]
+        out = None
+    text = fileio.dump_json(report) if as_json else "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            fh.write(text)
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(text)
 
 
 def _cmd_group_check(args) -> int:
@@ -114,12 +113,7 @@ def _cmd_fill(args) -> int:
     lines = ["ratio = %s" % _frac(cert.ratio),
              "|z| = %s, |c| = %s" % (_frac(l1_norm(z)), _frac(l1_norm(cert.c))),
              "method: %s" % cert.method]
-    if args.out and not args.json:
-        fileio.dump_json(record, args.out)
-        lines.append("certificate written to %s" % args.out)
-        _emit(argparse.Namespace(json=False, out=None), record, lines)
-        return 0
-    _emit(args, record, lines)
+    _emit(args, record, lines, saved_as="certificate")
     return 0
 
 
@@ -133,12 +127,7 @@ def _cmd_kappa(args) -> int:
     else:
         lines = ["kappa in [%s, %s] (%s)"
                  % (_frac(res.lower), _frac(res.upper), res.method)]
-    if args.out and not args.json:
-        fileio.dump_json(record, args.out)
-        lines.append("certificate written to %s" % args.out)
-        _emit(argparse.Namespace(json=False, out=None), record, lines)
-        return 0
-    _emit(args, record, lines)
+    _emit(args, record, lines, saved_as="certificate")
     return 0
 
 
@@ -167,7 +156,7 @@ def _cmd_cup(args) -> int:
     table = h.materialize(cap)
     lines = ["degree: %d + %d -> %d" % (f.degree, g.degree, h.degree)]
     terms = []
-    for t in sorted(table, key=lambda t: tuple(G.canonical_key(x) for x in t)):
+    for t in sorted(table):
         if table[t]:
             lines.append("%s * %s" % (_frac(table[t]), list(t)))
             terms.append({"coeff": _frac(table[t]),
@@ -220,12 +209,7 @@ def _cmd_mitosis_build(args) -> int:
     lines = ["source: %s" % G.describe(),
              "ambient: %s" % data.ambient.describe(),
              "ambient order: %d" % data.ambient.order()]
-    if args.out and not args.json:
-        fileio.dump_json(record, args.out)
-        lines.append("mitosis data written to %s" % args.out)
-        _emit(argparse.Namespace(json=False, out=None), record, lines)
-        return 0
-    _emit(args, record, lines)
+    _emit(args, record, lines, saved_as="mitosis data")
     return 0
 
 
@@ -263,14 +247,12 @@ def _load_pipeline_config(path, cap):
         psi = identity_hom(K)
     else:
         def hom_of(rec, S, T, name):
-            pairs = [(fileio.decode_element(S, a), fileio.decode_element(T, b))
-                     for a, b in rec]
-            table = {S.canonical_key(a): b for a, b in pairs}
+            table = {fileio.decode_element(S, a): fileio.decode_element(T, b)
+                     for a, b in rec}
             if len(table) != S.order():
                 raise fileio.FileFormatError(
                     "hom %s must list every source element" % name)
-            return build_hom(S, T, fn=lambda g: table[S.canonical_key(g)],
-                             name=name, check=True)
+            return build_hom(S, T, fn=table.__getitem__, name=name, check=True)
 
         phi = hom_of(homs["phi"], H, Hp, "phi")
         phi_prime = hom_of(homs["phi'"], Hp, K, "phi'")
@@ -342,12 +324,7 @@ def _cmd_tower(args) -> int:
     lines = ["%-7s %-12s %s" % ("degree", "size", "kappa")]
     for r in rows:
         lines.append("%-7d %-12d %s" % (r.degree, r.size, _frac(r.kappa)))
-    if args.out and not args.json:
-        fileio.dump_json(record, args.out)
-        lines.append("tower written to %s" % args.out)
-        _emit(argparse.Namespace(json=False, out=None), record, lines)
-        return 0
-    _emit(args, record, lines)
+    _emit(args, record, lines, saved_as="tower")
     return 0
 
 

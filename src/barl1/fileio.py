@@ -112,8 +112,7 @@ def _decode_element(G, obj):
         for k, enc in obj:
             k = int(k)
             x = _decode_element(G.factors[k], enc)
-            f = G.factors[k]
-            if f.eq(x, f.identity()):
+            if x == G.factors[k].identity():
                 continue
             out = G.mul(out, ((k, x),))
         return out
@@ -298,17 +297,11 @@ def mitosis_to_dict(data: mitosis.MitosisData) -> dict:
 def mitosis_from_dict(d) -> mitosis.MitosisData:
     G = build_group(d["source"])
     M = build_group(d["ambient"])
-    table = {}
-    for src, img in d["injection"]:
-        g = decode_element(G, src)
-        table[G.canonical_key(g)] = decode_element(M, img)
+    table = {decode_element(G, src): decode_element(M, img)
+             for src, img in d["injection"]}
     if len(table) != G.order():
         raise FileFormatError("injection table does not cover the source group")
-
-    def fn(g, _t=table, _G=G):
-        return _t[_G.canonical_key(g)]
-
-    inj = Homomorphism(G, M, fn, name="inj")
+    inj = Homomorphism(G, M, table.__getitem__, name="inj")
     return mitosis.MitosisData(G, M, inj,
                                decode_element(M, d["s"]),
                                decode_element(M, d["d"]))

@@ -15,8 +15,11 @@ canonical form fixed per backend:
   semidirect     (base element, acting element), the acting element a
                  permutation of base indices that is an automorphism
 
-Canonical forms make Python == the group equality, which the chain
-layer relies on for dictionary keys.
+Canonical forms make Python == the group equality, so an element is
+its own key: the chain, product and mitosis layers use elements directly
+as dictionary keys and as sort keys.  The one ordering contract is that
+the elements of one group are hashable, canonical and mutually
+comparable with <, which orders chain terms and serialized records.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class GroupOracle:
     def inv(self, a):
         raise NotImplementedError
 
-    def eq(self, a, b) -> bool:
-        # all backends keep canonical representatives
-        return a == b
-
     def contains(self, a) -> bool:
         raise NotImplementedError
 
@@ -67,10 +66,6 @@ class GroupOracle:
     def sample(self, rng):
         """A random element, for sampled law checks and property tests."""
         raise NotImplementedError
-
-    def canonical_key(self, a):
-        """A totally ordered key, used to sort tuples deterministically."""
-        return a
 
     def describe(self) -> str:
         return self.backend
@@ -427,9 +422,6 @@ class DirectProduct(GroupOracle):
     def sample(self, rng):
         return tuple(f.sample(rng) for f in self.factors)
 
-    def canonical_key(self, a):
-        return tuple(f.canonical_key(x) for f, x in zip(self.factors, a))
-
     def describe(self):
         return "direct product of %d factors" % len(self.factors)
 
@@ -458,7 +450,7 @@ class FreeProduct(GroupOracle):
             if out and out[-1][0] == fi:
                 f = self.factors[fi]
                 m = f.mul(out[-1][1], x)
-                if f.eq(m, f.identity()):
+                if m == f.identity():
                     out.pop()
                 else:
                     out[-1] = (fi, m)
@@ -481,7 +473,7 @@ class FreeProduct(GroupOracle):
             if not isinstance(fi, int) or not 0 <= fi < len(self.factors):
                 return False
             f = self.factors[fi]
-            if not f.contains(x) or f.eq(x, f.identity()) or fi == prev:
+            if not f.contains(x) or x == f.identity() or fi == prev:
                 return False
             prev = fi
         return True
@@ -500,13 +492,10 @@ class FreeProduct(GroupOracle):
         for _ in range(rng.randrange(max_syllables + 1)):
             f = self.factors[fi]
             x = f.sample(rng)
-            if not f.eq(x, f.identity()):
+            if x != f.identity():
                 word = self.mul(word, ((fi, x),))
             fi = (fi + rng.randrange(1, len(self.factors))) % len(self.factors)
         return word
-
-    def canonical_key(self, a):
-        return tuple((fi, self.factors[fi].canonical_key(x)) for fi, x in a)
 
     def describe(self):
         return "free product of %d factors" % len(self.factors)
@@ -598,9 +587,6 @@ class SemidirectProduct(GroupOracle):
     def sample(self, rng):
         return (self.base.sample(rng), self.action.sample(rng))
 
-    def canonical_key(self, a):
-        return (self.base.canonical_key(a[0]), a[1])
-
     def describe(self):
         return "semidirect product of order %d" % self.order()
 
@@ -624,8 +610,8 @@ def symmetric_group_perm(n) -> PermutationGroup:
 def cayley_table_from(G) -> FiniteTableGroup:
     """Materialize any finite oracle as a Cayley-table oracle."""
     els = G.elements()
-    idx = {id_key: i for i, id_key in enumerate(map(G.canonical_key, els))}
-    table = [[idx[G.canonical_key(G.mul(a, b))] for b in els] for a in els]
+    idx = {a: i for i, a in enumerate(els)}
+    table = [[idx[G.mul(a, b)] for b in els] for a in els]
     return FiniteTableGroup(table, check=False)
 
 
@@ -633,7 +619,7 @@ def is_abelian(G, witness=False):
     els = G.elements()
     for a in els:
         for b in els:
-            if not G.eq(G.mul(a, b), G.mul(b, a)):
+            if G.mul(a, b) != G.mul(b, a):
                 return (False, (a, b)) if witness else False
     return (True, None) if witness else True
 
@@ -656,12 +642,12 @@ def check_axioms(G, rng=None, samples=300) -> dict:
     e = G.identity()
     count = 0
     for a, b, c in triples:
-        if not G.eq(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c))):
+        if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
             raise GroupAxiomError("associativity fails on (%r, %r, %r)" % (a, b, c))
-        if not G.eq(G.mul(a, e), a) or not G.eq(G.mul(e, a), a):
+        if G.mul(a, e) != a or G.mul(e, a) != a:
             raise GroupAxiomError("identity law fails on %r" % (a,))
         ai = G.inv(a)
-        if not G.eq(G.mul(a, ai), e) or not G.eq(G.mul(ai, a), e):
+        if G.mul(a, ai) != e or G.mul(ai, a) != e:
             raise GroupAxiomError("inverse law fails on %r" % (a,))
         count += 1
     return {"mode": "exhaustive" if exhaustive else "sampled",
@@ -742,7 +728,7 @@ def verify_hom(h: Homomorphism, rng=None, samples=10_000,
     """Check h(ab) = h(a)h(b); exhaustive for small finite sources."""
     S, T = h.source, h.target
     e_img = h(S.identity())
-    if not T.eq(e_img, T.identity()):
+    if e_img != T.identity():
         raise HomomorphismError("%s does not send identity to identity" % h.name)
     n = S.order()
     if n is not None and n * n <= exhaustive_pair_limit:
@@ -756,7 +742,7 @@ def verify_hom(h: Homomorphism, rng=None, samples=10_000,
         mode = "sampled"
     count = 0
     for a, b in pairs:
-        if not T.eq(h(S.mul(a, b)), T.mul(h(a), h(b))):
+        if h(S.mul(a, b)) != T.mul(h(a), h(b)):
             raise HomomorphismError(
                 "law fails for %s on witness pair (%r, %r)" % (h.name, a, b))
         count += 1
@@ -861,6 +847,6 @@ def free_product_inclusion(P: FreeProduct, k) -> Homomorphism:
     f = P.factors[k]
 
     def fn(g, _f=f, _k=k):
-        return () if _f.eq(g, _f.identity()) else ((_k, g),)
+        return () if g == _f.identity() else ((_k, g),)
 
     return Homomorphism(f, P, fn, name="fp-incl%d" % k)

@@ -210,12 +210,37 @@ def full_support(G, degree, cap=DEFAULT_SIZE_CAP):
     return [index_tuple(G, i, degree) for i in range(n ** degree)]
 
 
-def ball_support(G: FreeGroup, degree, radius, cap=DEFAULT_SIZE_CAP):
-    ball = G.ball(radius)
-    if len(ball) ** degree > cap:
-        raise SizeCapError("ball support size %d exceeds cap %d"
-                           % (len(ball) ** degree, cap))
-    return [tuple(t) for t in itertools.product(ball, repeat=degree)]
+def _supports(G, degree, support, cap, start_radius, max_radius):
+    """The supports a filling of degree `degree` is sought over, in turn.
+
+    Yields (support list, description) pairs: the explicit support once,
+    else the full support of a finite group once, else word balls of a
+    free group with the radius doubling from start_radius while it stays
+    within max_radius (start_radius itself is always tried).  Any other
+    group has no default support.
+    """
+    if support is not None:
+        support = list(support)
+        yield support, {"kind": "explicit", "size": len(support)}
+    elif G.is_finite():
+        support = full_support(G, degree, cap=cap)
+        yield support, {"kind": "full", "size": len(support)}
+    elif isinstance(G, FreeGroup):
+        radius = start_radius
+        while True:
+            ball = G.ball(radius)
+            if len(ball) ** degree > cap:
+                raise SizeCapError("ball support size %d exceeds cap %d"
+                                   % (len(ball) ** degree, cap))
+            support = list(itertools.product(ball, repeat=degree))
+            yield support, {"kind": "ball", "radius": radius,
+                            "size": len(support)}
+            if 2 * radius > max_radius:
+                return
+            radius *= 2
+    else:
+        raise SizeCapError(
+            "no default support policy for %s; pass one explicitly" % G.backend)
 
 
 def _solve_fill(z: Chain, support, minimize=True):
@@ -280,32 +305,17 @@ def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
     if z.is_zero():
         return FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
-    if support is not None:
-        c = _solve_fill(z, list(support))
-        if c is None:
-            raise Infeasible("z is not a boundary over the given support")
-        descr = {"kind": "explicit", "size": len(list(support))}
-    elif G.is_finite():
-        support = full_support(G, q + 1, cap=cap)
-        c = _solve_fill(z, support)
-        if c is None:
-            raise Infeasible("z is not a boundary")
-        descr = {"kind": "full", "size": len(support)}
-    elif isinstance(G, FreeGroup):
-        radius = start_radius
-        while True:
-            support = ball_support(G, q + 1, radius, cap=cap)
-            c = _solve_fill(z, support)
-            if c is not None:
-                descr = {"kind": "ball", "radius": radius, "size": len(support)}
-                break
-            if 2 * radius > max_radius:
-                raise SupportExhausted(
-                    "no filling over word balls up to radius %d" % radius)
-            radius *= 2
+    for sup, descr in _supports(G, q + 1, support, cap, start_radius,
+                                max_radius):
+        c = _solve_fill(z, sup)
+        if c is not None:
+            break
     else:
-        raise SizeCapError(
-            "no default support policy for %s; pass one explicitly" % G.backend)
+        if descr["kind"] == "ball":
+            raise SupportExhausted("no filling over word balls up to radius %d"
+                                   % descr["radius"])
+        raise Infeasible("z is not a boundary" if support is None
+                         else "z is not a boundary over the given support")
     if boundary(c) != z:
         raise AssertionError("solver returned a non-filling; this is a bug")
     ratio = l1_norm(c) / l1_norm(z)
@@ -327,22 +337,11 @@ def is_boundary(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
         return z.is_zero()
     if z.is_zero():
         return True
-    G = z.group
-    if support is not None:
-        return _solve_fill(z, list(support), minimize=False) is not None
-    if G.is_finite():
+    if support is None and z.group.is_finite():
         return is_cycle(z)
-    if isinstance(G, FreeGroup):
-        radius = start_radius
-        while True:
-            sup = ball_support(G, z.degree + 1, radius, cap=cap)
-            if _solve_fill(z, sup, minimize=False) is not None:
-                return True
-            if 2 * radius > max_radius:
-                return False
-            radius *= 2
-    raise SizeCapError(
-        "no default support policy for %s; pass one explicitly" % G.backend)
+    return any(_solve_fill(z, sup, minimize=False) is not None
+               for sup, _ in _supports(z.group, z.degree + 1, support, cap,
+                                       start_radius, max_radius))
 
 
 def section_on(zs, h, **fill_kw):

@@ -104,19 +104,18 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
     seen = {}
     for g in els:
         img = i(g)
-        key = M.canonical_key(img)
-        if key in seen and not G.eq(seen[key], g):
+        if img in seen and seen[img] != g:
             injective = False
-            witnesses["injectivity"] = (seen[key], g)
+            witnesses["injectivity"] = (seen[img], g)
             break
-        seen[key] = g
+        seen[img] = g
 
     split = True
     for g in els:
         ig = i(g)
         lhs = data.conj_power(ig, d)
         rhs = M.mul(ig, data.conj_power(ig, s))
-        if not M.eq(lhs, rhs):
+        if lhs != rhs:
             split = False
             witnesses["split"] = g
             break
@@ -126,7 +125,7 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
         igs = data.conj_power(i(g), s)
         for gp in els:
             igp = i(gp)
-            if not M.eq(M.mul(igp, igs), M.mul(igs, igp)):
+            if M.mul(igp, igs) != M.mul(igs, igp):
                 commuting = False
                 witnesses["commuting"] = (gp, g)
                 break
@@ -136,21 +135,20 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
     generation = None
     if exhaustive:
         gens = [i(g) for g in G.elements()] + [s, d]
-        seen_keys = {M.canonical_key(M.identity()): M.identity()}
+        reached = {M.identity()}
         frontier = [M.identity()]
         while frontier:
             nxt = []
             for a in frontier:
                 for g in gens:
                     b = M.mul(a, g)
-                    k = M.canonical_key(b)
-                    if k not in seen_keys:
-                        seen_keys[k] = b
+                    if b not in reached:
+                        reached.add(b)
                         nxt.append(b)
             frontier = nxt
-        generation = len(seen_keys) == M.order()
+        generation = len(reached) == M.order()
         if not generation:
-            witnesses["generation"] = (len(seen_keys), M.order())
+            witnesses["generation"] = (len(reached), M.order())
 
     ok = injective and split and commuting and generation is not False
     return MitosisReport(ok, "exhaustive" if exhaustive else "sampled",
@@ -168,9 +166,9 @@ def mitosis_of_finite_abelian(G, check=True) -> MitosisData:
             % witness)
     B = DirectProduct((G, G))
     els = B.elements()
-    index = {B.canonical_key(x): k for k, x in enumerate(els)}
-    phi = tuple(index[B.canonical_key((a, G.mul(a, b)))] for a, b in els)
-    psi = tuple(index[B.canonical_key((b, a))] for a, b in els)
+    index = {x: k for k, x in enumerate(els)}
+    phi = tuple(index[a, G.mul(a, b)] for a, b in els)
+    psi = tuple(index[b, a] for a, b in els)
     action = PermutationGroup(len(els), [phi, psi])
     M = SemidirectProduct(B, action, check=True)
     e = G.identity()
@@ -282,11 +280,8 @@ def _block_decompose(block: TensorChain):
     elementary tensors; both factor families span the block's column
     and row spaces, so they inherit any subspace membership."""
     GA, GB = block.groups
-    ka, kb = GA.canonical_key, GB.canonical_key
-    rows_basis = sorted({k[0] for k in block.coeffs},
-                        key=lambda t: tuple(ka(x) for x in t))
-    cols_basis = sorted({k[1] for k in block.coeffs},
-                        key=lambda t: tuple(kb(x) for x in t))
+    rows_basis = sorted({k[0] for k in block.coeffs})
+    cols_basis = sorted({k[1] for k in block.coeffs})
     col_pos = {b: j for j, b in enumerate(cols_basis)}
     w = [[Fraction(0)] * len(cols_basis) for _ in rows_basis]
     for i, a in enumerate(rows_basis):

@@ -64,12 +64,8 @@ class TensorChain:
         return not self.coeffs
 
     def terms(self):
-        ka = self.groups[0].canonical_key
-        kb = self.groups[1].canonical_key
         return sorted(self.coeffs.items(),
-                      key=lambda it: (len(it[0][0]),
-                                      tuple(ka(x) for x in it[0][0]),
-                                      tuple(kb(x) for x in it[0][1])))
+                      key=lambda it: (len(it[0][0]), it[0]))
 
     def bidegrees(self):
         return sorted({(len(a), len(b)) for a, b in self.coeffs})
@@ -308,8 +304,7 @@ def normalize(x):
     if isinstance(x, Chain):
         G = x.group
         e = G.identity()
-        kept = {t: r for t, r in x.coeffs.items()
-                if not any(G.eq(g, e) for g in t)}
+        kept = {t: r for t, r in x.coeffs.items() if e not in t}
         res = Chain(G, x.degree)
         res.coeffs = kept
         return res
@@ -318,7 +313,7 @@ def normalize(x):
         ea, eb = GA.identity(), GB.identity()
         kept = {}
         for (a, b), r in x.coeffs.items():
-            if any(GA.eq(g, ea) for g in a) or any(GB.eq(h, eb) for h in b):
+            if ea in a or eb in b:
                 continue
             kept[(a, b)] = r
         res = TensorChain(x.groups, x.degree)

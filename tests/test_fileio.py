@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ def test_element_codec_round_trips():
     for G in (G2, S3, F2, P, FP, M):
         for _ in range(20):
             a = G.sample(rng)
-            assert G.eq(decode_element(G, encode_element(G, a)), a)
+            assert decode_element(G, encode_element(G, a)) == a
 
 
 def test_element_codec_formats():
@@ -247,3 +248,35 @@ def test_load_chain(tmp_path):
     p = tmp_path / "chain.json"
     dump_json(chain_to_dict(c), p)
     assert load_chain(p, G3) == c
+
+
+def test_record_bytes_pinned():
+    # sha256 of the JSON bytes of four records; they pin the order of
+    # chain terms, kappa vertices and mitosis tables, which follows the
+    # order of the group elements themselves
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    z = boundary(Chain(G2, 3, {(1, 1, 1): 1, (1, 0, 1): 2}))
+    a, b, c = ((0, 1),), ((1, 2),), ((1, 1), (0, 1))
+    fp_chain = Chain(FreeProduct((G2, G3)), 2,
+                     {(c, a): 3, (a, b): -1, ((), c): Fraction(1, 2),
+                      (b, a): 2, (a, ()): 5})
+    records = {
+        "pipeline": pipeline_cert_to_dict(primitive_pipeline(z, cfg)),
+        "kappa": kappa_to_dict(ubc_kappa_exact(G3, 2), G3),
+        "mitosis": mitosis_to_dict(
+            mitosis_of_finite_abelian(DirectProduct((G2, G2)))),
+        "free product chain": chain_to_records(fp_chain),
+    }
+    digests = {k: hashlib.sha256(dump_json(v).encode()).hexdigest()
+               for k, v in records.items()}
+    assert digests == {
+        "pipeline":
+            "99c9244f68a684a71bffa701257c41254f12147fdb57013aa83fb170a16590fe",
+        "kappa":
+            "289868780a78df3b2e1da26fad63129f167131d5af1fd89a09dc31641fa3d5e4",
+        "mitosis":
+            "565611ca95dc6220437103d8e8a49fb2fb5d8db4be84a6ec7d524724ec3434eb",
+        "free product chain":
+            "a95bc85341d18e705de6b6fcab0a01061923e910b5a91a636fcf0d83be96c65e",
+    }

@@ -251,6 +251,16 @@ def test_fill_min_explicit_support():
         fill_min(z, support=[(0, 0)])
 
 
+def test_fill_min_explicit_support_size():
+    # an iterator is listed once, so its recorded size is the size of the
+    # support the LP ran over, as for a list
+    z = Chain(G2, 1, {(1,): Fraction(2), (0,): Fraction(-1)})
+    for support in (full_support(G2, 2), iter(full_support(G2, 2))):
+        cert = fill_min(z, support=support)
+        assert cert.support == {"kind": "explicit", "size": 4}
+        assert l1_norm(cert.c) == 1 and cert.verify() == []
+
+
 def test_is_boundary_basics():
     rng = random.Random(19)
     z = boundary(random_chain(G3, 2, rng))
@@ -324,6 +334,17 @@ def test_fill_min_free_group_ball():
     assert boundary(cert.c) == z
     assert l1_norm(cert.c) <= l1_norm(c0)
     assert cert.support.get("kind") == "ball"
+
+
+def test_free_group_start_radius_past_max_radius():
+    # the first word ball is tried even when start_radius > max_radius
+    F = FreeGroup(1)
+    z = boundary(Chain.single(F, ((1,), (1,))))
+    cert = fill_min(z, start_radius=3, max_radius=1)
+    assert cert.support == {"kind": "ball", "radius": 3, "size": 49}
+    assert is_boundary(z, start_radius=3, max_radius=1)
+    with pytest.raises(SupportExhausted, match="radius 3"):
+        fill_min(Chain.single(F, ((1,),)), start_radius=3, max_radius=1)
 
 
 def test_fill_min_free_group_non_boundary():
