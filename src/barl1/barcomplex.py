@@ -10,6 +10,13 @@ boundary is
 
 so d_1 = 0 identically and |d_k| <= k+1 in the l1 operator norm.
 No floats anywhere.
+
+Chain and products.TensorChain share SparseChain: a dict of nonzero
+coefficients with its space and degree, and the arithmetic on it.
+Every producer of either (boundary, push_chain, the products, theta)
+builds its dict with sum_terms, the one rule for adding chain terms,
+and wraps it with the unchecked constructor SparseChain._of; the
+public constructors validate keys and coefficients first.
 """
 
 from __future__ import annotations
@@ -38,49 +45,122 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class Chain:
-    """Finitely supported map from k-tuples to Fraction."""
+def sum_terms(terms) -> dict:
+    """Sum (key, coefficient) pairs into a dict of the nonzero totals.
 
-    __slots__ = ("group", "degree", "coeffs")
+    Every chain and tensor-chain producer adds its terms here and
+    nowhere else.  A key whose total cancels leaves the dict, and
+    enters again at the end if a later term brings it back.
+    """
+    out = {}
+    for key, r in terms:
+        s = out.get(key)
+        if s is None:
+            if r:
+                out[key] = r
+        else:
+            s += r
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
-    def __init__(self, group: GroupOracle, degree: int, coeffs=None):
+
+class SparseChain:
+    """A finitely supported map from basis keys to nonzero Fractions in
+    one degree, over a space: a group for Chain, a pair of groups for
+    TensorChain.  Holds the arithmetic the two share.
+
+    The constructor validates every key and rejects float coefficients;
+    producers whose keys are valid by construction sum their terms with
+    sum_terms and wrap the dict with _of, which checks nothing.
+    """
+
+    __slots__ = ("space", "degree", "coeffs")
+
+    def __init__(self, space, degree, coeffs=None):
         if degree < 0:
             raise ValueError("chain degree must be >= 0")
-        self.group = group
+        self.space = space
         self.degree = degree
-        clean = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for tup, r in items:
-                tup = tuple(tup)
-                if len(tup) != degree:
-                    raise ValueError(
-                        "tuple %r has length %d, chain degree is %d"
-                        % (tup, len(tup), degree))
-                r = _as_fraction(r)
-                if r == 0:
-                    continue
-                r0 = clean.get(tup)
-                if r0 is None:
-                    clean[tup] = r
-                else:
-                    s = r0 + r
-                    if s == 0:
-                        del clean[tup]
-                    else:
-                        clean[tup] = s
-        self.coeffs = clean
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        key = self._key
+        self.coeffs = sum_terms((key(k), _as_fraction(r)) for k, r in items)
+
+    def _key(self, key):
+        """key as a basis key of this chain's degree, or ValueError."""
+        raise NotImplementedError
 
     @classmethod
-    def zero(cls, group, degree):
-        return cls(group, degree)
+    def _of(cls, space, degree, coeffs):
+        """The chain with coeffs, a dict of nonzero Fractions whose keys
+        are valid for space and degree; nothing is checked."""
+        out = object.__new__(cls)
+        out.space = space
+        out.degree = degree
+        out.coeffs = coeffs
+        return out
+
+    def _like(self, coeffs):
+        return self._of(self.space, self.degree, coeffs)
+
+    @classmethod
+    def zero(cls, space, degree):
+        return cls(space, degree)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _compatible(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError("expected a %s, got %r"
+                            % (type(self).__name__, other))
+        if self.space != other.space or self.degree != other.degree:
+            raise ValueError("operands live over different groups or degrees")
+
+    def __add__(self, other):
+        self._compatible(other)
+        return self._like(sum_terms(itertools.chain(self.coeffs.items(),
+                                                    other.coeffs.items())))
+
+    def __neg__(self):
+        return self._like({k: -r for k, r in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, r):
+        r = _as_fraction(r)
+        return self._like({k: v * r for k, v in self.coeffs.items()} if r else {})
+
+    def __rmul__(self, r):
+        return self.scale(r)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.space == other.space
+                and self.degree == other.degree and self.coeffs == other.coeffs)
+
+
+class Chain(SparseChain):
+    """Finitely supported map from k-tuples to Fraction."""
+
+    __slots__ = ()
+
+    @property
+    def group(self) -> GroupOracle:
+        return self.space
+
+    def _key(self, tup):
+        tup = tuple(tup)
+        if len(tup) != self.degree:
+            raise ValueError("tuple %r has length %d, chain degree is %d"
+                             % (tup, len(tup), self.degree))
+        return tup
 
     @classmethod
     def single(cls, group, tup, coeff=1):
         return cls(group, len(tup), {tuple(tup): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def terms(self):
         """(tuple, coefficient) pairs in the order of the tuples."""
@@ -88,50 +168,6 @@ class Chain:
 
     def support(self):
         return list(self.coeffs)
-
-    def _compatible(self, other):
-        if not isinstance(other, Chain):
-            raise TypeError("expected a Chain, got %r" % (other,))
-        if self.group != other.group or self.degree != other.degree:
-            raise ValueError("chains live over different groups or degrees")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for tup, r in other.coeffs.items():
-            s = out.get(tup, Fraction(0)) + r
-            if s == 0:
-                out.pop(tup, None)
-            else:
-                out[tup] = s
-        c = Chain(self.group, self.degree)
-        c.coeffs = out
-        return c
-
-    def __neg__(self):
-        c = Chain(self.group, self.degree)
-        c.coeffs = {t: -r for t, r in self.coeffs.items()}
-        return c
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, r):
-        r = _as_fraction(r)
-        c = Chain(self.group, self.degree)
-        if r != 0:
-            c.coeffs = {t: v * r for t, v in self.coeffs.items()}
-        return c
-
-    def __rmul__(self, r):
-        return self.scale(r)
-
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.group == other.group
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         if self.is_zero():
@@ -142,8 +178,15 @@ class Chain:
         return "<chain %s>" % " + ".join(parts)
 
 
-def l1_norm(c: Chain) -> Fraction:
+def l1_norm(c: SparseChain) -> Fraction:
     return sum((abs(r) for r in c.coeffs.values()), Fraction(0))
+
+
+def random_chain(G, degree, rng, terms, coeffs) -> Chain:
+    """Sum of `terms` random degree-tuples, each drawn entry by entry
+    with G.sample(rng) and weighted by rng.choice(coeffs)."""
+    return Chain(G, degree, ((tuple(G.sample(rng) for _ in range(degree)),
+                              rng.choice(coeffs)) for _ in range(terms)))
 
 
 def tuple_boundary(G: GroupOracle, tup):
@@ -162,17 +205,9 @@ def boundary(c: Chain) -> Chain:
     if c.degree == 0:
         raise ValueError("boundary of a degree-0 chain is undefined")
     G = c.group
-    out = {}
-    for tup, r in c.coeffs.items():
-        for face, sign in tuple_boundary(G, tup):
-            s = out.get(face, Fraction(0)) + sign * r
-            if s == 0:
-                out.pop(face, None)
-            else:
-                out[face] = s
-    res = Chain(G, c.degree - 1)
-    res.coeffs = out
-    return res
+    return Chain._of(G, c.degree - 1, sum_terms(
+        (face, sign * r) for tup, r in c.coeffs.items()
+        for face, sign in tuple_boundary(G, tup)))
 
 
 def is_cycle(c: Chain) -> bool:
@@ -286,17 +321,8 @@ def push_chain(h, c: Chain) -> Chain:
     """Apply a homomorphism entrywise; colliding tuples combine."""
     if c.group != h.source:
         raise ValueError("chain does not live over the source of %r" % (h,))
-    out = {}
-    for tup, r in c.coeffs.items():
-        img = tuple(h.fn(g) for g in tup)
-        s = out.get(img, Fraction(0)) + r
-        if s == 0:
-            out.pop(img, None)
-        else:
-            out[img] = s
-    res = Chain(h.target, c.degree)
-    res.coeffs = out
-    return res
+    return Chain._of(h.target, c.degree, sum_terms(
+        (tuple(h.fn(g) for g in tup), r) for tup, r in c.coeffs.items()))
 
 
 @dataclass
@@ -316,9 +342,7 @@ class BoundaryMatrix:
         return rows
 
     def rank(self) -> int:
-        if not self.entries:
-            return 0
-        return linalg.rank_int(self.dense_rows(), self.ncols)
+        return len(linalg.rref(self.dense_rows())[1])
 
 
 def tuple_index(G, tup) -> int:
@@ -348,18 +372,10 @@ def boundary_matrix(G, k, cap=DEFAULT_SIZE_CAP) -> BoundaryMatrix:
     if n ** k > cap:
         raise SizeCapError("basis size %d exceeds cap %d" % (n ** k, cap))
     ncols = n ** k
-    nrows = n ** (k - 1)
-    entries = {}
-    for j in range(ncols):
-        tup = index_tuple(G, j, k)
-        for face, sign in tuple_boundary(G, tup):
-            key = (tuple_index(G, face), j)
-            v = entries.get(key, 0) + sign
-            if v == 0:
-                entries.pop(key, None)
-            else:
-                entries[key] = v
-    return BoundaryMatrix(G, k, nrows, ncols, entries)
+    entries = sum_terms(
+        ((tuple_index(G, face), j), sign) for j in range(ncols)
+        for face, sign in tuple_boundary(G, index_tuple(G, j, k)))
+    return BoundaryMatrix(G, k, n ** (k - 1), ncols, entries)
 
 
 def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
@@ -379,20 +395,6 @@ def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
 
 
 def chain_from_vector(G, k, vec) -> Chain:
-    coeffs = {}
-    for i, v in enumerate(vec):
-        if v:
-            coeffs[index_tuple(G, i, k)] = v
-    c = Chain(G, k)
-    c.coeffs = {t: Fraction(v) for t, v in coeffs.items()}
-    return c
-
-
-def chain_to_vector(c: Chain, size=None):
-    G = c.group
-    if size is None:
-        size = G.order() ** c.degree
-    vec = [Fraction(0)] * size
-    for tup, r in c.coeffs.items():
-        vec[tuple_index(G, tup)] = r
-    return vec
+    """The chain whose coefficient on tuple index_tuple(G, i, k) is vec[i]."""
+    return Chain._of(G, k, sum_terms((index_tuple(G, i, k), Fraction(v))
+                                     for i, v in enumerate(vec) if v))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__, fileio, l1opt, mitosis
 from .barcomplex import (DEFAULT_SIZE_CAP, SizeCapError, betti, boundary,
-                         kronecker, l1_norm)
+                         kronecker, l1_norm, random_chain)
 from .groups import (GroupAxiomError, HomomorphismError, build_group,
                      build_hom, check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted, Unbounded
@@ -266,15 +266,6 @@ def _load_pipeline_config(path, cap):
     return cfg, degree, samples, seed
 
 
-def _random_boundary(H, degree, rng, spread=2):
-    from .barcomplex import Chain
-    coeffs = {}
-    for _ in range(spread):
-        tup = tuple(H.sample(rng) for _ in range(degree + 1))
-        coeffs[tup] = coeffs.get(tup, 0) + rng.choice([-2, -1, 1, 2])
-    return boundary(Chain(H, degree + 1, coeffs))
-
-
 def _cmd_pipeline(args) -> int:
     cap = _size_cap(args)
     cfg, degree, samples, seed = _load_pipeline_config(args.config, cap)
@@ -283,7 +274,7 @@ def _cmd_pipeline(args) -> int:
     certs = []
     worst = Fraction(0)
     for k in range(samples):
-        z = _random_boundary(H, degree, rng)
+        z = boundary(random_chain(H, degree + 1, rng, 2, (-2, -1, 1, 2)))
         cert = mitosis.primitive_pipeline(z, cfg)
         failures = cert.verify()
         if failures:

@@ -317,10 +317,37 @@ def certificate_to_dict(obj) -> dict:
     raise FileFormatError("no serialization for %r" % (obj,))
 
 
+def _vertex_set_failures(d, zs) -> list[str]:
+    """A vertex-enumeration kappa record must fill every vertex of the
+    unit boundary polytope, and nothing else: its vertex boundaries zs
+    must be the circuits of im d, each once, listed again here by linear
+    algebra alone."""
+    G = build_group(d["group"])
+    q = int(d["degree"])
+    expected = l1opt.circuits(G, q)
+    if expected is None:
+        return ["too many circuits to re-enumerate; completeness unchecked"]
+    want = {frozenset(c.coeffs.items()) for c in expected}
+    got = [frozenset(z.coeffs.items()) for z in zs
+           if z.group == G and z.degree == q]
+    failures = []
+    if len(zs) > len(got):
+        failures.append("%d vertices over another group or degree"
+                        % (len(zs) - len(got)))
+    missing = len(want.difference(got))
+    extra = len(got) - len(want.intersection(got))
+    if missing:
+        failures.append("%d circuits of im d missing from the vertices" % missing)
+    if extra:
+        failures.append("%d vertices are not distinct circuits of im d" % extra)
+    return failures
+
+
 def verify_certificate_dict(d) -> list[str]:
     """Independent re-check of any certificate record.  Uses chain
-    arithmetic and group oracles only; no LP is run.  Returns the list
-    of failed checks (empty means the certificate verifies)."""
+    arithmetic, linear algebra and group oracles only; no LP is run.
+    Returns the list of failed checks (empty means the certificate
+    verifies)."""
     if not isinstance(d, dict) or "kind" not in d:
         raise FileFormatError("certificate must be an object with a 'kind'")
     kind = d["kind"]
@@ -330,11 +357,10 @@ def verify_certificate_dict(d) -> list[str]:
         return pipeline_cert_from_dict(d).verify()
     if kind == "kappa":
         failures = []
-        ratios = []
-        for i, sub in enumerate(d.get("vertices", [])):
-            subfail = fill_cert_from_dict(sub).verify()
-            failures.extend("vertex %d: %s" % (i, f) for f in subfail)
-            ratios.append(parse_fraction(sub["ratio"]))
+        vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]
+        for i, cert in enumerate(vertices):
+            failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
+        ratios = [cert.ratio for cert in vertices]
         lower = parse_fraction(d["lower"])
         upper = None if d.get("upper") is None else parse_fraction(d["upper"])
         kappa = None if d.get("kappa") is None else parse_fraction(d["kappa"])
@@ -348,6 +374,8 @@ def verify_certificate_dict(d) -> list[str]:
                 failures.append("exact kappa stated for a non-exact method")
             elif kappa != lower:
                 failures.append("exact kappa does not match its witness ratio")
+        if d.get("method") == "vertex-enumeration":
+            failures.extend(_vertex_set_failures(d, [c.z for c in vertices]))
         return failures
     if kind == "tower":
         rows = d.get("rows", [])

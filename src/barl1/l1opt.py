@@ -18,7 +18,8 @@ A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
 u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
 LP rows.  ubc_kappa_exact maximizes the filling ratio over the
-circuits (elementary vectors) of the boundary subspace.
+circuits (elementary vectors) of the boundary subspace, which circuits
+lists by linear algebra alone for the checker in fileio.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from math import comb, gcd
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
-                         chain_from_vector, index_tuple, is_cycle, l1_norm,
-                         push_chain, tuple_boundary)
+                         boundary_matrix, chain_from_vector, index_tuple,
+                         is_cycle, l1_norm, push_chain, sum_terms,
+                         tuple_boundary)
 from .groups import FreeGroup
 
 
@@ -252,13 +254,10 @@ def _solve_fill(z: Chain, support, minimize=True):
     for tup in support:
         if len(tup) != q + 1:
             raise ValueError("support tuple %r has wrong degree" % (tup,))
-        col = {}
-        for face, sign in tuple_boundary(G, tup):
-            if face not in row_index:
-                row_index[face] = len(row_index)
-            r = row_index[face]
-            col[r] = col.get(r, 0) + sign
-        rows_of_col.append(col)
+        faces = list(tuple_boundary(G, tup))
+        for face, _ in faces:
+            row_index.setdefault(face, len(row_index))
+        rows_of_col.append(sum_terms((row_index[f], s) for f, s in faces))
     for tup, _ in z.terms():
         if tup not in row_index:
             row_index[tup] = len(row_index)
@@ -268,9 +267,8 @@ def _solve_fill(z: Chain, support, minimize=True):
     a = [{} for _ in range(m)]
     for j, col in enumerate(rows_of_col):
         for r, v in col.items():
-            if v:
-                a[r][j] = v
-                a[r][S + j] = -v
+            a[r][j] = v
+            a[r][S + j] = -v
     b = [Fraction(0)] * m
     for tup, r in z.coeffs.items():
         b[row_index[tup]] = r
@@ -280,13 +278,9 @@ def _solve_fill(z: Chain, support, minimize=True):
         return None
     if res.status != "optimal":
         raise Unbounded("filling program cannot be unbounded; solver bug")
-    coeffs = {}
-    for j, tup in enumerate(support):
-        v = res.x[j] - res.x[S + j]
-        if v != 0:
-            coeffs[tup] = coeffs.get(tup, Fraction(0)) + v
-    c = Chain(G, q + 1, coeffs)
-    return c
+    x = res.x
+    return Chain(G, q + 1,
+                 ((tup, x[j] - x[S + j]) for j, tup in enumerate(support)))
 
 
 def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
@@ -374,7 +368,18 @@ class UbcConstant:
     strategy: str = ""
 
 
-def _circuits(vrows, d, budget):
+ENUM_BUDGET = 200_000  # (d-1)-subsets the circuit enumeration may visit
+
+
+def _image_basis(G, q, cap):
+    """The N x d integer matrix of the pivot columns of d_{q+1}: a basis
+    of im d over the N degree-q tuples, one row per tuple."""
+    dense = boundary_matrix(G, q + 1, cap=cap).dense_rows()
+    _, pivots = linalg.rref(dense)
+    return [[row[j] for j in pivots] for row in dense]
+
+
+def _circuits(vrows, budget):
     """Elementary vectors of the column space of the N x d matrix vrows
     (rank d), scaled to |x|_1 = 1 with first nonzero entry positive and
     sorted; None when the C(N, d-1) row subsets exceed budget.
@@ -383,7 +388,9 @@ def _circuits(vrows, d, budget):
     vanishes on R.  Any x' = V y' with support inside that of x has y'
     in the same kernel, so x is elementary; conversely the zero set of
     an elementary vector holds such an R (Rockafellar 1969)."""
-    N = len(vrows)
+    N, d = len(vrows), len(vrows[0])
+    if d == 0:
+        return []
     if comb(N, d - 1) > budget:
         return None
     seen = set()
@@ -397,7 +404,16 @@ def _circuits(vrows, d, budget):
     return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
 
 
-def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=200_000,
+def circuits(G, q):
+    """The vertices of {z in im d_{q+1} : |z|_1 <= 1} as degree-q chains,
+    in the order ubc_kappa_exact fills them at its default cap and
+    budget; None past the budget.  Linear algebra only, so a checker
+    can list them without an LP."""
+    verts = _circuits(_image_basis(G, q, DEFAULT_SIZE_CAP), ENUM_BUDGET)
+    return None if verts is None else [chain_from_vector(G, q, x) for x in verts]
+
+
+def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
                     samples=100, rng=None) -> UbcConstant:
     """kappa(G, q), the largest l1-minimal filling ratio of a degree-q
     boundary.
@@ -410,22 +426,16 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=200_000,
     Past enum_budget subsets the result is a certified bracket instead:
     a sampled lower bound and a basis-section upper bound.
     """
-    from .barcomplex import boundary_matrix
-
     if not G.is_finite():
         raise SizeCapError("exact kappa needs a finite group")
-    dmat = boundary_matrix(G, q + 1, cap=cap)
-    N = dmat.nrows
-    dense = dmat.dense_rows()
-    _, pivots = linalg.rref(dense)
-    d = len(pivots)
+    vrows = _image_basis(G, q, cap)
+    d = len(vrows[0])
     if d == 0:
         # no nonzero boundaries: the polytope is empty and kappa = 0
         return UbcConstant(q, Fraction(0), Fraction(0), Fraction(0),
                            "vertex-enumeration", [], strategy="trivial")
-    vrows = [[row[j] for j in pivots] for row in dense]
 
-    verts = _circuits(vrows, d, enum_budget)
+    verts = _circuits(vrows, enum_budget)
     if verts is not None:
         certs = [fill_min(chain_from_vector(G, q, x), cap=cap) for x in verts]
         kappa = max(cert.ratio for cert in certs)

@@ -1,50 +1,17 @@
-"""Small exact linear algebra kernel: ranks, RREF, square solves.
+"""Small exact linear algebra kernel: RREF, square solves, kernels.
 
-Matrices are lists of row lists.  Integer ranks go through
-fraction-free (Bareiss) elimination.  RREF, square solves, inverses and
-kernel lines share the sparse integer-row Gauss-Jordan kernel (int_row
-/ eliminate / pivot) that the simplex in l1opt runs on: each row is a
-dict of nonzero integer entries whose rhs is scaled with it, and every
-updated row is divided by its gcd.
+Matrices are lists of row lists.  RREF (and so every rank: the rank is
+the number of RREF pivots), square solves, inverses and kernel lines
+share the sparse integer-row Gauss-Jordan kernel (int_row / eliminate /
+pivot) that the simplex in l1opt runs on: each row is a dict of nonzero
+integer entries whose rhs is scaled with it, and every updated row is
+divided by its gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def rank_int(rows, ncols=None) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    m = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            f = ri[col]
-            for j in range(col, ncols):
-                # exact by the Bareiss divisibility property
-                ri[j] = (pr[col] * ri[j] - f * pr[j]) // prev
-        prev = pr[col]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def exact(v):
@@ -184,10 +151,6 @@ def rref(rows):
            for c, r in order]
     red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(order))]
     return red, [c for c, _ in order]
-
-
-def rank_fraction(rows) -> int:
-    return len(rref(rows)[1])
 
 
 def null_vector(a, ncols):

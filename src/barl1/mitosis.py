@@ -28,14 +28,13 @@ from math import comb
 
 from . import l1opt, linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, boundary, l1_norm,
-                         push_chain)
+                         push_chain, random_chain, sum_terms)
 from .groups import (DirectProduct, Homomorphism, PermutationGroup,
                      SemidirectProduct, build_hom, compose_homs, conjugation,
                      diagonal_hom, is_abelian, pair_hom)
 from .products import (TensorChain, aw, cross_tensor, tensor_boundary,
                        tensor_elementary, tensor_first_boundary,
-                       tensor_norm, tensor_second_boundary, push_tensor,
-                       xi_fill)
+                       tensor_second_boundary, push_tensor, xi_fill)
 
 
 class MitosisError(Exception):
@@ -214,20 +213,14 @@ def theta(c: Chain, conj) -> Chain:
     G.check_member(conj)
     w = conj
     wi = G.inv(w)
-    out = {}
-    for tup, r in c.coeffs.items():
-        tail = tuple(G.mul(G.mul(wi, g), w) for g in tup)
-        for j in range(1, len(tup) + 2):
-            new = tup[:j - 1] + (w,) + tail[j - 1:]
-            sign = -1 if j % 2 else 1
-            s = out.get(new, Fraction(0)) + sign * r
-            if s == 0:
-                out.pop(new, None)
-            else:
-                out[new] = s
-    res = Chain(G, c.degree + 1)
-    res.coeffs = out
-    return res
+
+    def terms():
+        for tup, r in c.coeffs.items():
+            tail = tuple(G.mul(G.mul(wi, g), w) for g in tup)
+            for j in range(1, len(tup) + 2):
+                yield tup[:j - 1] + (w,) + tail[j - 1:], -r if j % 2 else r
+
+    return Chain._of(G, c.degree + 1, sum_terms(terms()))
 
 
 def theta_defect(c: Chain, conj) -> Chain:
@@ -247,11 +240,7 @@ def check_theta_orientation(G, conj, rng=None) -> None:
         import random
         rng = random.Random(0)
     for degree in (1, 2):
-        coeffs = {}
-        for _ in range(3):
-            tup = tuple(G.sample(rng) for _ in range(degree))
-            coeffs[tup] = coeffs.get(tup, 0) + rng.randrange(1, 4)
-        c = Chain(G, degree, coeffs)
+        c = random_chain(G, degree, rng, 3, (1, 2, 3))
         if not theta_defect(c, conj).is_zero():
             raise MitosisError(
                 "conjugation homotopy orientation mismatch for conjugator %r"
@@ -435,8 +424,8 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     if tensor_boundary(value) != push_tensor(f, f, x):
         raise PipelineError("emap boundary identity d E(x) = (f (x) f)(x) failed")
 
-    in_norm = tensor_norm(x)
-    out_norm = tensor_norm(value)
+    in_norm = l1_norm(x)
+    out_norm = l1_norm(value)
     holds = out_norm <= e_bound(q, kappa) * in_norm
     return EmapResult(value, kappa, certs, in_norm, out_norm, holds)
 

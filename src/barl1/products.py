@@ -3,14 +3,17 @@ their cochain counterparts.
 
 TensorChain holds elements of C_*(G) (x) C_*(H) as a sparse map from
 (tuple over G, tuple over H) pairs to Fraction; mixed bidegrees of one
-total degree are allowed.  The tensor differential carries the Koszul
-sign on the second factor:
+total degree are allowed.  It shares its arithmetic with Chain
+(barcomplex.SparseChain), and every producer here sums its terms with
+barcomplex.sum_terms.  The tensor differential carries the Koszul sign
+on the second factor:
 
   d(a (x) b) = da (x) b + (-1)^{deg a} a (x) db
 
 cross_chain is the shuffle product: first-factor entries advance on
 the first shuffle block paired with the identity of the other group,
-and the sign is the shuffle inversion parity.  aw splits a tuple over
+and the sign is the shuffle inversion parity; cross_tensor extends it
+linearly over all bidegrees in the same loop.  aw splits a tuple over
 G x H into front G-parts and back H-parts.  Both are chain maps and
 aw o cross is the identity after killing tuples that contain the
 identity (normalize).
@@ -23,45 +26,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import l1opt
-from .barcomplex import (Chain, Cochain, boundary, kronecker, l1_norm,
-                         push_chain, tuple_boundary)
+from .barcomplex import (Chain, Cochain, SparseChain, boundary, kronecker,
+                         l1_norm, push_chain, sum_terms, tuple_boundary)
 from .groups import DirectProduct, diagonal_hom
 
 
-class TensorChain:
+class TensorChain(SparseChain):
     """Sparse element of C_*(G) (x) C_*(H) in one total degree."""
 
-    __slots__ = ("groups", "degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, groups, degree, coeffs=None):
-        self.groups = (groups[0], groups[1])
-        self.degree = degree
-        clean = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for key, r in items:
-                a, b = tuple(key[0]), tuple(key[1])
-                if len(a) + len(b) != degree:
-                    raise ValueError(
-                        "key %r has total degree %d, expected %d"
-                        % ((a, b), len(a) + len(b), degree))
-                r = Fraction(r)
-                if r == 0:
-                    continue
-                k = (a, b)
-                s = clean.get(k, Fraction(0)) + r
-                if s == 0:
-                    clean.pop(k, None)
-                else:
-                    clean[k] = s
-        self.coeffs = clean
+        super().__init__((groups[0], groups[1]), degree, coeffs)
 
-    @classmethod
-    def zero(cls, groups, degree):
-        return cls(groups, degree)
+    @property
+    def groups(self):
+        return self.space
 
-    def is_zero(self):
-        return not self.coeffs
+    def _key(self, key):
+        a, b = tuple(key[0]), tuple(key[1])
+        if len(a) + len(b) != self.degree:
+            raise ValueError("key %r has total degree %d, expected %d"
+                             % ((a, b), len(a) + len(b), self.degree))
+        return a, b
 
     def terms(self):
         return sorted(self.coeffs.items(),
@@ -71,148 +58,61 @@ class TensorChain:
         return sorted({(len(a), len(b)) for a, b in self.coeffs})
 
     def component(self, p, q):
-        out = TensorChain(self.groups, self.degree)
-        out.coeffs = {k: v for k, v in self.coeffs.items()
-                      if len(k[0]) == p and len(k[1]) == q}
-        return out
-
-    def _compatible(self, other):
-        if not isinstance(other, TensorChain):
-            raise TypeError("expected a TensorChain")
-        if self.groups != other.groups or self.degree != other.degree:
-            raise ValueError("tensor chains do not match in groups or degree")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for k, r in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + r
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        res = TensorChain(self.groups, self.degree)
-        res.coeffs = out
-        return res
-
-    def __neg__(self):
-        res = TensorChain(self.groups, self.degree)
-        res.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, r):
-        r = Fraction(r)
-        res = TensorChain(self.groups, self.degree)
-        if r != 0:
-            res.coeffs = {k: v * r for k, v in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorChain) and self.groups == other.groups
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+        return self._like({k: v for k, v in self.coeffs.items()
+                           if len(k[0]) == p and len(k[1]) == q})
 
     def __repr__(self):
         return "<tensor chain, degree %d, %d terms>" % (self.degree,
                                                         len(self.coeffs))
 
 
-def tensor_norm(t: TensorChain) -> Fraction:
-    return sum((abs(r) for r in t.coeffs.values()), Fraction(0))
-
-
 def tensor_elementary(a: Chain, b: Chain) -> TensorChain:
-    out = TensorChain((a.group, b.group), a.degree + b.degree)
-    coeffs = {}
-    for ta, ra in a.coeffs.items():
-        for tb, rb in b.coeffs.items():
-            coeffs[(ta, tb)] = coeffs.get((ta, tb), Fraction(0)) + ra * rb
-    out.coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return out
+    return TensorChain._of((a.group, b.group), a.degree + b.degree, sum_terms(
+        ((ta, tb), ra * rb) for ta, ra in a.coeffs.items()
+        for tb, rb in b.coeffs.items()))
+
+
+def _partial_boundary(t: TensorChain, first, second) -> TensorChain:
+    """d (x) id when first, id (x) d when second; with both, the second
+    carries the Koszul sign (-1)^{deg a}, which makes the total
+    differential, and each alone carries none."""
+    GA, GB = t.groups
+
+    def faces():
+        for (a, b), r in t.coeffs.items():
+            if first and a:
+                for face, sign in tuple_boundary(GA, a):
+                    yield (face, b), sign * r
+            if second and b:
+                if first and len(a) % 2:
+                    r = -r
+                for face, sign in tuple_boundary(GB, b):
+                    yield (a, face), sign * r
+
+    return TensorChain._of(t.groups, t.degree - 1, sum_terms(faces()))
 
 
 def tensor_boundary(t: TensorChain) -> TensorChain:
     """Koszul-signed differential of the tensor complex."""
-    GA, GB = t.groups
-    out = {}
-
-    def acc(key, v):
-        s = out.get(key, Fraction(0)) + v
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for (a, b), r in t.coeffs.items():
-        if a:
-            for face, sign in tuple_boundary(GA, a):
-                acc((face, b), sign * r)
-        if b:
-            sgn = -1 if len(a) % 2 else 1
-            for face, sign in tuple_boundary(GB, b):
-                acc((a, face), sgn * sign * r)
-    res = TensorChain(t.groups, t.degree - 1)
-    res.coeffs = out
-    return res
+    return _partial_boundary(t, True, True)
 
 
 def tensor_first_boundary(t: TensorChain) -> TensorChain:
     """(d (x) id), no sign."""
-    GA, _ = t.groups
-    out = {}
-    for (a, b), r in t.coeffs.items():
-        if not a:
-            continue
-        for face, sign in tuple_boundary(GA, a):
-            key = (face, b)
-            s = out.get(key, Fraction(0)) + sign * r
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    res = TensorChain(t.groups, t.degree - 1)
-    res.coeffs = out
-    return res
+    return _partial_boundary(t, True, False)
 
 
 def tensor_second_boundary(t: TensorChain) -> TensorChain:
     """(id (x) d), no sign."""
-    _, GB = t.groups
-    out = {}
-    for (a, b), r in t.coeffs.items():
-        if not b:
-            continue
-        for face, sign in tuple_boundary(GB, b):
-            key = (a, face)
-            s = out.get(key, Fraction(0)) + sign * r
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    res = TensorChain(t.groups, t.degree - 1)
-    res.coeffs = out
-    return res
+    return _partial_boundary(t, False, True)
 
 
 def push_tensor(ha, hb, t: TensorChain) -> TensorChain:
     if t.groups != (ha.source, hb.source):
         raise ValueError("tensor chain does not live over the hom sources")
-    out = {}
-    for (a, b), r in t.coeffs.items():
-        key = (tuple(ha.fn(g) for g in a), tuple(hb.fn(g) for g in b))
-        s = out.get(key, Fraction(0)) + r
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    res = TensorChain((ha.target, hb.target), t.degree)
-    res.coeffs = out
-    return res
+    return TensorChain._of((ha.target, hb.target), t.degree, sum_terms(
+        ((tuple(ha.fn(g) for g in a), tuple(hb.fn(g) for g in b)), r)
+        for (a, b), r in t.coeffs.items()))
 
 
 def shuffles(p, q):
@@ -231,49 +131,35 @@ def _product_group(GA, GB, product=None):
     return product
 
 
+def _cross(t: TensorChain, P) -> Chain:
+    """Sum of the shuffle products of the terms of t, over P = G x H."""
+    GA, GB = t.groups
+    ea, eb = GA.identity(), GB.identity()
+    blocks = {}  # (p, q) -> [(first-block mask, sign)] per shuffle
+
+    def terms():
+        for (ta, tb), r in t.coeffs.items():
+            pq = (len(ta), len(tb))
+            if pq not in blocks:
+                blocks[pq] = [([k in pos for k in range(sum(pq))], sign)
+                              for pos, sign in shuffles(*pq)]
+            for mask, sign in blocks[pq]:
+                ia, ib = iter(ta), iter(tb)
+                yield (tuple((next(ia), eb) if m else (ea, next(ib))
+                             for m in mask), sign * r)
+
+    return Chain._of(P, t.degree, sum_terms(terms()))
+
+
 def cross_chain(a: Chain, b: Chain, product=None) -> Chain:
     """Shuffle cross product C_p(G) x C_q(H) -> C_{p+q}(G x H)."""
-    GA, GB = a.group, b.group
-    P = _product_group(GA, GB, product)
-    ea, eb = GA.identity(), GB.identity()
-    p, q = a.degree, b.degree
-    out = {}
-    tabulated = list(shuffles(p, q))
-    for ta, ra in a.coeffs.items():
-        for tb, rb in b.coeffs.items():
-            r = ra * rb
-            for pos, sign in tabulated:
-                posset = set(pos)
-                tup = []
-                ia = ib = 0
-                for k in range(p + q):
-                    if k in posset:
-                        tup.append((ta[ia], eb))
-                        ia += 1
-                    else:
-                        tup.append((ea, tb[ib]))
-                        ib += 1
-                key = tuple(tup)
-                s = out.get(key, Fraction(0)) + sign * r
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    res = Chain(P, p + q)
-    res.coeffs = out
-    return res
+    return _cross(tensor_elementary(a, b),
+                  _product_group(a.group, b.group, product))
 
 
 def cross_tensor(t: TensorChain, product=None) -> Chain:
     """Extend the shuffle product linearly over all bidegrees."""
-    GA, GB = t.groups
-    P = _product_group(GA, GB, product)
-    res = Chain.zero(P, t.degree)
-    for (a, b), r in t.coeffs.items():
-        ca = Chain.single(GA, a, r)
-        cb = Chain.single(GB, b, 1)
-        res = res + cross_chain(ca, cb, product=P)
-    return res
+    return _cross(t, _product_group(*t.groups, product))
 
 
 def aw(c: Chain) -> TensorChain:
@@ -281,44 +167,27 @@ def aw(c: Chain) -> TensorChain:
     P = c.group
     if not (isinstance(P, DirectProduct) and len(P.factors) == 2):
         raise ValueError("aw needs a chain over a two-factor direct product")
-    GA, GB = P.factors
     q = c.degree
-    out = {}
-    for tup, r in c.coeffs.items():
-        gs = tuple(x[0] for x in tup)
-        hs = tuple(x[1] for x in tup)
-        for j in range(q + 1):
-            key = (gs[:j], hs[j:])
-            s = out.get(key, Fraction(0)) + r
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    res = TensorChain((GA, GB), q)
-    res.coeffs = out
-    return res
+
+    def splits():
+        for tup, r in c.coeffs.items():
+            gs = tuple(x[0] for x in tup)
+            hs = tuple(x[1] for x in tup)
+            for j in range(q + 1):
+                yield (gs[:j], hs[j:]), r
+
+    return TensorChain._of(P.factors, q, sum_terms(splits()))
 
 
 def normalize(x):
     """Kill basis tuples that contain the identity entry."""
     if isinstance(x, Chain):
-        G = x.group
-        e = G.identity()
-        kept = {t: r for t, r in x.coeffs.items() if e not in t}
-        res = Chain(G, x.degree)
-        res.coeffs = kept
-        return res
+        e = x.group.identity()
+        return x._like({t: r for t, r in x.coeffs.items() if e not in t})
     if isinstance(x, TensorChain):
-        GA, GB = x.groups
-        ea, eb = GA.identity(), GB.identity()
-        kept = {}
-        for (a, b), r in x.coeffs.items():
-            if ea in a or eb in b:
-                continue
-            kept[(a, b)] = r
-        res = TensorChain(x.groups, x.degree)
-        res.coeffs = kept
-        return res
+        ea, eb = (G.identity() for G in x.groups)
+        return x._like({(a, b): r for (a, b), r in x.coeffs.items()
+                        if ea not in a and eb not in b})
     raise TypeError("normalize expects a Chain or a TensorChain")
 
 

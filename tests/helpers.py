@@ -3,16 +3,14 @@
 import itertools
 from fractions import Fraction
 
-from barl1.barcomplex import Chain, Cochain, boundary, coboundary
+from barl1 import barcomplex
+from barl1.barcomplex import Cochain, boundary, coboundary
 from barl1.linalg import solve_square
 
 
 def random_chain(G, degree, rng, terms=3, lo=-3, hi=3):
-    coeffs = {}
-    for _ in range(terms):
-        tup = tuple(G.sample(rng) for _ in range(degree))
-        coeffs[tup] = coeffs.get(tup, 0) + rng.randrange(lo, hi + 1)
-    return Chain(G, degree, coeffs)
+    # rng.choice(range(lo, hi + 1)) draws as rng.randrange(lo, hi + 1)
+    return barcomplex.random_chain(G, degree, rng, terms, range(lo, hi + 1))
 
 
 def random_boundary(G, degree, rng, terms=2):
@@ -93,3 +91,37 @@ def column_span_oracle(dmat):
                            for t, c in z.terms()})
 
     return in_span
+
+
+def rank_int(rows, ncols=None) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
+    the reference the library's integer-row rref is checked against."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return 0
+    if ncols is None:
+        ncols = len(rows[0])
+    m = len(rows)
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, m):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, m):
+            ri = rows[i]
+            f = ri[col]
+            for j in range(col, ncols):
+                # exact by the Bareiss divisibility property
+                ri[j] = (pr[col] * ri[j] - f * pr[j]) // prev
+        prev = pr[col]
+        rank += 1
+        if rank == m:
+            break
+    return rank

@@ -181,6 +181,30 @@ def test_kappa_certificate_verification():
         verify_certificate_dict(forged)
 
 
+def test_kappa_rejects_dropped_vertices():
+    # Z/3 in degree 2 peaks at 1/2 on 13 of its 21 circuits; without
+    # them the other 8 would certify kappa = 3/8
+    d = kappa_to_dict(ubc_kappa_exact(G3, 2), G3)
+    forged = copy.deepcopy(d)
+    forged["vertices"] = [v for v in d["vertices"] if v["ratio"] != "1/2"]
+    assert len(forged["vertices"]) == 8
+    forged["kappa"] = forged["lower"] = forged["upper"] = "3/8"
+    assert verify_certificate_dict(forged) == [
+        "13 circuits of im d missing from the vertices"]
+    forged = copy.deepcopy(d)
+    forged["vertices"].append(forged["vertices"][0])
+    assert verify_certificate_dict(forged) == [
+        "1 vertices are not distinct circuits of im d"]
+
+
+def test_kappa_rejects_empty_vertex_list():
+    forged = kappa_to_dict(ubc_kappa_exact(G3, 2), G3)
+    forged["vertices"] = []
+    forged["kappa"] = forged["lower"] = forged["upper"] = "0"
+    assert verify_certificate_dict(forged) == [
+        "21 circuits of im d missing from the vertices"]
+
+
 def test_pipeline_certificate_round_trip_and_tamper():
     h = identity_hom(G2)
     cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))

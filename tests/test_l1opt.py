@@ -13,9 +13,8 @@ from barl1.groups import (FreeGroup, cyclic_group, identity_hom,
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          full_support, is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
-from barl1.linalg import rank_int
 from barl1.products import xi_fill
-from helpers import brute_lp_min, column_span_oracle, random_chain
+from helpers import brute_lp_min, column_span_oracle, random_chain, rank_int
 
 G1 = cyclic_group(1)
 G2 = cyclic_group(2)

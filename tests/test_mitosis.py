@@ -15,7 +15,7 @@ from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
                            mu_hom, primitive_pipeline, theta, theta_defect,
                            tower, verify_mitosis)
 from barl1.products import (TensorChain, push_tensor, tensor_boundary,
-                            tensor_elementary, tensor_norm)
+                            tensor_elementary)
 from helpers import random_chain
 
 G2 = cyclic_group(2)
@@ -145,8 +145,8 @@ def test_emap_identity_configs():
             res = emap(x, cfg)
             assert tensor_boundary(res.value) == push_tensor(f, f, x)
             assert res.norm_bound_holds
-            assert res.input_norm == tensor_norm(x)
-            assert res.output_norm == tensor_norm(res.value)
+            assert res.input_norm == l1_norm(x)
+            assert res.output_norm == l1_norm(res.value)
             assert all(c.verify() == [] for c in res.section_certificates)
             done += 1
 

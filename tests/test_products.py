@@ -5,13 +5,17 @@ from math import comb
 
 import pytest
 
-from barl1.barcomplex import Chain, Cochain, boundary, coboundary, kronecker, l1_norm
+from barl1.barcomplex import (Chain, Cochain, boundary, boundary_matrix,
+                              chain_from_vector, coboundary, index_tuple,
+                              kronecker, l1_norm, push_chain, tuple_boundary)
 from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
-                          diagonal_hom, symmetric_group_perm)
+                          diagonal_hom, symmetric_group_perm, trivial_hom)
+from barl1.mitosis import theta
 from barl1.products import (TensorChain, aw, cross_chain, cross_cochain,
                             cross_tensor, cup, normalize, pair_compat_check,
                             push_tensor, shuffles, tensor_boundary,
-                            tensor_elementary, tensor_norm, xi_fill)
+                            tensor_elementary, tensor_first_boundary,
+                            tensor_second_boundary, xi_fill)
 from helpers import (cochain_equal, random_chain, random_cocycle,
                      random_table_cochain)
 
@@ -105,7 +109,7 @@ def test_aw_norm_bound():
     for _ in range(50):
         k = rng.randrange(0, 4)
         c = random_chain(P23, k, rng)
-        assert tensor_norm(aw(c)) <= (k + 1) * l1_norm(c)
+        assert l1_norm(aw(c)) <= (k + 1) * l1_norm(c)
 
 
 def test_normalize_kills_identity_tuples():
@@ -147,7 +151,73 @@ def test_tensor_boundary_koszul_squares_to_zero():
 def test_tensor_norm_multiplicative_on_basis_tensors():
     a = Chain(G2, 1, {(1,): 2, (0,): 1})
     b = Chain(G3, 1, {(2,): Fraction(1, 2)})
-    assert tensor_norm(tensor_elementary(a, b)) == l1_norm(a) * l1_norm(b)
+    assert l1_norm(tensor_elementary(a, b)) == l1_norm(a) * l1_norm(b)
+
+
+def test_producers_equal_the_validating_constructor():
+    # each producer sums its terms as the validating constructors do
+    # and keeps no zero coefficient; identity entries, trivial homs and
+    # repeated tuples make terms collide and cancel
+    rng = random.Random(31)
+    e2, e3 = G2.identity(), G3.identity()
+    to3, to2 = trivial_hom(G2, G3), trivial_hom(G3, G2)
+
+    def same(x, terms):
+        assert x == type(x)(x.space, x.degree, terms)
+        assert all(x.coeffs.values())
+
+    def faces(G, tup, r):
+        return [(f, s * r) for f, s in tuple_boundary(G, tup)] if tup else []
+
+    def shuffled(x, y, r):
+        out = []
+        for pos, sign in shuffles(len(x), len(y)):
+            ix, iy = iter(x), iter(y)
+            out.append((tuple((next(ix), e3) if k in pos else (e2, next(iy))
+                              for k in range(len(x) + len(y))), sign * r))
+        return out
+
+    for _ in range(25):
+        a = random_chain(G2, 2, rng, terms=4)
+        a2 = random_chain(G2, 2, rng, terms=4)
+        b = random_chain(G3, 1, rng, terms=3)
+        c = random_chain(P23, 2, rng, terms=6)
+        t = tensor_elementary(a, b) + tensor_elementary(
+            random_chain(G2, 1, rng), random_chain(G3, 2, rng))
+        ab = [((x, y), r * s) for x, r in a.coeffs.items()
+              for y, s in b.coeffs.items()]
+        tt = list(t.coeffs.items())
+        same(a + a2, list(a.coeffs.items()) + list(a2.coeffs.items()))
+        same(a - a, [])
+        same(a.scale(0), [])
+        same(boundary(a), [v for x, r in a.coeffs.items()
+                           for v in faces(G2, x, r)])
+        same(push_chain(to2, b), [((e2,), r) for r in b.coeffs.values()])
+        same(theta(a, 1), [(x[:j - 1] + (1,) + x[j - 1:], (-1) ** j * r)
+                           for x, r in a.coeffs.items() for j in range(1, 4)])
+        vec = [rng.choice((0, 0, 1, -2)) for _ in range(8)]
+        same(chain_from_vector(G2, 3, vec),
+             [(index_tuple(G2, i, 3), v) for i, v in enumerate(vec)])
+        same(tensor_elementary(a, b), ab)
+        d1 = [((f, y), v) for (x, y), r in tt for f, v in faces(G2, x, r)]
+        d2 = [((x, f), v) for (x, y), r in tt for f, v in faces(G3, y, r)]
+        same(tensor_first_boundary(t), d1)
+        same(tensor_second_boundary(t), d2)
+        same(tensor_boundary(t),
+             d1 + [((x, f), (-1) ** len(x) * v) for (x, f), v in d2])
+        same(push_tensor(to3, to2, t),
+             [((tuple(to3(g) for g in x), tuple(to2(h) for h in y)), r)
+              for (x, y), r in tt])
+        same(aw(c), [((tuple(g for g, _ in x[:j]), tuple(h for _, h in x[j:])), r)
+                     for x, r in c.coeffs.items() for j in range(3)])
+        same(cross_chain(a, b), [v for (x, y), r in ab for v in shuffled(x, y, r)])
+        assert cross_chain(a, b) == cross_tensor(tensor_elementary(a, b))
+        same(cross_tensor(t), [v for (x, y), r in tt for v in shuffled(x, y, r)])
+        same(normalize(c), [(x, r) for x, r in c.coeffs.items()
+                            if (e2, e3) not in x])
+        same(normalize(t), [((x, y), r) for (x, y), r in tt
+                            if e2 not in x and e3 not in y])
+    assert all(boundary_matrix(G3, 2).entries.values())
 
 
 def test_tensor_component_and_bidegrees():
