@@ -45,6 +45,18 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def basis_tuple(G, tup, degree) -> tuple:
+    """tup as a tuple of `degree` elements of G, else ValueError; every
+    key of a validating chain or cochain constructor passes here."""
+    tup = tuple(tup)
+    if len(tup) != degree:
+        raise ValueError("tuple %r has length %d, expected %d"
+                         % (tup, len(tup), degree))
+    for g in tup:
+        G.check_member(g)
+    return tup
+
+
 def sum_terms(terms) -> dict:
     """Sum (key, coefficient) pairs into a dict of the nonzero totals.
 
@@ -72,7 +84,8 @@ class SparseChain:
     one degree, over a space: a group for Chain, a pair of groups for
     TensorChain.  Holds the arithmetic the two share.
 
-    The constructor validates every key and rejects float coefficients;
+    The constructor validates every key, down to the group membership
+    of each entry, and rejects float coefficients;
     producers whose keys are valid by construction sum their terms with
     sum_terms and wrap the dict with _of, which checks nothing.
     """
@@ -152,11 +165,7 @@ class Chain(SparseChain):
         return self.space
 
     def _key(self, tup):
-        tup = tuple(tup)
-        if len(tup) != self.degree:
-            raise ValueError("tuple %r has length %d, chain degree is %d"
-                             % (tup, len(tup), self.degree))
-        return tup
+        return basis_tuple(self.space, tup, self.degree)
 
     @classmethod
     def single(cls, group, tup, coeff=1):
@@ -238,10 +247,7 @@ class Cochain:
         if table is not None:
             clean = {}
             for tup, r in (table.items() if isinstance(table, dict) else table):
-                tup = tuple(tup)
-                if len(tup) != degree:
-                    raise ValueError("tuple %r has wrong length for degree %d"
-                                     % (tup, degree))
+                tup = basis_tuple(group, tup, degree)
                 r = _as_fraction(r)
                 if r != 0:
                     clean[tup] = r

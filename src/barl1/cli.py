@@ -291,17 +291,17 @@ def _cmd_pipeline(args) -> int:
                                             default=Fraction(0))),
              "xi_batch = %s" % _frac(max((c.xi_ratio for c in certs),
                                          default=Fraction(0)))]
+    records = [fileio.pipeline_cert_to_dict(c) for c in certs]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for k, cert in enumerate(certs):
-            fileio.dump_json(fileio.pipeline_cert_to_dict(cert),
+        for k, record in enumerate(records):
+            fileio.dump_json(record,
                              os.path.join(args.out_dir, "pipeline-%03d.json" % k))
         lines.append("%d certificates written to %s" % (len(certs), args.out_dir))
     _emit(args, {"command": "pipeline", "version": __version__,
                  "degree": degree, "samples": samples,
                  "worst_ratio": _frac(worst), "bound": _frac(bound),
-                 "certificates": [fileio.pipeline_cert_to_dict(c)
-                                  for c in certs]}, lines)
+                 "certificates": records}, lines)
     return 0
 
 

@@ -5,6 +5,8 @@ strings.  Element encoding is per backend: finite elements by name,
 permutations as comma-separated image strings, free-group words as
 "x1*x2^-1" (or "e"), product and semidirect elements as nested arrays.
 Certificates embed a full group record so they re-verify standalone.
+decode_element is where elements read from a file enter the program,
+so it checks their membership; encode_element trusts its argument.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ _WORD_TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 
 def encode_element(G, a):
-    G.check_member(a)
     if isinstance(G, FiniteTableGroup):
-        return G.names[G.element_index(a)]
+        return G.names[a]
     if isinstance(G, PermutationGroup):
         return ",".join(str(i) for i in a)
     if isinstance(G, FreeGroup):
@@ -62,15 +63,14 @@ def encode_element(G, a):
     if isinstance(G, FreeProduct):
         return [[k, encode_element(G.factors[k], x)] for k, x in a]
     if isinstance(G, SemidirectProduct):
-        return [encode_element(G.base, a[0]),
-                ",".join(str(i) for i in a[1])]
+        return [encode_element(G.base, a[0]), encode_element(G.action, a[1])]
     raise FileFormatError("no element encoding for %r" % (G,))
 
 
 def decode_element(G, obj):
     try:
         a = _decode_element(G, obj)
-    except FileFormatError:
+    except (FileFormatError, GroupAxiomError):
         raise
     except (TypeError, ValueError, KeyError, IndexError) as exc:
         raise FileFormatError("bad element %r: %s" % (obj, exc)) from None
@@ -111,15 +111,14 @@ def _decode_element(G, obj):
         out = G.identity()
         for k, enc in obj:
             k = int(k)
-            x = _decode_element(G.factors[k], enc)
+            x = decode_element(G.factors[k], enc)  # merging hides non-members
             if x == G.factors[k].identity():
                 continue
             out = G.mul(out, ((k, x),))
         return out
     if isinstance(G, SemidirectProduct):
-        base = _decode_element(G.base, obj[0])
-        act = tuple(int(t) for t in str(obj[1]).split(","))
-        return (base, act)
+        return (_decode_element(G.base, obj[0]),
+                _decode_element(G.action, obj[1]))
     raise FileFormatError("no element decoding for %r" % (G,))
 
 

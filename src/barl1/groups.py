@@ -20,6 +20,14 @@ its own key: the chain, product and mitosis layers use elements directly
 as dictionary keys and as sort keys.  The one ordering contract is that
 the elements of one group are hashable, canonical and mutually
 comparable with <, which orders chain terms and serialized records.
+
+Membership is checked once, where an element enters: contains is exact
+on every backend (a permutation must lie in the generated group), and
+check_member, the one method that raises on a non-member, is called by
+fileio.decode_element, the validating chain and cochain constructors
+(barcomplex.basis_tuple), Homomorphism.apply, verify_hom (on each image),
+conjugation and the mitosis checks.  Arithmetic (mul, inv, element_index,
+act) trusts its arguments; on a non-member its result is unspecified.
 """
 
 from __future__ import annotations
@@ -167,12 +175,9 @@ class FiniteTableGroup(GroupOracle):
         return self._identity
 
     def mul(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         return self.table[a][b]
 
     def inv(self, a):
-        self.check_member(a)
         return self._inv[a]
 
     def contains(self, a):
@@ -185,7 +190,6 @@ class FiniteTableGroup(GroupOracle):
         return list(range(len(self.table)))
 
     def element_index(self, a):
-        self.check_member(a)
         return a
 
     def sample(self, rng):
@@ -213,32 +217,24 @@ class PermutationGroup(GroupOracle):
                     "generator %r is not a permutation of 0..%d" % (g, self.degree - 1))
             gens.append(g)
         self.generators = tuple(gens)
-        self._els = None
+        self._index = None
 
     def identity(self):
         return tuple(range(self.degree))
 
     def mul(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         return tuple(a[b[i]] for i in range(self.degree))
 
     def inv(self, a):
-        self.check_member(a)
         out = [0] * self.degree
         for i, v in enumerate(a):
             out[v] = i
         return tuple(out)
 
-    def contains(self, a):
-        # shape check only; closure membership is contains_strict
-        return isinstance(a, tuple) and len(a) == self.degree
-
-    def contains_strict(self, a):
-        return self.contains(a) and a in self._closure_set()
-
-    def _closure_set(self):
-        if self._els is None:
+    def _closure(self):
+        """The generated group as element -> index, in sorted element
+        order; built once, by breadth-first search from the identity."""
+        if self._index is None:
             seen = {self.identity()}
             frontier = [self.identity()]
             while frontier:
@@ -250,25 +246,20 @@ class PermutationGroup(GroupOracle):
                             seen.add(b)
                             nxt.append(b)
                 frontier = nxt
-            self._els = sorted(seen)
-        return set(self._els)
+            self._index = {g: i for i, g in enumerate(sorted(seen))}
+        return self._index
+
+    def contains(self, a):
+        return isinstance(a, tuple) and a in self._closure()
 
     def order(self):
-        self._closure_set()
-        return len(self._els)
+        return len(self._closure())
 
     def elements(self):
-        self._closure_set()
-        return list(self._els)
+        return list(self._closure())
 
     def element_index(self, a):
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = {g: i for i, g in enumerate(self.elements())}
-            self._idx = idx
-        if a not in idx:
-            raise GroupAxiomError("%r is not in the generated group" % (a,))
-        return idx[a]
+        return self._closure()[a]
 
     def sample(self, rng):
         els = self.elements()
@@ -296,8 +287,6 @@ class FreeGroup(GroupOracle):
         return ()
 
     def mul(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         out = list(a)
         for x in b:
             if out and out[-1] == -x:
@@ -307,7 +296,6 @@ class FreeGroup(GroupOracle):
         return tuple(out)
 
     def inv(self, a):
-        self.check_member(a)
         return tuple(-x for x in reversed(a))
 
     def contains(self, a):
@@ -378,19 +366,10 @@ class DirectProduct(GroupOracle):
     def identity(self):
         return tuple(f.identity() for f in self.factors)
 
-    def _split(self, a):
-        if not isinstance(a, tuple) or len(a) != len(self.factors):
-            raise GroupAxiomError(
-                "element %r does not match a %d-factor product" % (a, len(self.factors)))
-        return a
-
     def mul(self, a, b):
-        a = self._split(a)
-        b = self._split(b)
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
     def inv(self, a):
-        a = self._split(a)
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
     def contains(self, a):
@@ -413,7 +392,6 @@ class DirectProduct(GroupOracle):
         return list(self._els)
 
     def element_index(self, a):
-        a = self._split(a)
         idx = 0
         for f, x in zip(self.factors, a):
             idx = idx * f.order() + f.element_index(x)
@@ -443,8 +421,6 @@ class FreeProduct(GroupOracle):
         return ()
 
     def mul(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         out = list(a)
         for fi, x in b:
             if out and out[-1][0] == fi:
@@ -459,7 +435,6 @@ class FreeProduct(GroupOracle):
         return tuple(out)
 
     def inv(self, a):
-        self.check_member(a)
         return tuple((fi, self.factors[fi].inv(x)) for fi, x in reversed(a))
 
     def contains(self, a):
@@ -551,18 +526,13 @@ class SemidirectProduct(GroupOracle):
     def identity(self):
         return (self.base.identity(), self.action.identity())
 
-    def _split(self, a):
-        if not (isinstance(a, tuple) and len(a) == 2):
-            raise GroupAxiomError("element %r is not a (base, acting) pair" % (a,))
-        return a
-
     def mul(self, a, b):
-        b1, h1 = self._split(a)
-        b2, h2 = self._split(b)
+        b1, h1 = a
+        b2, h2 = b
         return (self.base.mul(b1, self.act(h1, b2)), self.action.mul(h1, h2))
 
     def inv(self, a):
-        b, h = self._split(a)
+        b, h = a
         hi = self.action.inv(h)
         return (self.act(hi, self.base.inv(b)), hi)
 
@@ -580,7 +550,7 @@ class SemidirectProduct(GroupOracle):
         return list(self._els)
 
     def element_index(self, a):
-        b, h = self._split(a)
+        b, h = a
         return (self.base.element_index(b) * self.action.order()
                 + self.action.element_index(h))
 
@@ -725,7 +695,8 @@ class Homomorphism:
 
 def verify_hom(h: Homomorphism, rng=None, samples=10_000,
                exhaustive_pair_limit=300_000) -> dict:
-    """Check h(ab) = h(a)h(b); exhaustive for small finite sources."""
+    """Check that h sends every tested element into the target and
+    that h(ab) = h(a)h(b); exhaustive for small finite sources."""
     S, T = h.source, h.target
     e_img = h(S.identity())
     if e_img != T.identity():
@@ -742,7 +713,10 @@ def verify_hom(h: Homomorphism, rng=None, samples=10_000,
         mode = "sampled"
     count = 0
     for a, b in pairs:
-        if h(S.mul(a, b)) != T.mul(h(a), h(b)):
+        ha, hb = h(a), h(b)
+        T.check_member(ha)
+        T.check_member(hb)
+        if h(S.mul(a, b)) != T.mul(ha, hb):
             raise HomomorphismError(
                 "law fails for %s on witness pair (%r, %r)" % (h.name, a, b))
         count += 1

@@ -315,6 +315,7 @@ class PipelineConfig:
     check_input: bool = True
     _mu: Homomorphism | None = field(default=None, repr=False)
     _report: MitosisReport | None = field(default=None, repr=False)
+    _theta_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.phi.target != self.phi_prime.source:
@@ -513,7 +514,9 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
 
     s, d = cfg.mitosis.s, cfg.mitosis.d
     conj = M.mul(d, M.inv(s))  # inserted conjugator; gamma_{s d^-1} overall
-    check_theta_orientation(M, conj)
+    if not cfg._theta_checked:  # the self-test runs once per config
+        check_theta_orientation(M, conj)
+        cfg._theta_checked = True
     wd = push_chain(conjugation(M, d), w)
     c_prime = theta(wd, conj) - mu_e
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import l1opt
-from .barcomplex import (Chain, Cochain, SparseChain, boundary, kronecker,
-                         l1_norm, push_chain, sum_terms, tuple_boundary)
+from .barcomplex import (Chain, Cochain, SparseChain, basis_tuple, boundary,
+                         kronecker, l1_norm, push_chain, sum_terms,
+                         tuple_boundary)
 from .groups import DirectProduct, diagonal_hom
 
 
@@ -48,7 +49,8 @@ class TensorChain(SparseChain):
         if len(a) + len(b) != self.degree:
             raise ValueError("key %r has total degree %d, expected %d"
                              % ((a, b), len(a) + len(b), self.degree))
-        return a, b
+        GA, GB = self.space
+        return basis_tuple(GA, a, len(a)), basis_tuple(GB, b, len(b))
 
     def terms(self):
         return sorted(self.coeffs.items(),
