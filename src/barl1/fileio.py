@@ -7,6 +7,8 @@ permutations as comma-separated image strings, free-group words as
 Certificates embed a full group record so they re-verify standalone.
 decode_element is where elements read from a file enter the program,
 so it checks their membership; encode_element trusts its argument.
+Words and syllables are decoded literally, so an element has one
+spelling: a word that is not reduced is rejected, not reduced.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ def _decode_element(G, obj):
         return tuple(int(t) for t in str(obj).split(","))
     if isinstance(G, FreeGroup):
         s = str(obj).strip()
-        w = G.identity()
         if s in ("e", ""):
-            return w
+            return G.identity()
+        w = []
         for token in s.split("*"):
             m = _WORD_TOKEN.match(token.strip())
             if not m:
@@ -99,23 +101,17 @@ def _decode_element(G, obj):
             exp = int(m.group(2)) if m.group(2) else 1
             if not 1 <= i <= G.rank:
                 raise FileFormatError("letter x%d outside rank %d" % (i, G.rank))
-            step = (i,) if exp > 0 else (-i,)
-            for _ in range(abs(exp)):
-                w = G.mul(w, step)
-        return w
+            if exp == 0:
+                raise FileFormatError("zero exponent in word token %r" % token)
+            w += [i if exp > 0 else -i] * abs(exp)
+        return tuple(w)
     if isinstance(G, DirectProduct):
         if len(obj) != len(G.factors):
             raise FileFormatError("product element arity mismatch")
         return tuple(_decode_element(f, x) for f, x in zip(G.factors, obj))
     if isinstance(G, FreeProduct):
-        out = G.identity()
-        for k, enc in obj:
-            k = int(k)
-            x = decode_element(G.factors[k], enc)  # merging hides non-members
-            if x == G.factors[k].identity():
-                continue
-            out = G.mul(out, ((k, x),))
-        return out
+        return tuple((int(k), _decode_element(G.factors[int(k)], enc))
+                     for k, enc in obj)
     if isinstance(G, SemidirectProduct):
         return (_decode_element(G.base, obj[0]),
                 _decode_element(G.action, obj[1]))
@@ -355,25 +351,35 @@ def verify_certificate_dict(d) -> list[str]:
     if kind == "pipeline":
         return pipeline_cert_from_dict(d).verify()
     if kind == "kappa":
+        # lower is the best vertex ratio and upper the bound the method
+        # proves: kappa for vertex-enumeration, else the cone bound 1 of a
+        # finite group in degree >= 1, above which no fill is minimal
         failures = []
+        cone = int(d["degree"]) >= 1 and build_group(d["group"]).is_finite()
         vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]
         for i, cert in enumerate(vertices):
             failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
-        ratios = [cert.ratio for cert in vertices]
+            if cone and cert.ratio > 1:
+                failures.append("vertex %d: ratio above the cone bound 1" % i)
         lower = parse_fraction(d["lower"])
         upper = None if d.get("upper") is None else parse_fraction(d["upper"])
         kappa = None if d.get("kappa") is None else parse_fraction(d["kappa"])
-        best = max(ratios) if ratios else Fraction(0)
-        if best != lower:
+        method = d.get("method")
+        if max((c.ratio for c in vertices), default=Fraction(0)) != lower:
             failures.append("stated lower bound is not the best stored ratio")
-        if upper is not None and lower > upper:
-            failures.append("lower bound exceeds upper bound")
+        proved = None
+        if method == "vertex-enumeration":
+            proved = kappa
+        elif method in ("sampled", "cone-bound") and cone:
+            proved = Fraction(1)
+        if upper != proved:
+            failures.append("stated upper bound is not the one its method proves")
         if kappa is not None:
-            if d.get("method") != "vertex-enumeration":
+            if method not in ("vertex-enumeration", "cone-bound"):
                 failures.append("exact kappa stated for a non-exact method")
-            elif kappa != lower:
+            elif kappa != lower or kappa != upper:
                 failures.append("exact kappa does not match its witness ratio")
-        if d.get("method") == "vertex-enumeration":
+        if method == "vertex-enumeration":
             failures.extend(_vertex_set_failures(d, [c.z for c in vertices]))
         return failures
     if kind == "tower":

@@ -19,7 +19,11 @@ dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
 u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
 LP rows.  ubc_kappa_exact maximizes the filling ratio over the
 circuits (elementary vectors) of the boundary subspace, which circuits
-lists by linear algebra alone for the checker in fileio.
+lists by linear algebra alone for the checker in fileio.  Past its
+subset budget kappa is bracketed by sampled circuits below and by 1
+above: over a finite group the averaged cone s(z) = (-1)^(q+1)/|G|
+sum_k sum_t z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every
+degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 """
 
 from __future__ import annotations
@@ -379,28 +383,32 @@ def _image_basis(G, q, cap):
     return [[row[j] for j in pivots] for row in dense]
 
 
-def _circuits(vrows, budget):
-    """Elementary vectors of the column space of the N x d matrix vrows
-    (rank d), scaled to |x|_1 = 1 with first nonzero entry positive and
-    sorted; None when the C(N, d-1) row subsets exceed budget.
+def _circuit(vrows, R):
+    """The elementary vector x = V y of the column space of the N x d
+    matrix V = vrows (rank d) that vanishes on the d-1 rows R, with y
+    their kernel line, as integers with gcd 1 and first nonzero entry
+    positive; None when the rows R have rank below d-1.  Any x' = V y'
+    with support inside that of x has y' in the same kernel, so x is
+    elementary; conversely the zero set of an elementary vector holds
+    such an R (Rockafellar 1969)."""
+    y = linalg.null_vector([vrows[i] for i in R], len(vrows[0]))
+    if y is None:
+        return None
+    x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
+    g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
+    return tuple(v // g for v in x)
 
-    Rows R (|R| = d-1) of rank d-1 have a kernel line y, and x = V y
-    vanishes on R.  Any x' = V y' with support inside that of x has y'
-    in the same kernel, so x is elementary; conversely the zero set of
-    an elementary vector holds such an R (Rockafellar 1969)."""
+
+def _circuits(vrows, budget):
+    """Every _circuit of vrows, scaled to |x|_1 = 1 and sorted; None
+    when the C(N, d-1) row subsets exceed budget."""
     N, d = len(vrows), len(vrows[0])
     if d == 0:
         return []
     if comb(N, d - 1) > budget:
         return None
-    seen = set()
-    for R in itertools.combinations(range(N), d - 1):
-        y = linalg.null_vector([vrows[i] for i in R], d)
-        if y is None:
-            continue
-        x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
-        g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
-        seen.add(tuple(v // g for v in x))
+    seen = {_circuit(vrows, R) for R in itertools.combinations(range(N), d - 1)}
+    seen.discard(None)
     return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
 
 
@@ -423,8 +431,11 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
     scaled to |z|_1 = 1.  With d = rank d_{q+1} over N degree-q tuples,
     the C(N, d-1) row subsets of the pivot columns of d give them, one
     kernel line each, and each is filled exactly (strategy "circuits").
-    Past enum_budget subsets the result is a certified bracket instead:
-    a sampled lower bound and a basis-section upper bound.
+    Past enum_budget subsets the lower bound is the best ratio over the
+    circuits of `samples` random row subsets (repeats skipped) and the
+    upper bound is 1, the averaged cone's (module docstring): exact
+    ("cone-bound") once the lower bound reaches 1, else the bracket
+    [lower, 1] ("sampled"), both with strategy "cone".
     """
     if not G.is_finite():
         raise SizeCapError("exact kappa needs a finite group")
@@ -442,29 +453,22 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
         return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration",
                            certs, strategy="circuits")
 
-    # fallback: sampled lower bound plus a certified basis-section upper
-    # bound max_j minfill(v_j) * |V_I^{-1}|_{1->1}
     if rng is None:
         import random
         rng = random.Random(0)
     lower = Fraction(0)
     certs = []
+    seen = set()
     for _ in range(samples):
-        cand = Chain(G, q + 1,
-                     {index_tuple(G, rng.randrange(G.order() ** (q + 1)), q + 1):
-                      Fraction(rng.randrange(-3, 4)) for _ in range(4)})
-        z = boundary(cand)
-        if z.is_zero():
+        x = _circuit(vrows, rng.sample(range(len(vrows)), d - 1))
+        if x is None or x in seen:
             continue
-        cert = fill_min(z, cap=cap)
+        seen.add(x)
+        cert = fill_min(chain_from_vector(G, q, x), cap=cap)
         certs.append(cert)
         lower = max(lower, cert.ratio)
-    basis_fill = max(l1_norm(fill_min(chain_from_vector(G, q, col), cap=cap).c)
-                     for col in zip(*vrows))
-    _, prow = linalg.rref(list(zip(*vrows)))
-    vinv = linalg.invert([vrows[i] for i in prow])
-    colnorm = max(sum(abs(vinv[i][j]) for i in range(d)) for j in range(d))
-    upper = basis_fill * colnorm
-    if lower > upper:
-        raise AssertionError("sampled lower bound exceeds certified upper bound")
-    return UbcConstant(q, None, lower, upper, "sampled", certs, strategy="basis-section")
+        if lower == 1:
+            return UbcConstant(q, lower, lower, lower, "cone-bound", certs,
+                               strategy="cone")
+    return UbcConstant(q, None, lower, Fraction(1), "sampled", certs,
+                       strategy="cone")

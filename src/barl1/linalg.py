@@ -1,11 +1,11 @@
 """Small exact linear algebra kernel: RREF, square solves, kernels.
 
 Matrices are lists of row lists.  RREF (and so every rank: the rank is
-the number of RREF pivots), square solves, inverses and kernel lines
-share the sparse integer-row Gauss-Jordan kernel (int_row / eliminate /
-pivot) that the simplex in l1opt runs on: each row is a dict of nonzero
-integer entries whose rhs is scaled with it, and every updated row is
-divided by its gcd.
+the number of RREF pivots), square solves and kernel lines share the
+sparse integer-row Gauss-Jordan kernel (int_row / eliminate / pivot)
+that the simplex in l1opt runs on: each row is a dict of nonzero integer
+entries whose rhs is scaled with it, and every updated row is divided by
+its gcd.
 """
 
 from __future__ import annotations
@@ -107,26 +107,6 @@ def solve_square(a, b):
         # row r is now rows[r][c] * x[c] = rhs[r]
         x[c] = Fraction(rhs[r], rows[r][c])
     return x
-
-
-def invert(a):
-    """Inverse of a square Fraction matrix; None when singular."""
-    n = len(a)
-    rows, rhs = [], []
-    for i, values in enumerate(a):
-        # identity block in columns n .. 2n-1
-        row, _, scale = int_row(values, 0)
-        row[n + i] = scale
-        rows.append(row)
-        rhs.append(0)
-    cols = _reduce_square(rows, rhs, n)
-    if cols is None:
-        return None
-    inv = [None] * n
-    for r, c in enumerate(cols):
-        p = rows[r][c]
-        inv[c] = [Fraction(rows[r].get(n + k, 0), p) for k in range(n)]
-    return inv
 
 
 def rref(rows):

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from barl1 import barcomplex
-from barl1.barcomplex import Cochain, boundary, coboundary
+from barl1.barcomplex import Chain, Cochain, boundary, coboundary
 from barl1.linalg import solve_square
 
 
@@ -16,6 +16,17 @@ def random_chain(G, degree, rng, terms=3, lo=-3, hi=3):
 def random_boundary(G, degree, rng, terms=2):
     z = boundary(random_chain(G, degree + 1, rng, terms=terms))
     return z
+
+
+def averaged_cone(z):
+    """s(z) = (-1)^(q+1)/|G| sum_k sum_t z_t (t, k) over a finite group:
+    for a degree-q cycle z with q >= 1, ds(z) = z and |s(z)|_1 = |z|_1
+    (the cone contraction of Brown, Cohomology of Groups, I.5, averaged
+    over the appended element), so kappa(G, q) <= 1."""
+    G, q = z.group, z.degree
+    f = Fraction((-1) ** (q + 1), G.order())
+    return Chain(G, q + 1, {t + (k,): f * r
+                            for t, r in z.terms() for k in G.elements()})
 
 
 def random_table_cochain(G, degree, rng, lo=-2, hi=2):

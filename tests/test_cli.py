@@ -84,6 +84,16 @@ def test_kappa_circuits_record_verifies(tmp_path, z3file, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_kappa_cone_bound_record_verifies(tmp_path, z3file, capsys):
+    out = str(tmp_path / "kappa.json")
+    assert run(["kappa", "--group", z3file, "--degree", "3", "--out", out]) == 0
+    assert "kappa = 1 (exact, cone-bound)" in capsys.readouterr().out
+    assert run(["verify", out]) == 0
+    forged = jfile(tmp_path, "forged.json", dict(load_json(out), upper="1/2"))
+    assert run(["verify", forged]) == 1
+    capsys.readouterr()
+
+
 def test_python_m_barl1_help():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from barl1.barcomplex import Chain, boundary
+from barl1.barcomplex import Chain, boundary, l1_norm
 from barl1.fileio import (FileFormatError, certificate_to_dict,
                           chain_from_dict, chain_from_records, chain_to_dict,
                           chain_to_records, cochain_from_dict, decode_element,
@@ -61,7 +61,8 @@ def test_element_codec_formats():
     assert encode_element(F, (1, 1, -2)) == "x1*x1*x2^-1"
     assert encode_element(F, ()) == "e"
     assert decode_element(F, "x1^2*x2^-1") == (1, 1, -2)
-    assert decode_element(F, "x2*x2^-1") == ()
+    with pytest.raises(GroupAxiomError):
+        decode_element(F, "x2*x2^-1")  # one spelling: reduced words only
 
 
 def test_element_codec_rejects_garbage():
@@ -195,6 +196,46 @@ def test_kappa_rejects_dropped_vertices():
     forged["vertices"].append(forged["vertices"][0])
     assert verify_certificate_dict(forged) == [
         "1 vertices are not distinct circuits of im d"]
+
+
+def test_kappa_cone_bound_record_verifies():
+    d = kappa_to_dict(ubc_kappa_exact(G3, 3), G3)
+    assert (d["method"], d["kappa"], d["lower"], d["upper"]) == \
+        ("cone-bound", "1", "1", "1")
+    assert verify_certificate_dict(d) == []
+    forged = copy.deepcopy(d)
+    forged["method"] = "sampled"
+    assert verify_certificate_dict(forged) == [
+        "exact kappa stated for a non-exact method"]
+
+
+def test_kappa_bracket_upper_is_the_cone_bound():
+    d = kappa_to_dict(ubc_kappa_exact(G2, 2, enum_budget=0), G2)
+    assert (d["method"], d["kappa"], d["lower"], d["upper"]) == \
+        ("sampled", None, "1/2", "1")
+    assert verify_certificate_dict(d) == []
+    for upper in (d["lower"], "2", None):
+        forged = dict(d, upper=upper)
+        assert verify_certificate_dict(forged) == [
+            "stated upper bound is not the one its method proves"]
+    forged = dict(d, kappa="1/2", upper="1/2")
+    assert "exact kappa stated for a non-exact method" in \
+        verify_certificate_dict(forged)
+
+
+def test_kappa_rejects_a_vertex_ratio_above_the_cone_bound():
+    # adding a boundary to a vertex fill keeps dc = z but makes it larger
+    # than minimal; restating kappa to match is caught by the cone bound
+    d = kappa_to_dict(ubc_kappa_exact(G3, 2), G3)
+    vertex = fill_cert_from_dict(d["vertices"][0])
+    c = vertex.c + boundary(Chain.single(G3, (1, 1, 1, 1)))
+    forged = copy.deepcopy(d)
+    forged["vertices"][0]["c"] = chain_to_records(c)
+    forged["vertices"][0]["ratio"] = format_fraction(l1_norm(c) / l1_norm(vertex.z))
+    forged["kappa"] = forged["lower"] = forged["upper"] = "11/2"
+    assert forged["vertices"][0]["ratio"] == "11/2"
+    assert verify_certificate_dict(forged) == [
+        "vertex 0: ratio above the cone bound 1"]
 
 
 def test_kappa_rejects_empty_vertex_list():

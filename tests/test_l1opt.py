@@ -14,7 +14,8 @@ from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          full_support, is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
 from barl1.products import xi_fill
-from helpers import brute_lp_min, column_span_oracle, random_chain, rank_int
+from helpers import (averaged_cone, brute_lp_min, column_span_oracle,
+                     random_chain, rank_int)
 
 G1 = cyclic_group(1)
 G2 = cyclic_group(2)
@@ -405,9 +406,42 @@ def test_kappa_circuits_are_elementary(G, q, kappa, count):
 def test_kappa_sampled_brackets_exact():
     res = ubc_kappa_exact(G2, 2, enum_budget=0, samples=30,
                           rng=random.Random(3))
-    assert res.method == "sampled" and res.strategy == "basis-section"
-    assert res.kappa is None
+    assert res.method == "sampled" and res.strategy == "cone"
+    assert res.kappa is None and res.upper == 1
     assert res.lower <= Fraction(1, 2) <= res.upper
+
+
+def test_kappa_cone_bound_closes_the_bracket():
+    # Z/3 in degree 3 is past the subset budget; a sampled circuit
+    # reaches the cone bound 1, so the bracket [1, 1] is exact
+    res = ubc_kappa_exact(G3, 3)
+    assert res.kappa == res.lower == res.upper == 1
+    assert res.method == "cone-bound" and res.strategy == "cone"
+    assert max(cert.ratio for cert in res.certificates) == 1
+    assert all(cert.verify() == [] for cert in res.certificates)
+
+
+def test_kappa_sampled_circuits_below_the_cone_bound():
+    res = ubc_kappa_exact(S3, 2, samples=10, rng=random.Random(0))
+    assert res.method == "sampled" and res.strategy == "cone"
+    assert res.kappa is None and res.upper == 1
+    assert Fraction(1, 2) <= res.lower < 1
+    zs = [frozenset(cert.z.coeffs.items()) for cert in res.certificates]
+    assert len(set(zs)) == len(zs) > 0  # repeated circuits are skipped
+
+
+@pytest.mark.parametrize("G, q", [(G2, 1), (G2, 2), (G2, 3), (G3, 1), (G3, 2),
+                                  (G3, 3), (S3, 1)],
+                         ids=["Z2_q1", "Z2_q2", "Z2_q3", "Z3_q1", "Z3_q2",
+                              "Z3_q3", "S3_q1"])
+def test_averaged_cone_fills_every_vertex_at_its_norm(G, q):
+    res = ubc_kappa_exact(G, q)
+    assert res.certificates
+    for cert in res.certificates:
+        s = averaged_cone(cert.z)
+        assert boundary(s) == cert.z
+        assert l1_norm(s) == l1_norm(cert.z)
+        assert cert.ratio <= 1
 
 
 def test_kappa_needs_finite_group():

@@ -2,8 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from barl1.linalg import (invert, null_vector, rank_factorization, rref,
-                          solve_square)
+from barl1.linalg import null_vector, rank_factorization, rref, solve_square
 from helpers import rank_int
 
 
@@ -84,8 +83,6 @@ def test_solve_square_and_invert():
     assert solve_square([[Fraction(1), Fraction(2)],
                          [Fraction(2), Fraction(4)]],
                         [Fraction(0), Fraction(0)]) is None
-    inv = invert(a)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
 def test_solve_square_and_invert_random():
@@ -99,18 +96,15 @@ def test_solve_square_and_invert_random():
               for _ in range(n)] for _ in range(n)]
         b = [Fraction(rng.randrange(-4, 5)) for _ in range(n)]
         x = solve_square(a, b)
-        inv = invert(a)
         scaled = [[int(v * 4) for v in row] for row in a]
         if rank_int(scaled) < n:
-            assert x is None and inv is None
+            assert x is None
             singular += 1
             continue
         for i in range(n):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
-            for k in range(n):
-                assert sum(a[i][j] * inv[j][k] for j in range(n)) == (i == k)
     assert 0 < singular < 150
-    assert solve_square([], []) == [] and invert([]) == []
+    assert solve_square([], []) == []
 
 
 def test_rank_factorization_reconstructs():

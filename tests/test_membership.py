@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from barl1.barcomplex import Chain, Cochain, l1_norm
+from barl1.barcomplex import Chain, Cochain, boundary, l1_norm
 from barl1.cli import run
 from barl1.fileio import (FileFormatError, decode_element, dump_json,
-                          format_fraction, pipeline_cert_to_dict,
-                          verify_certificate_dict)
+                          fill_cert_to_dict, format_fraction,
+                          pipeline_cert_to_dict, verify_certificate_dict)
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           GroupAxiomError, PermutationGroup, build_hom,
                           cyclic_group, identity_hom, symmetric_group_perm)
+from barl1.l1opt import fill_min
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
 from barl1.products import TensorChain
@@ -26,10 +27,7 @@ Z2 = cyclic_group(2)
 SWAP01 = PermutationGroup(4, [(1, 0, 2, 3)])  # order 2 inside S_4
 M2 = mitosis_of_finite_abelian(Z2).ambient  # action group <phi, psi> fixes 0
 
-# (group, non-member, an encoding that decoding must reject).  The free
-# group and free product decoders reduce a word as they read it, so the
-# spelling of a non-reduced word decodes to its reduced form, a member;
-# their rejected encodings carry a letter or syllable outside the group.
+# (group, non-member, an encoding that decoding must reject).
 NON_MEMBERS = {
     "finite": (Z2, 5, "5"),
     "perm-subgroup": (SWAP01, (0, 1, 3, 2), "0,1,3,2"),
@@ -96,5 +94,33 @@ def test_verify_rejects_a_primitive_over_a_non_member(tmp_path):
     with pytest.raises(GroupAxiomError, match="semidirect"):
         verify_certificate_dict(rec)
     path = str(tmp_path / "forged.json")
+    dump_json(rec, path)
+    assert run(["verify", path]) == 1
+
+
+def test_words_decode_literally():
+    with pytest.raises(GroupAxiomError, match="free"):
+        decode_element(FreeGroup(2), "x2^-1*x1^3*x1^-1")
+    with pytest.raises(FileFormatError, match="zero exponent"):
+        decode_element(FreeGroup(2), "x1^0")
+    FP = FreeProduct((Z2, cyclic_group(3)))
+    for bad in ([[0, "0"]], [[1, "1"], [1, "1"]]):
+        with pytest.raises(GroupAxiomError, match="freeprod"):
+            decode_element(FP, bad)
+
+
+def test_verify_rejects_a_respelled_free_word(tmp_path):
+    """x1*x2*x2^-1 reduces to x1, so a reducing decoder reads the tampered
+    record as the genuine one; a literal decoder rejects the spelling."""
+    F = FreeGroup(2)
+    a, b = (1,), (2,)
+    rec = fill_cert_to_dict(fill_min(boundary(Chain.single(F, (a, b))),
+                                     support=[(a, b)]))
+    assert verify_certificate_dict(rec) == []
+    assert rec["c"][0]["tuple"] == ["x1", "x2"]
+    rec["c"][0]["tuple"][0] = "x1*x2*x2^-1"
+    with pytest.raises(GroupAxiomError, match="free"):
+        verify_certificate_dict(rec)
+    path = str(tmp_path / "respelled.json")
     dump_json(rec, path)
     assert run(["verify", path]) == 1
