@@ -35,16 +35,22 @@ def _frac(fr) -> str:
 
 
 def _size_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("BARL1_SIZE_CAP")
-    if env:
+    """--cap, else BARL1_SIZE_CAP, else the default; below 1 is an
+    input error."""
+    cap = getattr(args, "cap", None)
+    if cap is None:
+        env = os.environ.get("BARL1_SIZE_CAP")
+        if not env:
+            return DEFAULT_SIZE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise fileio.FileFormatError(
                 "BARL1_SIZE_CAP must be an integer, got %r" % env) from None
-    return DEFAULT_SIZE_CAP
+    if cap < 1:
+        raise fileio.FileFormatError(
+            "size cap (--cap or BARL1_SIZE_CAP) must be at least 1, got %d" % cap)
+    return cap
 
 
 def _emit(args, report: dict, lines: list[str], saved_as=None) -> None:
@@ -252,7 +258,7 @@ def _load_pipeline_config(path, cap):
             if len(table) != S.order():
                 raise fileio.FileFormatError(
                     "hom %s must list every source element" % name)
-            return build_hom(S, T, fn=table.__getitem__, name=name, check=True)
+            return build_hom(S, T, fn=table.__getitem__, name=name)
 
         phi = hom_of(homs["phi"], H, Hp, "phi")
         phi_prime = hom_of(homs["phi'"], Hp, K, "phi'")
@@ -320,8 +326,8 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failures = fileio.verify_certificate(args.certificate)
     record = fileio.load_json(args.certificate)
+    failures = fileio.verify_certificate_dict(record)
     kind = record.get("kind", "?") if isinstance(record, dict) else "?"
     lines = (["certificate kind: %s" % kind, "verified: ok"] if not failures
              else ["certificate kind: %s" % kind] +

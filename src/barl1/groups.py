@@ -28,11 +28,18 @@ fileio.decode_element, the validating chain and cochain constructors
 (barcomplex.basis_tuple), Homomorphism.apply, verify_hom (on each image),
 conjugation and the mitosis checks.  Arithmetic (mul, inv, element_index,
 act) trusts its arguments; on a non-member its result is unspecified.
+
+Both law checks, check_axioms (triples) and verify_hom (pairs), draw
+their cases by one rule: every k-tuple of elements when |G|^k <= 300 000,
+else a fixed number of k-tuples sampled from random.Random(0), 300
+triples or 10 000 pairs.  Reports name the mode and count, so a check
+is reproducible from the group alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 
 class GroupAxiomError(ValueError):
@@ -233,20 +240,10 @@ class PermutationGroup(GroupOracle):
 
     def _closure(self):
         """The generated group as element -> index, in sorted element
-        order; built once, by breadth-first search from the identity."""
+        order; built once."""
         if self._index is None:
-            seen = {self.identity()}
-            frontier = [self.identity()]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in self.generators:
-                        b = tuple(g[a[i]] for i in range(self.degree))
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            self._index = {g: i for i, g in enumerate(sorted(seen))}
+            self._index = {g: i for i, g in
+                           enumerate(sorted(generated(self, self.generators)))}
         return self._index
 
     def contains(self, a):
@@ -308,9 +305,10 @@ class FreeGroup(GroupOracle):
                 return False  # not reduced
         return True
 
-    def sample(self, rng, max_len=6):
+    def sample(self, rng):
+        """A reduced word of random length at most 6."""
         word = []
-        for _ in range(rng.randrange(max_len + 1)):
+        for _ in range(rng.randrange(7)):
             while True:
                 x = rng.choice([1, -1]) * rng.randrange(1, self.rank + 1)
                 if not word or word[-1] != -x:
@@ -408,7 +406,12 @@ class DirectProduct(GroupOracle):
 
 
 class FreeProduct(GroupOracle):
-    """Free product; elements are alternating nontrivial syllable words."""
+    """Free product; elements are alternating nontrivial syllable words.
+
+    When at most one factor is nontrivial and it is finite, the product
+    is that factor: its elements are the identity and the one-syllable
+    words, in < order.
+    """
 
     backend = "freeprod"
 
@@ -416,6 +419,7 @@ class FreeProduct(GroupOracle):
         self.factors = tuple(factors)
         if len(self.factors) < 2:
             raise GroupAxiomError("free product needs at least two factors")
+        self._index = None
 
     def identity(self):
         return ()
@@ -461,10 +465,27 @@ class FreeProduct(GroupOracle):
             return nontrivial[0]
         return None
 
-    def sample(self, rng, max_syllables=4):
+    def _enumeration(self):
+        """element -> index when the order is finite; built once."""
+        if self._index is None:
+            if self.order() is None:
+                return super().elements()  # raises: no enumeration
+            words = [()] + [((fi, x),) for fi, f in enumerate(self.factors)
+                            for x in f.elements() if x != f.identity()]
+            self._index = {w: i for i, w in enumerate(sorted(words))}
+        return self._index
+
+    def elements(self):
+        return list(self._enumeration())
+
+    def element_index(self, a):
+        return self._enumeration()[a]
+
+    def sample(self, rng):
+        """A word of at most 4 random syllables."""
         word = ()
         fi = rng.randrange(len(self.factors))
-        for _ in range(rng.randrange(max_syllables + 1)):
+        for _ in range(rng.randrange(5)):
             f = self.factors[fi]
             x = f.sample(rng)
             if x != f.identity():
@@ -490,7 +511,7 @@ class SemidirectProduct(GroupOracle):
 
     backend = "semidirect"
 
-    def __init__(self, base, action, check=True):
+    def __init__(self, base, action):
         if not base.is_finite():
             raise GroupAxiomError("semidirect base must be finite")
         if not isinstance(action, PermutationGroup):
@@ -502,9 +523,8 @@ class SemidirectProduct(GroupOracle):
         self.base = base
         self.action = action
         self._base_els = base.elements()
-        if check:
-            for g in action.generators:
-                self._check_automorphism(g)
+        for g in action.generators:
+            self._check_automorphism(g)
         self._els = None
 
     def _check_automorphism(self, perm):
@@ -594,21 +614,41 @@ def is_abelian(G, witness=False):
     return (True, None) if witness else True
 
 
-def check_axioms(G, rng=None, samples=300) -> dict:
-    """Associativity, identity, inverses; exhaustive when cheap.
+def generated(G, gens) -> set:
+    """The subgroup of the finite group G generated by gens, by
+    breadth-first search from the identity."""
+    seen = {G.identity()}
+    frontier = [G.identity()]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = G.mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+def _cases(G, k, samples):
+    """(mode, k-tuples) for a law check: all k-tuples when
+    |G|^k <= 300 000, else `samples` tuples drawn from Random(0)."""
+    n = G.order()
+    if n is not None and n ** k <= 300_000:
+        return "exhaustive", itertools.product(G.elements(), repeat=k)
+    rng = random.Random(0)
+    return "sampled", (tuple(G.sample(rng) for _ in range(k))
+                       for _ in range(samples))
+
+
+def check_axioms(G) -> dict:
+    """Associativity, identity and inverses on the cases of the module's
+    check rule (300 triples when sampled).
 
     Returns a report dict; raises GroupAxiomError on first failure.
     """
-    n = G.order()
-    exhaustive = n is not None and n ** 3 <= 300_000
-    if exhaustive:
-        triples = itertools.product(G.elements(), repeat=3)
-    else:
-        if rng is None:
-            import random
-            rng = random.Random(0)
-        triples = ((G.sample(rng), G.sample(rng), G.sample(rng))
-                   for _ in range(samples))
+    mode, triples = _cases(G, 3, 300)
     e = G.identity()
     count = 0
     for a, b, c in triples:
@@ -620,8 +660,7 @@ def check_axioms(G, rng=None, samples=300) -> dict:
         if G.mul(a, ai) != e or G.mul(ai, a) != e:
             raise GroupAxiomError("inverse law fails on %r" % (a,))
         count += 1
-    return {"mode": "exhaustive" if exhaustive else "sampled",
-            "checked_triples": count, "order": n}
+    return {"mode": mode, "checked_triples": count, "order": G.order()}
 
 
 def build_group(spec: dict) -> GroupOracle:
@@ -693,24 +732,15 @@ class Homomorphism:
                                    self.target.describe())
 
 
-def verify_hom(h: Homomorphism, rng=None, samples=10_000,
-               exhaustive_pair_limit=300_000) -> dict:
+def verify_hom(h: Homomorphism) -> dict:
     """Check that h sends every tested element into the target and
-    that h(ab) = h(a)h(b); exhaustive for small finite sources."""
+    that h(ab) = h(a)h(b), on the pairs of the module's check rule
+    (10 000 pairs when sampled)."""
     S, T = h.source, h.target
     e_img = h(S.identity())
     if e_img != T.identity():
         raise HomomorphismError("%s does not send identity to identity" % h.name)
-    n = S.order()
-    if n is not None and n * n <= exhaustive_pair_limit:
-        pairs = itertools.product(S.elements(), repeat=2)
-        mode = "exhaustive"
-    else:
-        if rng is None:
-            import random
-            rng = random.Random(0)
-        pairs = ((S.sample(rng), S.sample(rng)) for _ in range(samples))
-        mode = "sampled"
+    mode, pairs = _cases(S, 2, 10_000)
     count = 0
     for a, b in pairs:
         ha, hb = h(a), h(b)
@@ -724,8 +754,9 @@ def verify_hom(h: Homomorphism, rng=None, samples=10_000,
 
 
 def build_hom(source, target, table=None, images=None, fn=None,
-              name="hom", check=True, rng=None, samples=10_000) -> Homomorphism:
-    """Constructor from an element table, generator images, or a function."""
+              name="hom") -> Homomorphism:
+    """Constructor from an element table, generator images, or a function;
+    the result has passed verify_hom."""
     given = sum(x is not None for x in (table, images, fn))
     if given != 1:
         raise HomomorphismError("give exactly one of table, images, fn")
@@ -753,8 +784,7 @@ def build_hom(source, target, table=None, images=None, fn=None,
             return out
 
     h = Homomorphism(source, target, fn, name=name)
-    if check:
-        verify_hom(h, rng=rng, samples=samples)
+    verify_hom(h)
     return h
 
 
@@ -785,12 +815,9 @@ def conjugation(G, k, inverse=False) -> Homomorphism:
     return Homomorphism(G, G, lambda g: G.mul(G.mul(k, g), ki), name="conj")
 
 
-def diagonal_hom(G, product=None) -> Homomorphism:
-    P = product if product is not None else DirectProduct((G, G))
-    if not (isinstance(P, DirectProduct) and len(P.factors) == 2
-            and P.factors[0] == G and P.factors[1] == G):
-        raise HomomorphismError("diagonal needs the product G x G")
-    return Homomorphism(G, P, lambda g: (g, g), name="diag")
+def diagonal_hom(G) -> Homomorphism:
+    """g -> (g, g), into DirectProduct((G, G))."""
+    return Homomorphism(G, DirectProduct((G, G)), lambda g: (g, g), name="diag")
 
 
 def projection_hom(P: DirectProduct, k) -> Homomorphism:
@@ -808,11 +835,10 @@ def inclusion_hom(P: DirectProduct, k) -> Homomorphism:
     return Homomorphism(P.factors[k], P, fn, name="incl%d" % k)
 
 
-def pair_hom(h1: Homomorphism, h2: Homomorphism,
-             source=None, target=None) -> Homomorphism:
+def pair_hom(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
     """h1 x h2 componentwise on two-factor direct products."""
-    S = source if source is not None else DirectProduct((h1.source, h2.source))
-    T = target if target is not None else DirectProduct((h1.target, h2.target))
+    S = DirectProduct((h1.source, h2.source))
+    T = DirectProduct((h1.target, h2.target))
     return Homomorphism(S, T, lambda a: (h1.fn(a[0]), h2.fn(a[1])),
                         name="%s x %s" % (h1.name, h2.name))
 

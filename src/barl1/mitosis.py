@@ -17,11 +17,16 @@ over M with d(c') = (i o f)_* z and a certified l1 ratio.  All the
 ingredients (splitting D, lifting E, the shuffle assembly, the
 conjugation homotopy) are exact; the only searches are the l1-minimal
 section fillings, and those return certificates.
+
+verify_mitosis checks the axioms on every element when source and
+ambient are finite, else on 20 source elements drawn from
+random.Random(0) without the generation check; mitosis_of_finite_abelian
+and mu_hom both run it.  Maps into G x G build that product themselves.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -31,7 +36,7 @@ from .barcomplex import (Chain, DEFAULT_SIZE_CAP, boundary, l1_norm,
                          push_chain, random_chain, sum_terms)
 from .groups import (DirectProduct, Homomorphism, PermutationGroup,
                      SemidirectProduct, build_hom, compose_homs, conjugation,
-                     diagonal_hom, is_abelian, pair_hom)
+                     diagonal_hom, generated, is_abelian, pair_hom)
 from .products import (TensorChain, aw, cross_tensor, tensor_boundary,
                        tensor_elementary, tensor_first_boundary,
                        tensor_second_boundary, push_tensor, xi_fill)
@@ -82,9 +87,9 @@ class MitosisReport:
         return out
 
 
-def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
+def verify_mitosis(data: MitosisData) -> MitosisReport:
     """Check the three axioms; exhaustive when source and ambient are
-    finite, sampled (generation skipped) otherwise."""
+    finite, else on 20 sampled elements (generation skipped)."""
     G, M, i = data.source, data.ambient, data.inj
     s, d = data.s, data.d
     M.check_member(s)
@@ -94,10 +99,8 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
     if exhaustive:
         els = G.elements()
     else:
-        if rng is None:
-            import random
-            rng = random.Random(0)
-        els = [G.sample(rng) for _ in range(max(2, samples // 10))]
+        rng = random.Random(0)
+        els = [G.sample(rng) for _ in range(20)]
 
     injective = True
     seen = {}
@@ -133,18 +136,7 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
 
     generation = None
     if exhaustive:
-        gens = [i(g) for g in G.elements()] + [s, d]
-        reached = {M.identity()}
-        frontier = [M.identity()]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = M.mul(a, g)
-                    if b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        reached = generated(M, [i(g) for g in els] + [s, d])
         generation = len(reached) == M.order()
         if not generation:
             witnesses["generation"] = (len(reached), M.order())
@@ -154,8 +146,9 @@ def verify_mitosis(data: MitosisData, rng=None, samples=200) -> MitosisReport:
                          injective, split, commuting, generation, witnesses)
 
 
-def mitosis_of_finite_abelian(G, check=True) -> MitosisData:
-    """M = (G x G) x| <phi, psi> for finite abelian G."""
+def mitosis_of_finite_abelian(G) -> MitosisData:
+    """M = (G x G) x| <phi, psi> for finite abelian G; the result has
+    passed verify_mitosis."""
     if not G.is_finite():
         raise MitosisError("the builder needs a finite group")
     ab, witness = is_abelian(G, witness=True)
@@ -169,24 +162,22 @@ def mitosis_of_finite_abelian(G, check=True) -> MitosisData:
     phi = tuple(index[a, G.mul(a, b)] for a, b in els)
     psi = tuple(index[b, a] for a, b in els)
     action = PermutationGroup(len(els), [phi, psi])
-    M = SemidirectProduct(B, action, check=True)
+    M = SemidirectProduct(B, action)
     e = G.identity()
     aid = action.identity()
     inj = Homomorphism(G, M, lambda g: ((g, e), aid), name="mitosis-inj")
     data = MitosisData(G, M, inj, ((e, e), psi), ((e, e), phi))
-    if check:
-        report = verify_mitosis(data)
-        if not report.ok:
-            raise MitosisError("builder output failed verification: %s"
-                               % ", ".join(report.failed_axioms()))
+    report = verify_mitosis(data)
+    if not report.ok:
+        raise MitosisError("builder output failed verification: %s"
+                           % ", ".join(report.failed_axioms()))
     return data
 
 
-def mu_hom(data: MitosisData, report: MitosisReport | None = None) -> Homomorphism:
+def mu_hom(data: MitosisData) -> Homomorphism:
     """mu(g', g) = i(g') i(g)^s: a homomorphism G x G -> M exactly when
-    the commuting axiom holds; refuses on a failed report."""
-    if report is None:
-        report = verify_mitosis(data)
+    the commuting axiom holds; refuses when verify_mitosis fails."""
+    report = verify_mitosis(data)
     if not report.ok:
         raise MitosisError("mu refused: failed axioms: %s"
                            % ", ".join(report.failed_axioms()))
@@ -197,7 +188,7 @@ def mu_hom(data: MitosisData, report: MitosisReport | None = None) -> Homomorphi
         gp, g = pair
         return _M.mul(_i(gp), _d.conj_power(_i(g), _d.s))
 
-    return build_hom(P, M, fn=fn, name="mu", check=True)
+    return build_hom(P, M, fn=fn, name="mu")
 
 
 def theta(c: Chain, conj) -> Chain:
@@ -234,11 +225,10 @@ def theta_defect(c: Chain, conj) -> Chain:
     return lhs - (c - push_chain(gamma, c))
 
 
-def check_theta_orientation(G, conj, rng=None) -> None:
-    """Exact self-test pinning the homotopy direction; aborts loudly."""
-    if rng is None:
-        import random
-        rng = random.Random(0)
+def check_theta_orientation(G, conj) -> None:
+    """Exact self-test pinning the homotopy direction on chains drawn
+    from random.Random(0); aborts loudly."""
+    rng = random.Random(0)
     for degree in (1, 2):
         c = random_chain(G, degree, rng, 3, (1, 2, 3))
         if not theta_defect(c, conj).is_zero():
@@ -253,8 +243,7 @@ def dmap(z: Chain) -> TensorChain:
     if z.degree < 1:
         raise ValueError("dmap is defined in degree >= 1")
     G = z.group
-    P = DirectProduct((G, G))
-    t = aw(push_chain(diagonal_hom(G, P), z))
+    t = aw(push_chain(diagonal_hom(G), z))
     one = Chain.single(G, ())
     t = t - tensor_elementary(z, one) - tensor_elementary(one, z)
     for p, q in t.bidegrees():
@@ -312,9 +301,7 @@ class PipelineConfig:
     psi: Homomorphism
     mitosis: MitosisData
     fill_cap: int = DEFAULT_SIZE_CAP
-    check_input: bool = True
-    _mu: Homomorphism | None = field(default=None, repr=False)
-    _report: MitosisReport | None = field(default=None, repr=False)
+    _mu: Homomorphism | None = field(default=None, init=False, repr=False)
     _theta_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
@@ -330,8 +317,7 @@ class PipelineConfig:
 
     def mu(self) -> Homomorphism:
         if self._mu is None:
-            self._report = verify_mitosis(self.mitosis)
-            self._mu = mu_hom(self.mitosis, self._report)
+            self._mu = mu_hom(self.mitosis)
         return self._mu
 
 
@@ -487,8 +473,6 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
                                    constant_c(q, 0, 0))
     if not boundary(z).is_zero():
         raise ValueError("z must be a cycle")
-    if cfg.check_input and not l1opt.is_boundary(z, cap=cfg.fill_cap):
-        raise ValueError("z is not a boundary over its group")
     G = cfg.psi.target
 
     xi_res = xi_fill(z, cap=cfg.fill_cap)
@@ -502,11 +486,7 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
         e_val = e_res.value
         kappa = e_res.kappa
 
-    GG = DirectProduct((G, G))
-    HH = DirectProduct((H, H))
-    bed = cross_tensor(e_val, product=GG)
-    ff = pair_hom(f, f, source=HH, target=GG)
-    e_prime = bed - push_chain(ff, xi_res.xi)
+    e_prime = cross_tensor(e_val) - push_chain(pair_hom(f, f), xi_res.xi)
 
     w = push_chain(i_f, z)
     mu = cfg.mu()

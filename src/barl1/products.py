@@ -17,6 +17,9 @@ linearly over all bidegrees in the same loop.  aw splits a tuple over
 G x H into front G-parts and back H-parts.  Both are chain maps and
 aw o cross is the identity after killing tuples that contain the
 identity (normalize).
+
+Products build their own G x H as DirectProduct((G, H)).  Oracles
+compare by structure, so it equals any copy a caller built.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import l1opt
-from .barcomplex import (Chain, Cochain, SparseChain, basis_tuple, boundary,
-                         kronecker, l1_norm, push_chain, sum_terms,
-                         tuple_boundary)
+from .barcomplex import (DEFAULT_SIZE_CAP, Chain, Cochain, SparseChain,
+                         basis_tuple, boundary, kronecker, l1_norm, push_chain,
+                         sum_terms, tuple_boundary)
 from .groups import DirectProduct, diagonal_hom
 
 
@@ -124,17 +127,14 @@ def shuffles(p, q):
         yield pos, -1 if inv % 2 else 1
 
 
-def _product_group(GA, GB, product=None):
-    if product is None:
-        product = DirectProduct((GA, GB))
-    if not (isinstance(product, DirectProduct) and len(product.factors) == 2
-            and product.factors[0] == GA and product.factors[1] == GB):
-        raise ValueError("product oracle does not match the two factors")
-    return product
+def cross_chain(a: Chain, b: Chain) -> Chain:
+    """Shuffle cross product C_p(G) x C_q(H) -> C_{p+q}(G x H)."""
+    return cross_tensor(tensor_elementary(a, b))
 
 
-def _cross(t: TensorChain, P) -> Chain:
-    """Sum of the shuffle products of the terms of t, over P = G x H."""
+def cross_tensor(t: TensorChain) -> Chain:
+    """Extend the shuffle product linearly over all bidegrees: the sum
+    of the shuffle products of the terms of t, over G x H."""
     GA, GB = t.groups
     ea, eb = GA.identity(), GB.identity()
     blocks = {}  # (p, q) -> [(first-block mask, sign)] per shuffle
@@ -150,18 +150,7 @@ def _cross(t: TensorChain, P) -> Chain:
                 yield (tuple((next(ia), eb) if m else (ea, next(ib))
                              for m in mask), sign * r)
 
-    return Chain._of(P, t.degree, sum_terms(terms()))
-
-
-def cross_chain(a: Chain, b: Chain, product=None) -> Chain:
-    """Shuffle cross product C_p(G) x C_q(H) -> C_{p+q}(G x H)."""
-    return _cross(tensor_elementary(a, b),
-                  _product_group(a.group, b.group, product))
-
-
-def cross_tensor(t: TensorChain, product=None) -> Chain:
-    """Extend the shuffle product linearly over all bidegrees."""
-    return _cross(t, _product_group(*t.groups, product))
+    return Chain._of(DirectProduct(t.groups), t.degree, sum_terms(terms()))
 
 
 def aw(c: Chain) -> TensorChain:
@@ -204,27 +193,24 @@ class XiFillResult:
     ratio_vs_input: Fraction
 
 
-def xi_fill(z: Chain, product=None, support=None, **fill_kw) -> XiFillResult:
-    """Fill (cross o aw - id) of the diagonal push of a cycle z."""
-    G = z.group
-    P = _product_group(G, G, product)
+def xi_fill(z: Chain, cap=DEFAULT_SIZE_CAP) -> XiFillResult:
+    """Fill (cross o aw - id) of the diagonal push of a cycle z, over
+    fill_min's default support at size cap `cap`."""
     if z.degree >= 1 and not boundary(z).is_zero():
         raise ValueError("xi_fill expects a cycle")
-    dz = push_chain(diagonal_hom(G, P), z)
-    target = cross_tensor(aw(dz), product=P) - dz
+    dz = push_chain(diagonal_hom(z.group), z)
+    target = cross_tensor(aw(dz)) - dz
     if z.is_zero():
-        cert = l1opt.FillCertificate(target, Chain.zero(P, z.degree + 1),
+        cert = l1opt.FillCertificate(target, Chain.zero(dz.group, z.degree + 1),
                                      Fraction(0), {"kind": "empty"})
         return XiFillResult(cert, cert.c, target, Fraction(0))
-    cert = l1opt.fill_min(target, support=support, **fill_kw)
+    cert = l1opt.fill_min(target, cap=cap)
     ratio = l1_norm(cert.c) / l1_norm(z)
     return XiFillResult(cert, cert.c, target, ratio)
 
 
-def cross_cochain(f: Cochain, g: Cochain, product=None) -> Cochain:
+def cross_cochain(f: Cochain, g: Cochain) -> Cochain:
     """(f x g)(pairs) = (-1)^{pq} f(front G-parts) g(back H-parts)."""
-    GA, GB = f.group, g.group
-    P = _product_group(GA, GB, product)
     p, q = f.degree, g.degree
     sign = -1 if (p * q) % 2 else 1
 
@@ -233,7 +219,8 @@ def cross_cochain(f: Cochain, g: Cochain, product=None) -> Cochain:
         hs = tuple(x[1] for x in tup[_p:])
         return _sign * _f.value(gs) * _g.value(hs)
 
-    return Cochain(P, p + q, fn=fn, name="%s x %s" % (f.name, g.name))
+    return Cochain(DirectProduct((f.group, g.group)), p + q, fn=fn,
+                   name="%s x %s" % (f.name, g.name))
 
 
 def cup(f: Cochain, g: Cochain) -> Cochain:
@@ -260,13 +247,12 @@ class PairCompatReport:
     ok: bool
 
 
-def pair_compat_check(f: Cochain, g: Cochain, c: Chain, d: Chain,
-                      product=None) -> PairCompatReport:
+def pair_compat_check(f: Cochain, g: Cochain, c: Chain,
+                      d: Chain) -> PairCompatReport:
     if f.degree != c.degree or g.degree != d.degree:
         raise ValueError("pairing degrees do not match")
-    P = _product_group(f.group, g.group, product)
     p, q = f.degree, g.degree
     sign = -1 if (p * q) % 2 else 1
-    lhs = kronecker(cross_cochain(f, g, product=P), cross_chain(c, d, product=P))
+    lhs = kronecker(cross_cochain(f, g), cross_chain(c, d))
     rhs = sign * kronecker(f, c) * kronecker(g, d)
     return PairCompatReport(lhs, rhs, sign, (p, q), lhs == rhs)

@@ -76,22 +76,21 @@ def test_criterion_3_products():
         a = random_chain(G2, p, rng, terms=2)
         b = random_chain(G3, q, rng, terms=2)
         if p + q >= 1:
-            lhs = boundary(cross_chain(a, b, product=P))
+            lhs = boundary(cross_chain(a, b))
             rhs = Chain.zero(P, p + q - 1)
             if p >= 1:
-                rhs = rhs + cross_chain(boundary(a), b, product=P)
+                rhs = rhs + cross_chain(boundary(a), b)
             if q >= 1:
-                rhs = rhs + cross_chain(a, boundary(b), product=P).scale(
+                rhs = rhs + cross_chain(a, boundary(b)).scale(
                     (-1) ** p)
             assert lhs == rhs
         k = rng.randrange(1, 4)
         c = random_chain(P, k, rng, terms=2)
         assert tensor_boundary(aw(c)) == aw(boundary(c))
         t = tensor_elementary(a, b)
-        assert normalize(aw(cross_tensor(t, product=P))) == normalize(t)
+        assert normalize(aw(cross_tensor(t))) == normalize(t)
     quadruples = 0
     for G in (G3, symmetric_group_perm(3)):
-        PG = DirectProduct((G, G))
         for _ in range(500):
             p, q = rng.randrange(0, 3), rng.randrange(0, 3)
             f = random_cocycle(G, p, rng)
@@ -100,7 +99,7 @@ def test_criterion_3_products():
                  else random_chain(G, 0, rng, terms=2))
             d = (boundary(random_chain(G, q + 1, rng, terms=2)) if q
                  else random_chain(G, 0, rng, terms=2))
-            rep = pair_compat_check(f, g, c, d, product=PG)
+            rep = pair_compat_check(f, g, c, d)
             assert rep.ok, (p, q, rep.lhs, rep.rhs)
             quadruples += 1
     assert quadruples == 1000
@@ -139,7 +138,7 @@ def test_criterion_5_mitosis_builders():
         assert data.ambient.order() == order
         rep = verify_mitosis(data)
         assert rep.ok and rep.mode == "exhaustive"
-        mu = mu_hom(data, rep)
+        mu = mu_hom(data)
         for g in G.elements():
             assert mu((g, g)) == data.conj_power(data.inj(g), data.d)
     print("ACCEPTANCE 5: builders verify exhaustively (orders 24, 432, "

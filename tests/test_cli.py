@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from barl1 import fileio
 from barl1.barcomplex import Chain, boundary
 from barl1.cli import run
 from barl1.fileio import chain_to_dict, dump_json, load_json
@@ -47,6 +49,13 @@ def test_group_check_ok(z2file, capsys):
     assert run(["group", "check", z2file]) == 0
     out = capsys.readouterr().out
     assert "axioms: ok" in out and "mode: exhaustive" in out
+
+
+def test_group_check_free_product_with_a_trivial_factor(tmp_path, capsys):
+    spec = {"type": "product", "op": "free",
+            "factors": [group_to_spec(G2), {"type": "free", "rank": 0}]}
+    assert run(["group", "check", jfile(tmp_path, "fp.json", spec)]) == 0
+    assert "mode: exhaustive" in capsys.readouterr().out
 
 
 def test_group_check_bad_table(tmp_path, capsys):
@@ -197,6 +206,40 @@ def test_size_cap_flag_and_env(z3file, capsys, monkeypatch):
     monkeypatch.setenv("BARL1_SIZE_CAP", "not-a-number")
     assert run(["homology", "--group", z3file, "--degree", "1"]) == 2
     capsys.readouterr()
+
+
+def test_size_cap_below_one_is_an_input_error(z2file, capsys, monkeypatch):
+    homology = ["homology", "--group", z2file, "--degree", "3"]
+    assert run(homology) == 0
+    for cap in ("0", "-5"):
+        assert run(homology + ["--cap", cap]) == 2
+        assert "at least 1" in capsys.readouterr().err
+    monkeypatch.setenv("BARL1_SIZE_CAP", "0")
+    assert run(homology) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_verify_reads_the_certificate_once(tmp_path, z2file, capsys,
+                                           monkeypatch):
+    cf = jfile(tmp_path, "z.json",
+               chain_to_dict(boundary(Chain.single(G2, (1, 1)))))
+    cert = str(tmp_path / "cert.json")
+    assert run(["fill", "--group", z2file, "--chain", cf, "--out", cert]) == 0
+    capsys.readouterr()
+    reads = []
+    load_json = fileio.load_json
+    monkeypatch.setattr(fileio, "load_json",
+                        lambda path: reads.append(path) or load_json(path))
+    assert run(["verify", "--json", cert]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert reads == [cert]
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_json_output_is_deterministic(z2file, capsys):

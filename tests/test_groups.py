@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_cross_backend_isomorphism_s3():
     isomorphic through the index map, checked exhaustively."""
     P = symmetric_group_perm(3)
     T = cayley_table_from(P)
-    h = build_hom(P, T, fn=lambda p: P.element_index(p), check=True)
+    h = build_hom(P, T, fn=lambda p: P.element_index(p))
     assert verify_hom(h)["mode"] == "exhaustive"
     # bijectivity on 6 elements
     assert sorted(h(p) for p in P.elements()) == list(range(6))
@@ -118,6 +119,19 @@ def test_free_product_normal_form():
     # cascading cancellation: a b b a = e since each factor has order 2
     assert G.mul(G.mul(ab, b), a) == ()
     assert not G.is_finite()
+    with pytest.raises(GroupAxiomError):
+        G.elements()
+
+
+def test_free_product_with_one_nontrivial_factor_is_enumerated():
+    G = FreeProduct((cyclic_group(2), FreeGroup(0)))
+    assert G.order() == 2 and G.elements() == [(), ((0, 1),)]
+    assert check_axioms(G) == {"mode": "exhaustive", "checked_triples": 8,
+                               "order": 2}
+    H = FreeProduct((cyclic_group(1), cyclic_group(3)))
+    assert H.elements() == [(), ((1, 1),), ((1, 2),)]
+    assert [H.element_index(a) for a in H.elements()] == [0, 1, 2]
+    assert verify_hom(identity_hom(H))["mode"] == "exhaustive"
 
 
 def test_semidirect_s3_model():
@@ -187,6 +201,21 @@ def test_verify_hom_rejects_non_hom():
     assert "witness" in str(exc.value) or "(" in str(exc.value)
 
 
+def test_sampled_check_streams_are_pinned():
+    """Over an infinite group both law checks sample from Random(0) in a
+    fixed draw order; the counts and the first witness pin that stream."""
+    F2 = FreeGroup(2)
+    assert check_axioms(F2) == {"mode": "sampled", "checked_triples": 300,
+                                "order": None}
+    assert verify_hom(identity_hom(F2)) == {"mode": "sampled",
+                                            "checked_pairs": 10_000}
+    bad = Homomorphism(F2, cyclic_group(2), lambda w: int(len(w) == 3),
+                       name="bad")
+    with pytest.raises(HomomorphismError,
+                       match=re.escape("witness pair ((1, 2, 2), (-1, -2))")):
+        verify_hom(bad)
+
+
 def test_build_hom_modes():
     G2, G4 = cyclic_group(2), cyclic_group(4)
     h = build_hom(G2, G4, table={0: 0, 1: 2})
@@ -200,7 +229,7 @@ def test_build_hom_modes():
 def test_hom_combinators():
     G = cyclic_group(3)
     P = DirectProduct((G, G))
-    d = diagonal_hom(G, P)
+    d = diagonal_hom(G)
     p0 = projection_hom(P, 0)
     assert compose_homs(p0, d)(2) == 2
     inc = inclusion_hom(P, 1)

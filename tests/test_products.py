@@ -33,13 +33,13 @@ def test_shuffle_count_and_signs():
 
 def test_cross_two_singletons():
     # (g) x (h) = ((g,e),(e,h)) - ((e,h),(g,e))
-    c = cross_chain(Chain.single(G2, (1,)), Chain.single(G3, (1,)), product=P23)
+    c = cross_chain(Chain.single(G2, (1,)), Chain.single(G3, (1,)))
     assert c == Chain(P23, 2, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1})
 
 
 def test_cross_with_empty_factor_is_inclusion():
     b = Chain(G3, 2, {(1, 2): 3, (2, 2): -1})
-    c = cross_chain(Chain.single(G2, ()), b, product=P23)
+    c = cross_chain(Chain.single(G2, ()), b)
     assert c == Chain(P23, 2, {((0, 1), (0, 2)): 3, ((0, 2), (0, 2)): -1})
 
 
@@ -51,13 +51,13 @@ def test_cross_leibniz_random():
             continue
         a = random_chain(G2, p, rng)
         b = random_chain(G3, q, rng)
-        lhs = boundary(cross_chain(a, b, product=P23))
+        lhs = boundary(cross_chain(a, b))
         rhs = Chain.zero(P23, p + q - 1)
         if p >= 1:
-            rhs = rhs + cross_chain(boundary(a), b, product=P23)
+            rhs = rhs + cross_chain(boundary(a), b)
         if q >= 1:
             s = -1 if p % 2 else 1
-            rhs = rhs + cross_chain(a, boundary(b), product=P23).scale(s)
+            rhs = rhs + cross_chain(a, boundary(b)).scale(s)
         assert lhs == rhs
 
 
@@ -67,7 +67,7 @@ def test_cross_norm_bound():
         p, q = rng.randrange(0, 3), rng.randrange(0, 3)
         a = random_chain(G2, p, rng)
         b = random_chain(G3, q, rng)
-        c = cross_chain(a, b, product=P23)
+        c = cross_chain(a, b)
         assert l1_norm(c) <= comb(p + q, p) * l1_norm(a) * l1_norm(b)
 
 
@@ -82,8 +82,7 @@ def test_aw_cross_hand_identity():
     """aw(cross((g) (x) (h))) has six terms; all but (g)(x)(h) touch an
     identity entry."""
     g, h = 1, 1
-    t = aw(cross_chain(Chain.single(G2, (g,)), Chain.single(G3, (h,)),
-                       product=P23))
+    t = aw(cross_chain(Chain.single(G2, (g,)), Chain.single(G3, (h,))))
     e2, e3 = G2.identity(), G3.identity()
     expected = {
         ((g,), (h,)): Fraction(1),
@@ -134,7 +133,7 @@ def test_normalized_aw_cross_is_identity():
         a = random_chain(G2, p, rng)
         b = random_chain(G3, q, rng)
         t = tensor_elementary(a, b)
-        lhs = normalize(aw(cross_tensor(t, product=P23)))
+        lhs = normalize(aw(cross_tensor(t)))
         assert lhs == normalize(t)
 
 
@@ -242,10 +241,9 @@ def test_xi_fill_zero_input():
 def test_xi_fill_z2_boundary():
     z = boundary(Chain.single(G2, (1, 1)))
     res = xi_fill(z)
-    P = DirectProduct((G2, G2))
     from barl1.barcomplex import push_chain
-    dz = push_chain(diagonal_hom(G2, P), z)
-    target = cross_tensor(aw(dz), product=P) - dz
+    dz = push_chain(diagonal_hom(G2), z)
+    target = cross_tensor(aw(dz)) - dz
     assert boundary(res.xi) == target
     assert res.certificate.verify() == []
     assert res.ratio_vs_input == l1_norm(res.xi) / l1_norm(z)
@@ -259,12 +257,12 @@ def test_xi_fill_rejects_non_cycle():
 def test_cross_cochain_sign_and_projection():
     f = Cochain(G2, 1, table={(1,): Fraction(3)})
     g = Cochain(G3, 1, table={(2,): Fraction(5)})
-    fg = cross_cochain(f, g, product=P23)
+    fg = cross_cochain(f, g)
     # p = q = 1 carries the sign (-1)^{pq} = -1
     assert fg.value(((1, 0), (0, 2))) == -15
     assert fg.value(((1, 1), (1, 2))) == -15  # only G-part of 1st, H-part of 2nd
     const = Cochain(G2, 0, table={(): Fraction(2)})
-    cg = cross_cochain(const, g, product=P23)
+    cg = cross_cochain(const, g)
     assert cg.value(((1, 2),)) == 10  # p = 0: no sign, pullback along p_H
 
 
@@ -273,7 +271,7 @@ def test_cross_cochain_of_cocycles_is_cocycle():
     for p, q in [(1, 1), (1, 2), (2, 1)]:
         f = random_cocycle(G2, p, rng)
         g = random_cocycle(G3, q, rng)
-        dfg = coboundary(cross_cochain(f, g, product=P23))
+        dfg = coboundary(cross_cochain(f, g))
         for t in itertools.product(P23.elements(), repeat=p + q + 1):
             assert dfg.value(t) == 0
 
@@ -333,8 +331,7 @@ def test_cup_leibniz_signs():
 def test_pair_compat_zero_chain():
     f = random_cocycle(G2, 1, random.Random(71))
     g = random_cocycle(G3, 1, random.Random(72))
-    rep = pair_compat_check(f, g, Chain.zero(G2, 1), Chain.zero(G3, 1),
-                            product=P23)
+    rep = pair_compat_check(f, g, Chain.zero(G2, 1), Chain.zero(G3, 1))
     assert rep.ok and rep.lhs == 0 and rep.rhs == 0
 
 
@@ -348,7 +345,7 @@ def test_pair_compat_nonzero_cases():
         g = random_cocycle(G3, q, rng)
         c = boundary(random_chain(G2, p + 1, rng)) if p else random_chain(G2, 0, rng)
         d = boundary(random_chain(G3, q + 1, rng)) if q else random_chain(G3, 0, rng)
-        rep = pair_compat_check(f, g, c, d, product=P23)
+        rep = pair_compat_check(f, g, c, d)
         assert rep.ok, (p, q, rep.lhs, rep.rhs)
         if rep.lhs != 0:
             seen_nonzero += 1
