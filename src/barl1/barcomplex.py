@@ -255,9 +255,6 @@ class Cochain:
         else:
             self.table = None
 
-    def is_table(self) -> bool:
-        return self.table is not None
-
     def value(self, tup) -> Fraction:
         tup = tuple(tup)
         if len(tup) != self.degree:

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 mathematical failure (axiom violation,
 infeasibility, certificate mismatch), 2 input error (bad schema,
 unreadable file, size cap exceeded).  All rationals print as "p/q".
 Reports are deterministic; `--json` switches to the record format.
-The size cap honors the BARL1_SIZE_CAP environment variable.
+The subcommands that enumerate bases (homology, fill, kappa, cup,
+pipeline) take the size cap from --cap, else the BARL1_SIZE_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _frac(fr) -> str:
 def _size_cap(args) -> int:
     """--cap, else BARL1_SIZE_CAP, else the default; below 1 is an
     input error."""
-    cap = getattr(args, "cap", None)
+    cap = args.cap
     if cap is None:
         env = os.environ.get("BARL1_SIZE_CAP")
         if not env:
@@ -211,6 +213,10 @@ def _cmd_mitosis_verify(args) -> int:
 def _cmd_mitosis_build(args) -> int:
     G = fileio.load_group(args.group)
     data = mitosis.mitosis_of_finite_abelian(G)
+    report = mitosis.verify_mitosis(data)
+    if not report.ok:
+        raise _MathFailure("built mitosis failed its axioms: %s"
+                           % ", ".join(report.failed_axioms()))
     record = fileio.mitosis_to_dict(data)
     lines = ["source: %s" % G.describe(),
              "ambient: %s" % data.ambient.describe(),
@@ -350,11 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out=True):
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable record")
+        if out:
+            p.add_argument("--out", default=None, help="write output here")
+
+    def capped(p, out=True):
+        """common, plus --cap for the subcommands that read it."""
+        common(p, out)
         p.add_argument("--cap", type=int, default=None,
                        help="basis size cap (default %d or BARL1_SIZE_CAP)"
                             % DEFAULT_SIZE_CAP)
-        if out:
-            p.add_argument("--out", default=None, help="write output here")
 
     gp = sub.add_parser("group", help="group file operations")
     gsub = gp.add_subparsers(dest="groupcmd", required=True)
@@ -372,20 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("homology", help="rational homology rank")
     h.add_argument("--group", required=True)
     h.add_argument("--degree", type=int, required=True)
-    common(h)
+    capped(h)
     h.set_defaults(func=_cmd_homology)
 
     f = sub.add_parser("fill", help="l1-minimal filling certificate")
     f.add_argument("--group", required=True)
     f.add_argument("--chain", required=True)
-    common(f)
+    capped(f)
     f.set_defaults(func=_cmd_fill)
 
     k = sub.add_parser("kappa", help="uniform boundary constant")
     k.add_argument("--group", required=True)
     k.add_argument("--degree", type=int, required=True)
     k.add_argument("--seed", type=int, default=0)
-    common(k)
+    capped(k)
     k.set_defaults(func=_cmd_kappa)
 
     x = sub.add_parser("cross", help="homological cross product")
@@ -400,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--group", required=True)
     cu.add_argument("--cochain-a", required=True)
     cu.add_argument("--cochain-b", required=True)
-    common(cu)
+    capped(cu)
     cu.set_defaults(func=_cmd_cup)
 
     pr = sub.add_parser("pair", help="cross pairing compatibility check")
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline", help="certified primitive pipeline")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out-dir", default=None)
-    common(pl, out=False)
+    capped(pl, out=False)
     pl.set_defaults(func=_cmd_pipeline)
 
     tw = sub.add_parser("tower", help="iterated constants table")

@@ -26,8 +26,11 @@ on every backend (a permutation must lie in the generated group), and
 check_member, the one method that raises on a non-member, is called by
 fileio.decode_element, the validating chain and cochain constructors
 (barcomplex.basis_tuple), Homomorphism.apply, verify_hom (on each image),
-conjugation and the mitosis checks.  Arithmetic (mul, inv, element_index,
-act) trusts its arguments; on a non-member its result is unspecified.
+conjugation, mitosis.theta (its conjugator) and verify_mitosis (s and
+d).  Everything after that trusts its elements: arithmetic (mul, inv,
+element_index, act), a homomorphism's fn, and chains built with
+SparseChain._of, among them l1opt's fillings over the tuples of
+elements() or ball().  On a non-member their result is unspecified.
 
 Both law checks, check_axioms (triples) and verify_hom (pairs), draw
 their cases by one rule: every k-tuple of elements when |G|^k <= 300 000,

@@ -17,13 +17,19 @@ from linalg.solve_square on the final basis.
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
 u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
-LP rows.  ubc_kappa_exact maximizes the filling ratio over the
-circuits (elementary vectors) of the boundary subspace, which circuits
-lists by linear algebra alone for the checker in fileio.  Past its
-subset budget kappa is bracketed by sampled circuits below and by 1
-above: over a finite group the averaged cone s(z) = (-1)^(q+1)/|G|
-sum_k sum_t z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every
-degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
+LP rows.  The columns are the group's own support, every (q+1)-tuple
+of a finite group or word balls of doubling radius in a free group, so
+the filling is built from listed elements without a membership check.
+is_boundary needs no LP over a finite group (a cycle of degree >= 1 is
+a boundary); over a free group it is fill_min's search.
+
+ubc_kappa_exact maximizes the filling ratio over the circuits
+(elementary vectors) of the boundary subspace, which circuits lists by
+linear algebra alone for the checker in fileio.  Past its subset budget
+kappa is bracketed by sampled circuits below and by 1 above: over a
+finite group the averaged cone s(z) = (-1)^(q+1)/|G| sum_k sum_t
+z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every degree-q
+cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 """
 
 from __future__ import annotations
@@ -216,19 +222,17 @@ def full_support(G, degree, cap=DEFAULT_SIZE_CAP):
     return [index_tuple(G, i, degree) for i in range(n ** degree)]
 
 
-def _supports(G, degree, support, cap, start_radius, max_radius):
+def _supports(G, degree, cap, start_radius, max_radius):
     """The supports a filling of degree `degree` is sought over, in turn.
 
-    Yields (support list, description) pairs: the explicit support once,
-    else the full support of a finite group once, else word balls of a
-    free group with the radius doubling from start_radius while it stays
-    within max_radius (start_radius itself is always tried).  Any other
-    group has no default support.
+    Yields (support list, description) pairs: the full support of a
+    finite group once, else word balls of a free group with the radius
+    doubling from start_radius while it stays within max_radius
+    (start_radius itself is always tried).  Any other group has no
+    support.  Every tuple comes from G.elements() or G.ball(), so the
+    fillings built over them are valid chains without a check.
     """
-    if support is not None:
-        support = list(support)
-        yield support, {"kind": "explicit", "size": len(support)}
-    elif G.is_finite():
+    if G.is_finite():
         support = full_support(G, degree, cap=cap)
         yield support, {"kind": "full", "size": len(support)}
     elif isinstance(G, FreeGroup):
@@ -245,19 +249,17 @@ def _supports(G, degree, support, cap, start_radius, max_radius):
                 return
             radius *= 2
     else:
-        raise SizeCapError(
-            "no default support policy for %s; pass one explicitly" % G.backend)
+        raise SizeCapError("no support policy for %s" % G.backend)
 
 
-def _solve_fill(z: Chain, support, minimize=True):
-    """Shared core of fill_min / is_boundary over an explicit support."""
+def _solve_fill(z: Chain, support):
+    """An l1-minimal filling of z over support, or None when there is
+    none; the core of fill_min and of is_boundary over a free group."""
     G = z.group
     q = z.degree
     row_index = {}
     rows_of_col = []
     for tup in support:
-        if len(tup) != q + 1:
-            raise ValueError("support tuple %r has wrong degree" % (tup,))
         faces = list(tuple_boundary(G, tup))
         for face, _ in faces:
             row_index.setdefault(face, len(row_index))
@@ -276,22 +278,21 @@ def _solve_fill(z: Chain, support, minimize=True):
     b = [Fraction(0)] * m
     for tup, r in z.coeffs.items():
         b[row_index[tup]] = r
-    obj = [Fraction(1)] * (2 * S) if minimize else [Fraction(0)] * (2 * S)
-    res = lp_solve(LpProblem(tuple(a), tuple(b), tuple(obj)))
+    res = lp_solve(LpProblem(tuple(a), tuple(b), (Fraction(1),) * (2 * S)))
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise Unbounded("filling program cannot be unbounded; solver bug")
     x = res.x
-    return Chain(G, q + 1,
-                 ((tup, x[j] - x[S + j]) for j, tup in enumerate(support)))
+    return Chain._of(G, q + 1, sum_terms(
+        (tup, x[j] - x[S + j]) for j, tup in enumerate(support)))
 
 
-def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
+def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
              start_radius=3, max_radius=12) -> FillCertificate:
-    """l1-minimal c with dc = z, by exact LP over the given support.
+    """l1-minimal c with dc = z, by exact LP over the group's support.
 
-    Finite groups default to the full tuple support; free groups grow a
+    Finite groups use the full tuple support; free groups grow a
     word-ball support, doubling the radius on infeasibility up to
     max_radius.  Raises Infeasible / SupportExhausted when z is not a
     boundary over the admissible support.
@@ -303,8 +304,7 @@ def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
     if z.is_zero():
         return FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
-    for sup, descr in _supports(G, q + 1, support, cap, start_radius,
-                                max_radius):
+    for sup, descr in _supports(G, q + 1, cap, start_radius, max_radius):
         c = _solve_fill(z, sup)
         if c is not None:
             break
@@ -312,33 +312,32 @@ def fill_min(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
         if descr["kind"] == "ball":
             raise SupportExhausted("no filling over word balls up to radius %d"
                                    % descr["radius"])
-        raise Infeasible("z is not a boundary" if support is None
-                         else "z is not a boundary over the given support")
+        raise Infeasible("z is not a boundary")
     if boundary(c) != z:
         raise AssertionError("solver returned a non-filling; this is a bug")
     ratio = l1_norm(c) / l1_norm(z)
     return FillCertificate(z, c, ratio, descr)
 
 
-def is_boundary(z: Chain, support=None, cap=DEFAULT_SIZE_CAP,
+def is_boundary(z: Chain, cap=DEFAULT_SIZE_CAP,
                 start_radius=3, max_radius=12) -> bool:
     """Whether z is a boundary.
 
-    Over a finite group with no explicit support, a chain of degree
-    >= 1 is a boundary exactly when it is a cycle, since H_q(G; Q) = 0
-    for q >= 1 (transfer; Brown, Cohomology of Groups, III.10).  That
-    answer needs no LP, so cap does not limit it.  With an explicit
-    support, or over a free group (word balls of doubling radius), the
-    verdict is LP feasibility over the support actually used.
+    Over a finite group a chain of degree >= 1 is a boundary exactly
+    when it is a cycle, since H_q(G; Q) = 0 for q >= 1 (transfer;
+    Brown, Cohomology of Groups, III.10).  That answer needs no LP, so
+    cap does not limit it.  Over a free group the verdict is LP
+    feasibility over word balls of doubling radius, up to the largest
+    radius tried.
     """
     if z.degree == 0:
         return z.is_zero()
     if z.is_zero():
         return True
-    if support is None and z.group.is_finite():
+    if z.group.is_finite():
         return is_cycle(z)
-    return any(_solve_fill(z, sup, minimize=False) is not None
-               for sup, _ in _supports(z.group, z.degree + 1, support, cap,
+    return any(_solve_fill(z, sup) is not None
+               for sup, _ in _supports(z.group, z.degree + 1, cap,
                                        start_radius, max_radius))
 
 

@@ -18,10 +18,12 @@ ingredients (splitting D, lifting E, the shuffle assembly, the
 conjugation homotopy) are exact; the only searches are the l1-minimal
 section fillings, and those return certificates.
 
-verify_mitosis checks the axioms on every element when source and
-ambient are finite, else on 20 source elements drawn from
-random.Random(0) without the generation check; mitosis_of_finite_abelian
-and mu_hom both run it.  Maps into G x G build that product themselves.
+verify_mitosis checks that the injection is a homomorphism (verify_hom)
+and the axioms on every element when source and ambient are finite,
+else on 20 source elements drawn from random.Random(0) without the
+generation check.  mu_hom runs it, once per PipelineConfig, and so does
+`barl1 mitosis build-abelian` before it writes; mitosis_of_finite_abelian
+does not.  Maps into G x G build that product themselves.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from math import comb
 from . import l1opt, linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, boundary, l1_norm,
                          push_chain, random_chain, sum_terms)
-from .groups import (DirectProduct, Homomorphism, PermutationGroup,
-                     SemidirectProduct, build_hom, compose_homs, conjugation,
-                     diagonal_hom, generated, is_abelian, pair_hom)
+from .groups import (DirectProduct, Homomorphism, HomomorphismError,
+                     PermutationGroup, SemidirectProduct, build_hom,
+                     compose_homs, conjugation, diagonal_hom, generated,
+                     is_abelian, pair_hom, verify_hom)
 from .products import (TensorChain, aw, cross_tensor, tensor_boundary,
                        tensor_elementary, tensor_first_boundary,
                        tensor_second_boundary, push_tensor, xi_fill)
@@ -68,14 +71,16 @@ class MitosisData:
 class MitosisReport:
     ok: bool
     mode: str
+    homomorphism: bool
     injective: bool
     split: bool
     commuting: bool
     generation: bool | None
-    witnesses: dict = field(default_factory=dict)
 
     def failed_axioms(self) -> list[str]:
         out = []
+        if not self.homomorphism:
+            out.append("injection is a homomorphism")
         if not self.injective:
             out.append("injectivity")
         if not self.split:
@@ -88,14 +93,19 @@ class MitosisReport:
 
 
 def verify_mitosis(data: MitosisData) -> MitosisReport:
-    """Check the three axioms; exhaustive when source and ambient are
+    """Check that the injection is a homomorphism (by verify_hom's case
+    rule) and the three axioms; exhaustive when source and ambient are
     finite, else on 20 sampled elements (generation skipped)."""
     G, M, i = data.source, data.ambient, data.inj
     s, d = data.s, data.d
     M.check_member(s)
     M.check_member(d)
+    try:
+        verify_hom(i)
+        homomorphism = True
+    except HomomorphismError:
+        homomorphism = False
     exhaustive = G.is_finite() and M.is_finite()
-    witnesses = {}
     if exhaustive:
         els = G.elements()
     else:
@@ -108,7 +118,6 @@ def verify_mitosis(data: MitosisData) -> MitosisReport:
         img = i(g)
         if img in seen and seen[img] != g:
             injective = False
-            witnesses["injectivity"] = (seen[img], g)
             break
         seen[img] = g
 
@@ -119,7 +128,6 @@ def verify_mitosis(data: MitosisData) -> MitosisReport:
         rhs = M.mul(ig, data.conj_power(ig, s))
         if lhs != rhs:
             split = False
-            witnesses["split"] = g
             break
 
     commuting = True
@@ -129,7 +137,6 @@ def verify_mitosis(data: MitosisData) -> MitosisReport:
             igp = i(gp)
             if M.mul(igp, igs) != M.mul(igs, igp):
                 commuting = False
-                witnesses["commuting"] = (gp, g)
                 break
         if not commuting:
             break
@@ -138,17 +145,17 @@ def verify_mitosis(data: MitosisData) -> MitosisReport:
     if exhaustive:
         reached = generated(M, [i(g) for g in els] + [s, d])
         generation = len(reached) == M.order()
-        if not generation:
-            witnesses["generation"] = (len(reached), M.order())
 
-    ok = injective and split and commuting and generation is not False
+    ok = (homomorphism and injective and split and commuting
+          and generation is not False)
     return MitosisReport(ok, "exhaustive" if exhaustive else "sampled",
-                         injective, split, commuting, generation, witnesses)
+                         homomorphism, injective, split, commuting, generation)
 
 
 def mitosis_of_finite_abelian(G) -> MitosisData:
-    """M = (G x G) x| <phi, psi> for finite abelian G; the result has
-    passed verify_mitosis."""
+    """M = (G x G) x| <phi, psi> for finite abelian G.  The result is
+    not checked here: mu_hom checks it before a pipeline uses it, and
+    `barl1 mitosis build-abelian` before it writes it."""
     if not G.is_finite():
         raise MitosisError("the builder needs a finite group")
     ab, witness = is_abelian(G, witness=True)
@@ -166,12 +173,7 @@ def mitosis_of_finite_abelian(G) -> MitosisData:
     e = G.identity()
     aid = action.identity()
     inj = Homomorphism(G, M, lambda g: ((g, e), aid), name="mitosis-inj")
-    data = MitosisData(G, M, inj, ((e, e), psi), ((e, e), phi))
-    report = verify_mitosis(data)
-    if not report.ok:
-        raise MitosisError("builder output failed verification: %s"
-                           % ", ".join(report.failed_axioms()))
-    return data
+    return MitosisData(G, M, inj, ((e, e), psi), ((e, e), phi))
 
 
 def mu_hom(data: MitosisData) -> Homomorphism:
@@ -184,7 +186,7 @@ def mu_hom(data: MitosisData) -> Homomorphism:
     G, M, i = data.source, data.ambient, data.inj
     P = DirectProduct((G, G))
 
-    def fn(pair, _d=data, _M=M, _i=i):
+    def fn(pair, _d=data, _M=M, _i=i.fn):
         gp, g = pair
         return _M.mul(_i(gp), _d.conj_power(_i(g), _d.s))
 
@@ -253,27 +255,31 @@ def dmap(z: Chain) -> TensorChain:
     return t
 
 
-def _block_decompose(block: TensorChain):
-    """Minimal-length decomposition of one bidegree block into
-    elementary tensors; both factor families span the block's column
-    and row spaces, so they inherit any subspace membership."""
-    GA, GB = block.groups
-    rows_basis = sorted({k[0] for k in block.coeffs})
-    cols_basis = sorted({k[1] for k in block.coeffs})
-    col_pos = {b: j for j, b in enumerate(cols_basis)}
-    w = [[Fraction(0)] * len(cols_basis) for _ in rows_basis]
-    for i, a in enumerate(rows_basis):
-        for (aa, bb), r in block.coeffs.items():
-            if aa == a:
-                w[i][col_pos[bb]] = r
-    pairs = []
-    p = len(rows_basis[0]) if rows_basis else 0
-    q = len(cols_basis[0]) if cols_basis else 0
-    for colvec, rowvec in linalg.rank_factorization(w):
-        u = Chain(GA, p, {rows_basis[i]: v for i, v in enumerate(colvec) if v})
-        v = Chain(GB, q, {cols_basis[j]: r for j, r in enumerate(rowvec) if r})
-        pairs.append((u, v))
-    return pairs
+def _boundary_factors(t: TensorChain, cap, what):
+    """t as a sum of elementary tensors u (x) v, yielded as (u, v): each
+    bidegree block is split by the rank factorization of its matrix, so
+    the u span its column space and the v its row space and inherit any
+    subspace membership.  A factor that is not a boundary, such as a
+    nonzero degree-0 one, raises PipelineError naming `what`."""
+    GA, GB = t.groups
+    for p, r in t.bidegrees():
+        block = t.component(p, r).coeffs
+        rows = sorted({a for a, _ in block})
+        cols = sorted({b for _, b in block})
+        row_pos = {a: i for i, a in enumerate(rows)}
+        col_pos = {b: j for j, b in enumerate(cols)}
+        w = [[Fraction(0)] * len(cols) for _ in rows]
+        for (a, b), v in block.items():
+            w[row_pos[a]][col_pos[b]] = v
+        for colvec, rowvec in linalg.rank_factorization(w):
+            u = Chain._of(GA, p, sum_terms(zip(rows, colvec)))
+            v = Chain._of(GB, r, sum_terms(zip(cols, rowvec)))
+            if not (l1opt.is_boundary(u, cap=cap)
+                    and l1opt.is_boundary(v, cap=cap)):
+                raise PipelineError(
+                    "a factor of %s in bidegree (%d, %d) is not a boundary"
+                    % (what, p, r))
+            yield u, v
 
 
 @dataclass
@@ -301,23 +307,28 @@ class PipelineConfig:
     psi: Homomorphism
     mitosis: MitosisData
     fill_cap: int = DEFAULT_SIZE_CAP
-    _mu: Homomorphism | None = field(default=None, init=False, repr=False)
-    _theta_checked: bool = field(default=False, init=False, repr=False)
+    _mu: Homomorphism = field(init=False, repr=False)
+    _conj: object = field(init=False, repr=False)
 
     def __post_init__(self):
+        """The set-up work of every certificate, done once: mu_hom
+        checks the mitosis data, and the conjugator d s^-1 that theta
+        inserts passes the orientation self-test."""
         if self.phi.target != self.phi_prime.source:
             raise ValueError("phi and phi' do not compose")
         if self.phi_prime.target != self.psi.source:
             raise ValueError("phi' and psi do not compose")
         if self.psi.target != self.mitosis.source:
             raise ValueError("psi does not land in the mitosis source")
+        self._mu = mu_hom(self.mitosis)
+        M, s, d = self.mitosis.ambient, self.mitosis.s, self.mitosis.d
+        self._conj = M.mul(d, M.inv(s))
+        check_theta_orientation(M, self._conj)
 
     def f(self) -> Homomorphism:
         return compose_homs(self.psi, compose_homs(self.phi_prime, self.phi))
 
     def mu(self) -> Homomorphism:
-        if self._mu is None:
-            self._mu = mu_hom(self.mitosis)
         return self._mu
 
 
@@ -340,10 +351,10 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     certs = []
     kappa = Fraction(0)
 
-    def section(src_chain, hom, caps=cfg.fill_cap):
+    def section(src_chain, hom):
         nonlocal kappa
         w = push_chain(hom, src_chain)
-        cert = l1opt.fill_min(w, cap=caps)
+        cert = l1opt.fill_min(w, cap=cfg.fill_cap)
         certs.append(cert)
         if cert.ratio > kappa:
             kappa = cert.ratio
@@ -358,25 +369,10 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
             raise ValueError("emap input has an outer bidegree (%d, %d)" % (p, r))
 
     # (S (x) S)(id (x) d)(x), blockwise over boundary-factor decompositions
-    nx = tensor_second_boundary(x)
     ssn = TensorChain.zero((Hp, Hp), q + 1)
-    for p, r in nx.bidegrees():
-        block = nx.component(p, r)
-        if r == 0:
-            # the second factor would land in the zero space of
-            # degree-0 boundaries; x being a boundary forces this
-            if not block.is_zero():
-                raise PipelineError(
-                    "(id (x) d)(x) has mass in bidegree (%d, 0)" % p)
-            continue
-        for u, v in _block_decompose(block):
-            if not l1opt.is_boundary(u, cap=cfg.fill_cap) or \
-                    not l1opt.is_boundary(v, cap=cfg.fill_cap):
-                raise PipelineError(
-                    "a factor of (id (x) d)(x) in bidegree (%d, %d) "
-                    "is not a boundary" % (p, r))
-            ssn = ssn + tensor_elementary(section(u, cfg.phi),
-                                          section(v, cfg.phi))
+    for u, v in _boundary_factors(tensor_second_boundary(x), cfg.fill_cap,
+                                  "(id (x) d)(x)"):
+        ssn = ssn + tensor_elementary(section(u, cfg.phi), section(v, cfg.phi))
 
     # U(x) = (phi (x) phi)(x) - d(SSN); both partial boundaries vanish
     u_t = push_tensor(cfg.phi, cfg.phi, x) - tensor_boundary(ssn)
@@ -385,24 +381,14 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     if not tensor_first_boundary(u_t).is_zero():
         raise PipelineError("(d (x) id) U(x) != 0")
 
-    # (T (x) (psi - T d)) over (phi' (x) phi') U(x)
+    # (T (x) (psi - T d)) over (phi' (x) phi') U(x); T d vanishes, as
+    # a factor that is a boundary is a cycle
     v_t = push_tensor(cfg.phi_prime, cfg.phi_prime, u_t)
     tt = TensorChain.zero((G, G), q + 1)
-    for p, r in v_t.bidegrees():
-        block = v_t.component(p, r)
-        for a, b in _block_decompose(block):
-            if not l1opt.is_boundary(a, cap=cfg.fill_cap) or \
-                    not l1opt.is_boundary(b, cap=cfg.fill_cap):
-                raise PipelineError(
-                    "a factor of (phi' (x) phi') U(x) in bidegree (%d, %d) "
-                    "is not a boundary; is phi' rationally acyclic there?"
-                    % (p, r))
-            ta = section(a, cfg.psi)
-            db = boundary(b)
-            second = push_chain(cfg.psi, b)
-            if not db.is_zero():
-                second = second - section(db, cfg.psi)
-            tt = tt + tensor_elementary(ta, second)
+    for a, b in _boundary_factors(v_t, cfg.fill_cap,
+                                  "(phi' (x) phi') U(x); is phi' rationally "
+                                  "acyclic there?"):
+        tt = tt + tensor_elementary(section(a, cfg.psi), push_chain(cfg.psi, b))
 
     g_hom = compose_homs(cfg.psi, cfg.phi_prime)
     value = push_tensor(g_hom, g_hom, ssn) + tt
@@ -492,13 +478,9 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
     mu = cfg.mu()
     mu_e = push_chain(mu, e_prime)
 
-    s, d = cfg.mitosis.s, cfg.mitosis.d
-    conj = M.mul(d, M.inv(s))  # inserted conjugator; gamma_{s d^-1} overall
-    if not cfg._theta_checked:  # the self-test runs once per config
-        check_theta_orientation(M, conj)
-        cfg._theta_checked = True
-    wd = push_chain(conjugation(M, d), w)
-    c_prime = theta(wd, conj) - mu_e
+    # inserted conjugator d s^-1; gamma_{s d^-1} overall
+    wd = push_chain(conjugation(M, cfg.mitosis.d), w)
+    c_prime = theta(wd, cfg._conj) - mu_e
 
     if boundary(c_prime) != w:
         raise PipelineError("primitive boundary identity d c' = (i o f)_* z failed")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from barl1 import fileio
+from barl1 import fileio, mitosis
 from barl1.barcomplex import Chain, boundary
 from barl1.cli import run
 from barl1.fileio import chain_to_dict, dump_json, load_json
@@ -217,6 +218,33 @@ def test_size_cap_below_one_is_an_input_error(z2file, capsys, monkeypatch):
     monkeypatch.setenv("BARL1_SIZE_CAP", "0")
     assert run(homology) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_cap_is_offered_only_where_it_is_read(z2file, capsys):
+    assert run(["tower", "--degree", "2", "--cap", "5"]) == 2
+    assert run(["boundary", "--group", z2file, "--chain", z2file,
+                "--cap", "5"]) == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+    assert run(["homology", "--group", z2file, "--degree", "1",
+                "--cap", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_mitosis_build_checks_before_it_writes(tmp_path, z2file, capsys,
+                                               monkeypatch):
+    calls = []
+    verify = mitosis.verify_mitosis
+
+    def failing(data):
+        calls.append(data)
+        return dataclasses.replace(verify(data), ok=False, split=False)
+
+    monkeypatch.setattr(mitosis, "verify_mitosis", failing)
+    mf = tmp_path / "mitosis.json"
+    assert run(["mitosis", "build-abelian", "--group", z2file,
+                "--out", str(mf)]) == 1
+    assert len(calls) == 1 and not mf.exists()
+    assert "split" in capsys.readouterr().err
 
 
 def test_verify_reads_the_certificate_once(tmp_path, z2file, capsys,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from barl1.barcomplex import Chain, boundary, l1_norm
+from barl1.cli import run
 from barl1.fileio import (FileFormatError, certificate_to_dict,
                           chain_from_dict, chain_from_records, chain_to_dict,
                           chain_to_records, cochain_from_dict, decode_element,
@@ -290,6 +291,23 @@ def test_mitosis_certificate_round_trip_and_tamper():
     forged["d"] = forged["s"]
     failures = verify_certificate_dict(forged)
     assert any("split" in f for f in failures)
+
+
+def test_mitosis_record_with_a_non_homomorphic_injection(tmp_path):
+    # swapping the images of 0 and 1 keeps the injection injective and
+    # its image set (so every axiom on images) but sends e to i(1)
+    d = mitosis_to_dict(mitosis_of_finite_abelian(G3))
+    inj = d["injection"]
+    assert [src for src, _ in inj[:2]] == ["0", "1"]
+    inj[0][1], inj[1][1] = inj[1][1], inj[0][1]
+    rep = verify_mitosis(mitosis_from_dict(d))
+    assert not rep.homomorphism and rep.injective and rep.split
+    assert rep.failed_axioms() == ["injection is a homomorphism"]
+    assert verify_certificate_dict(d) == [
+        "axiom failed: injection is a homomorphism"]
+    path = str(tmp_path / "mitosis.json")
+    dump_json(d, path)
+    assert run(["verify", path]) == 1
 
 
 def test_certificate_dispatch_and_file_round_trip(tmp_path):

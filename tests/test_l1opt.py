@@ -8,7 +8,7 @@ import pytest
 from barl1 import l1opt
 from barl1.barcomplex import (Chain, SizeCapError, boundary, boundary_matrix,
                               index_tuple, l1_norm)
-from barl1.groups import (FreeGroup, cyclic_group, identity_hom,
+from barl1.groups import (FreeGroup, GroupOracle, cyclic_group, identity_hom,
                           symmetric_group_perm, trivial_hom)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          full_support, is_boundary, lp_solve, section_on,
@@ -243,22 +243,22 @@ def test_fill_min_zero_chain():
     assert cert.verify() == []
 
 
-def test_fill_min_explicit_support():
-    z = Chain(G2, 1, {(1,): Fraction(2), (0,): Fraction(-1)})
-    cert = fill_min(z, support=list(full_support(G2, 2)))
-    assert l1_norm(cert.c) == 1
+def test_fill_min_checks_no_membership(monkeypatch):
+    # every support tuple comes from G.elements(), so none is checked again
+    z = boundary(Chain.single(G2, (1, 1, 1)))
+    calls = []
+    check = GroupOracle.check_member
+    monkeypatch.setattr(GroupOracle, "check_member",
+                        lambda G, a: calls.append(a) or check(G, a))
+    cert = fill_min(z)
+    assert calls == []
+    assert cert.verify() == [] and cert.ratio > 0
+
+
+def test_fill_min_non_boundary_is_infeasible():
+    # (1, 1) over Z/2 is no cycle, so no filling exists over the full support
     with pytest.raises(Infeasible):
-        fill_min(z, support=[(0, 0)])
-
-
-def test_fill_min_explicit_support_size():
-    # an iterator is listed once, so its recorded size is the size of the
-    # support the LP ran over, as for a list
-    z = Chain(G2, 1, {(1,): Fraction(2), (0,): Fraction(-1)})
-    for support in (full_support(G2, 2), iter(full_support(G2, 2))):
-        cert = fill_min(z, support=support)
-        assert cert.support == {"kind": "explicit", "size": 4}
-        assert l1_norm(cert.c) == 1 and cert.verify() == []
+        fill_min(Chain.single(G2, (1, 1)))
 
 
 def test_is_boundary_basics():
@@ -270,17 +270,13 @@ def test_is_boundary_basics():
 
 
 def test_is_boundary_matches_rank_oracle():
-    # an explicit support keeps the LP feasibility path; here it is the
-    # full support, so both verdicts must agree with the rank oracle
     in_span = column_span_oracle(boundary_matrix(G3, 3))
-    support = full_support(G3, 3)
     rng = random.Random(23)
     hits = {True: 0, False: 0}
     for k in range(20):
         z = (boundary(random_chain(G3, 3, rng)) if k % 2
              else random_chain(G3, 2, rng))
         expected = in_span(z)
-        assert is_boundary(z, support=support) == expected
         assert is_boundary(z) == expected
         hits[expected] += 1
     assert hits[True] and hits[False]

@@ -16,7 +16,7 @@ from barl1.fileio import (FileFormatError, decode_element, dump_json,
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           GroupAxiomError, PermutationGroup, build_hom,
                           cyclic_group, identity_hom, symmetric_group_perm)
-from barl1.l1opt import fill_min
+from barl1.l1opt import FillCertificate
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
 from barl1.products import TensorChain
@@ -114,8 +114,9 @@ def test_verify_rejects_a_respelled_free_word(tmp_path):
     record as the genuine one; a literal decoder rejects the spelling."""
     F = FreeGroup(2)
     a, b = (1,), (2,)
-    rec = fill_cert_to_dict(fill_min(boundary(Chain.single(F, (a, b))),
-                                     support=[(a, b)]))
+    c = Chain.single(F, (a, b))
+    z = boundary(c)
+    rec = fill_cert_to_dict(FillCertificate(z, c, l1_norm(c) / l1_norm(z)))
     assert verify_certificate_dict(rec) == []
     assert rec["c"][0]["tuple"] == ["x1", "x2"]
     rec["c"][0]["tuple"][0] = "x1*x2*x2^-1"

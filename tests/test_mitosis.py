@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from barl1 import mitosis
 from barl1.barcomplex import Chain, boundary, l1_norm, push_chain
 from barl1.groups import (DirectProduct, FreeGroup, build_hom, compose_homs,
                           conjugation, cyclic_group, identity_hom,
@@ -39,6 +40,22 @@ def test_builder_ambient_orders():
         assert rep.ok and rep.mode == "exhaustive"
         assert rep.generation is True
         assert rep.failed_axioms() == []
+
+
+def test_config_checks_its_mitosis_once(monkeypatch):
+    calls = {"verify_mitosis": 0, "check_theta_orientation": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(mitosis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mitosis, name, counted)
+    cfg = identity_config(G2)
+    mu = cfg.mu()
+    assert calls == {"verify_mitosis": 1, "check_theta_orientation": 1}
+    assert mu is cfg.mu()
+    z = boundary(Chain.single(G2, (1, 1, 1)))
+    primitive_pipeline(z, cfg)
+    assert calls == {"verify_mitosis": 1, "check_theta_orientation": 1}
 
 
 def test_builder_refuses_nonabelian_and_infinite():
