@@ -17,6 +17,13 @@ Every producer of either (boundary, push_chain, the products, theta)
 builds its dict with sum_terms, the one rule for adding chain terms,
 and wraps it with the unchecked constructor SparseChain._of; the
 public constructors validate keys and coefficients first.
+
+Over a finite group the degree-k basis is tuple_basis(G, k): the
+k-tuples of G.elements() in itertools.product order, so tuple_index
+is the position of a tuple in it.  tuple_basis holds the one size-cap
+check of the finite-group enumerations (boundary matrices, betti,
+chain_from_vector, Cochain.materialize and l1opt's full supports): it
+raises SizeCapError for an infinite group or when |G|^k exceeds the cap.
 """
 
 from __future__ import annotations
@@ -269,15 +276,11 @@ class Cochain:
     def materialize(self, cap=DEFAULT_SIZE_CAP) -> "Cochain":
         if self.table is not None:
             return self
-        n = self.group.order()
-        if n is None:
+        if not self.group.is_finite():
             raise MaterializeError(
                 "cannot materialize a lazy cochain over an infinite group")
-        if n ** self.degree > cap:
-            raise SizeCapError("table size %d exceeds cap %d"
-                               % (n ** self.degree, cap))
         table = {}
-        for tup in itertools.product(self.group.elements(), repeat=self.degree):
+        for tup in tuple_basis(self.group, self.degree, cap):
             v = _as_fraction(self.fn(tup))
             if v != 0:
                 table[tup] = v
@@ -305,10 +308,10 @@ def coboundary(f: Cochain, cap=DEFAULT_SIZE_CAP) -> Cochain:
         return total
 
     out = Cochain(G, k + 1, fn=fn, name="d(%s)" % f.name)
-    n = G.order()
-    if n is not None and n ** (k + 1) <= cap:
+    try:
         return out.materialize(cap=cap)
-    return out
+    except (MaterializeError, SizeCapError):
+        return out  # infinite or past the cap: stays lazy
 
 
 def kronecker(f: Cochain, c: Chain) -> Fraction:
@@ -348,7 +351,19 @@ class BoundaryMatrix:
         return len(linalg.rref(self.dense_rows())[1])
 
 
+def tuple_basis(G, k, cap=DEFAULT_SIZE_CAP) -> list:
+    """The k-tuples of G.elements() in itertools.product order, the
+    basis of degree k; SizeCapError for an infinite G or past the cap."""
+    n = G.order()
+    if n is None:
+        raise SizeCapError("tuple bases need a finite group")
+    if n ** k > cap:
+        raise SizeCapError("basis size %d exceeds cap %d" % (n ** k, cap))
+    return list(itertools.product(G.elements(), repeat=k))
+
+
 def tuple_index(G, tup) -> int:
+    """The position of tup in tuple_basis(G, len(tup))."""
     n = G.order()
     idx = 0
     for g in tup:
@@ -356,48 +371,28 @@ def tuple_index(G, tup) -> int:
     return idx
 
 
-def index_tuple(G, idx, k):
-    n = G.order()
-    els = G.elements()
-    out = []
-    for _ in range(k):
-        out.append(els[idx % n])
-        idx //= n
-    return tuple(reversed(out))
-
-
 def boundary_matrix(G, k, cap=DEFAULT_SIZE_CAP) -> BoundaryMatrix:
-    if not G.is_finite():
-        raise SizeCapError("boundary matrices need a finite group")
     if k < 1:
         raise ValueError("boundary matrix defined for degree >= 1")
-    n = G.order()
-    if n ** k > cap:
-        raise SizeCapError("basis size %d exceeds cap %d" % (n ** k, cap))
-    ncols = n ** k
+    cols = tuple_basis(G, k, cap)
     entries = sum_terms(
-        ((tuple_index(G, face), j), sign) for j in range(ncols)
-        for face, sign in tuple_boundary(G, index_tuple(G, j, k)))
-    return BoundaryMatrix(G, k, n ** (k - 1), ncols, entries)
+        ((tuple_index(G, face), j), sign) for j, tup in enumerate(cols)
+        for face, sign in tuple_boundary(G, tup))
+    return BoundaryMatrix(G, k, len(cols) // G.order(), len(cols), entries)
 
 
 def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
-    """dim H_k(G; Q) for finite G, by exact ranks of d_k and d_{k+1}."""
-    if not G.is_finite():
-        raise SizeCapError("betti numbers computed for finite groups only")
+    """dim H_k(G; Q) for finite G, by exact ranks of d_k and d_{k+1};
+    boundary_matrix refuses an infinite G or a basis past the cap."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    n = G.order()
-    if n ** (k + 1) > cap:
-        raise SizeCapError(
-            "dimension %d of degree %d exceeds cap %d" % (n ** (k + 1), k + 1, cap))
-    dim_k = n ** k
+    d_k1 = boundary_matrix(G, k + 1, cap=cap)
     rank_k = boundary_matrix(G, k, cap=cap).rank() if k >= 1 else 0
-    rank_k1 = boundary_matrix(G, k + 1, cap=cap).rank()
-    return (dim_k - rank_k) - rank_k1
+    return (d_k1.nrows - rank_k) - d_k1.rank()
 
 
 def chain_from_vector(G, k, vec) -> Chain:
-    """The chain whose coefficient on tuple index_tuple(G, i, k) is vec[i]."""
-    return Chain._of(G, k, sum_terms((index_tuple(G, i, k), Fraction(v))
-                                     for i, v in enumerate(vec) if v))
+    """The chain whose coefficient on the i-th tuple of tuple_basis(G, k)
+    is vec[i]; vec has one entry per tuple."""
+    return Chain._of(G, k, sum_terms((t, Fraction(v)) for t, v in
+                                     zip(tuple_basis(G, k, len(vec)), vec) if v))

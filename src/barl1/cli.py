@@ -12,7 +12,6 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__, fileio, l1opt, mitosis
 from .barcomplex import (DEFAULT_SIZE_CAP, SizeCapError, betti, boundary,
-                         kronecker, l1_norm, random_chain)
+                         l1_norm, random_chain)
 from .groups import (GroupAxiomError, HomomorphismError, build_group,
                      build_hom, check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted, Unbounded

@@ -217,8 +217,7 @@ def fill_cert_from_dict(d) -> l1opt.FillCertificate:
     z = chain_from_records(G, degree, d["z"])
     c = chain_from_records(G, degree + 1, d["c"])
     return l1opt.FillCertificate(z, c, parse_fraction(d["ratio"]),
-                                 d.get("support", {}),
-                                 d.get("method", "simplex-bland"))
+                                 d.get("support"), d.get("method"))
 
 
 def kappa_to_dict(res: l1opt.UbcConstant, G) -> dict:
@@ -312,14 +311,11 @@ def certificate_to_dict(obj) -> dict:
     raise FileFormatError("no serialization for %r" % (obj,))
 
 
-def _vertex_set_failures(d, zs) -> list[str]:
+def _vertex_set_failures(expected, G, q, zs) -> list[str]:
     """A vertex-enumeration kappa record must fill every vertex of the
     unit boundary polytope, and nothing else: its vertex boundaries zs
-    must be the circuits of im d, each once, listed again here by linear
-    algebra alone."""
-    G = build_group(d["group"])
-    q = int(d["degree"])
-    expected = l1opt.circuits(G, q)
+    must be the circuits of im d, each once, as l1opt.circuits lists
+    them again by linear algebra alone (expected; None past its budget)."""
     if expected is None:
         return ["too many circuits to re-enumerate; completeness unchecked"]
     want = {frozenset(c.coeffs.items()) for c in expected}
@@ -355,7 +351,9 @@ def verify_certificate_dict(d) -> list[str]:
         # proves: kappa for vertex-enumeration, else the cone bound 1 of a
         # finite group in degree >= 1, above which no fill is minimal
         failures = []
-        cone = int(d["degree"]) >= 1 and build_group(d["group"]).is_finite()
+        G = build_group(d["group"])
+        q = int(d["degree"])
+        cone = q >= 1 and G.is_finite()
         vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]
         for i, cert in enumerate(vertices):
             failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
@@ -379,23 +377,31 @@ def verify_certificate_dict(d) -> list[str]:
                 failures.append("exact kappa stated for a non-exact method")
             elif kappa != lower or kappa != upper:
                 failures.append("exact kappa does not match its witness ratio")
+        strategy = {"sampled": "cone", "cone-bound": "cone"}.get(method)
         if method == "vertex-enumeration":
-            failures.extend(_vertex_set_failures(d, [c.z for c in vertices]))
+            expected = l1opt.circuits(G, q)
+            strategy = "trivial" if expected == [] else "circuits"
+            failures.extend(_vertex_set_failures(expected, G, q,
+                                                 [c.z for c in vertices]))
+        if d.get("strategy") != strategy:
+            failures.append("strategy is not the one its method implies")
         return failures
     if kind == "tower":
+        # every row is recomputed from the stated xi values and compared
+        # whole, so no field is trusted
         rows = d.get("rows", [])
-        failures = []
         if not rows or rows[0].get("degree") != 0:
             return ["tower must start at degree 0"]
-        if parse_fraction(rows[0]["kappa"]) != 0 or int(rows[0]["size"]) != 1:
-            failures.append("base row must have kappa = 0 and size 1")
         xis = [Fraction(0)] + [parse_fraction(r.get("xi", 0)) for r in rows[1:]]
-        expect = mitosis.tower(len(rows) - 1, xi=xis)
-        for r, ex in zip(rows, expect):
-            if int(r["size"]) != ex.size:
-                failures.append("size recursion fails at degree %d" % ex.degree)
-            if parse_fraction(r["kappa"]) != ex.kappa:
-                failures.append("kappa recursion fails at degree %d" % ex.degree)
+        expect = tower_to_dict(mitosis.tower(len(rows) - 1, xi=xis))["rows"]
+        if rows[0] != expect[0]:
+            failures = ["base row must have kappa = 0 and size 1"]
+        else:
+            failures = []
+        for r, ex in zip(rows[1:], expect[1:]):
+            failures.extend("%s recursion fails at degree %d" % (k, ex["degree"])
+                            for k in sorted(set(r) | set(ex))
+                            if r.get(k) != ex.get(k))
         return failures
     if kind == "mitosis":
         report = mitosis.verify_mitosis(mitosis_from_dict(d))

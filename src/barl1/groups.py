@@ -21,6 +21,16 @@ as dictionary keys and as sort keys.  The one ordering contract is that
 the elements of one group are hashable, canonical and mutually
 comparable with <, which orders chain terms and serialized records.
 
+A finite group has one enumeration.  Each finite backend supplies its
+element list once, through _element_list: table indices in order,
+permutations and free-product words sorted, direct and semidirect
+pairs in itertools.product order of their factors.  GroupOracle turns
+that list into one element -> position dict, built on first use, and
+everything else reads it: elements() (a fresh list), element_index,
+PermutationGroup.contains and order, SemidirectProduct.act, and so
+the tuple bases of barcomplex.tuple_basis.  An infinite group has no
+enumeration; elements() and element_index raise GroupAxiomError.
+
 Membership is checked once, where an element enters: contains is exact
 on every backend (a permutation must lie in the generated group), and
 check_member, the one method that raises on a non-member, is called by
@@ -75,11 +85,23 @@ class GroupOracle:
     def is_finite(self) -> bool:
         return self.order() is not None
 
-    def elements(self) -> list:
+    def _element_list(self) -> list:
+        """Every element, in the group's one order; a finite backend
+        supplies it, and it is asked for once."""
         raise GroupAxiomError("%s backend has no element enumeration" % self.backend)
 
+    def _positions(self) -> dict:
+        """element -> index along _element_list(), built once."""
+        pos = getattr(self, "_pos", None)
+        if pos is None:
+            pos = self._pos = {a: i for i, a in enumerate(self._element_list())}
+        return pos
+
+    def elements(self) -> list:
+        return list(self._positions())
+
     def element_index(self, a) -> int:
-        raise GroupAxiomError("%s backend has no element index" % self.backend)
+        return self._positions()[a]
 
     def sample(self, rng):
         """A random element, for sampled law checks and property tests."""
@@ -196,11 +218,8 @@ class FiniteTableGroup(GroupOracle):
     def order(self):
         return len(self.table)
 
-    def elements(self):
+    def _element_list(self):
         return list(range(len(self.table)))
-
-    def element_index(self, a):
-        return a
 
     def sample(self, rng):
         return rng.randrange(len(self.table))
@@ -227,7 +246,6 @@ class PermutationGroup(GroupOracle):
                     "generator %r is not a permutation of 0..%d" % (g, self.degree - 1))
             gens.append(g)
         self.generators = tuple(gens)
-        self._index = None
 
     def identity(self):
         return tuple(range(self.degree))
@@ -241,25 +259,15 @@ class PermutationGroup(GroupOracle):
             out[v] = i
         return tuple(out)
 
-    def _closure(self):
-        """The generated group as element -> index, in sorted element
-        order; built once."""
-        if self._index is None:
-            self._index = {g: i for i, g in
-                           enumerate(sorted(generated(self, self.generators)))}
-        return self._index
+    def _element_list(self):
+        """The generated group in sorted order."""
+        return sorted(generated(self, self.generators))
 
     def contains(self, a):
-        return isinstance(a, tuple) and a in self._closure()
+        return isinstance(a, tuple) and a in self._positions()
 
     def order(self):
-        return len(self._closure())
-
-    def elements(self):
-        return list(self._closure())
-
-    def element_index(self, a):
-        return self._closure()[a]
+        return len(self._positions())
 
     def sample(self, rng):
         els = self.elements()
@@ -322,15 +330,9 @@ class FreeGroup(GroupOracle):
     def order(self):
         return 1 if self.rank == 0 else None
 
-    def elements(self):
-        if self.rank == 0:
-            return [()]
-        return super().elements()
-
-    def element_index(self, a):
-        if self.rank == 0 and a == ():
-            return 0
-        return super().element_index(a)
+    def _element_list(self):
+        """The empty word alone, at rank 0; no list at higher rank."""
+        return [()] if self.rank == 0 else super()._element_list()
 
     def ball(self, radius):
         """All reduced words of length <= radius, deterministic order."""
@@ -362,7 +364,6 @@ class DirectProduct(GroupOracle):
         self.factors = tuple(factors)
         if not self.factors:
             raise GroupAxiomError("direct product needs at least one factor")
-        self._els = None
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
@@ -386,17 +387,8 @@ class DirectProduct(GroupOracle):
             total *= n
         return total
 
-    def elements(self):
-        if self._els is None:
-            self._els = [tuple(t) for t in itertools.product(
-                *[f.elements() for f in self.factors])]
-        return list(self._els)
-
-    def element_index(self, a):
-        idx = 0
-        for f, x in zip(self.factors, a):
-            idx = idx * f.order() + f.element_index(x)
-        return idx
+    def _element_list(self):
+        return list(itertools.product(*[f.elements() for f in self.factors]))
 
     def sample(self, rng):
         return tuple(f.sample(rng) for f in self.factors)
@@ -422,7 +414,6 @@ class FreeProduct(GroupOracle):
         self.factors = tuple(factors)
         if len(self.factors) < 2:
             raise GroupAxiomError("free product needs at least two factors")
-        self._index = None
 
     def identity(self):
         return ()
@@ -468,21 +459,13 @@ class FreeProduct(GroupOracle):
             return nontrivial[0]
         return None
 
-    def _enumeration(self):
-        """element -> index when the order is finite; built once."""
-        if self._index is None:
-            if self.order() is None:
-                return super().elements()  # raises: no enumeration
-            words = [()] + [((fi, x),) for fi, f in enumerate(self.factors)
-                            for x in f.elements() if x != f.identity()]
-            self._index = {w: i for i, w in enumerate(sorted(words))}
-        return self._index
-
-    def elements(self):
-        return list(self._enumeration())
-
-    def element_index(self, a):
-        return self._enumeration()[a]
+    def _element_list(self):
+        """The identity and the one-syllable words, sorted, when the
+        order is finite; no list otherwise."""
+        if self.order() is None:
+            return super()._element_list()
+        return sorted([()] + [((fi, x),) for fi, f in enumerate(self.factors)
+                              for x in f.elements() if x != f.identity()])
 
     def sample(self, rng):
         """A word of at most 4 random syllables."""
@@ -528,7 +511,6 @@ class SemidirectProduct(GroupOracle):
         self._base_els = base.elements()
         for g in action.generators:
             self._check_automorphism(g)
-        self._els = None
 
     def _check_automorphism(self, perm):
         els = self._base_els
@@ -566,16 +548,8 @@ class SemidirectProduct(GroupOracle):
     def order(self):
         return self.base.order() * self.action.order()
 
-    def elements(self):
-        if self._els is None:
-            self._els = [(b, h) for b in self._base_els
-                         for h in self.action.elements()]
-        return list(self._els)
-
-    def element_index(self, a):
-        b, h = a
-        return (self.base.element_index(b) * self.action.order()
-                + self.action.element_index(h))
+    def _element_list(self):
+        return list(itertools.product(self._base_els, self.action.elements()))
 
     def sample(self, rng):
         return (self.base.sample(rng), self.action.sample(rng))
@@ -603,8 +577,7 @@ def symmetric_group_perm(n) -> PermutationGroup:
 def cayley_table_from(G) -> FiniteTableGroup:
     """Materialize any finite oracle as a Cayley-table oracle."""
     els = G.elements()
-    idx = {a: i for i, a in enumerate(els)}
-    table = [[idx[G.mul(a, b)] for b in els] for a in els]
+    table = [[G.element_index(G.mul(a, b)) for b in els] for a in els]
     return FiniteTableGroup(table, check=False)
 
 

@@ -20,8 +20,15 @@ u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
 LP rows.  The columns are the group's own support, every (q+1)-tuple
 of a finite group or word balls of doubling radius in a free group, so
 the filling is built from listed elements without a membership check.
-is_boundary needs no LP over a finite group (a cycle of degree >= 1 is
-a boundary); over a free group it is fill_min's search.
+A finite group's full support is barcomplex.tuple_basis, which holds
+the size-cap check.
+
+is_boundary runs no LP; it answers from homology.  Over a finite group
+a cycle of degree >= 1 is a boundary, as H_q(G; Q) = 0 (transfer).  A
+free group F has cohomological dimension 1, so H_q(F; Q) = 0 for
+q >= 2, and H_1(F; Q) = F_ab (x) Q = Q^rank through exponent sums: a
+degree-1 chain over F is a boundary exactly when the coefficient-
+weighted exponent sums of its words all vanish.
 
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
@@ -41,8 +48,8 @@ from math import comb, gcd
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
-                         boundary_matrix, chain_from_vector, index_tuple,
-                         is_cycle, l1_norm, push_chain, sum_terms,
+                         boundary_matrix, chain_from_vector, is_cycle,
+                         l1_norm, push_chain, sum_terms, tuple_basis,
                          tuple_boundary)
 from .groups import FreeGroup
 
@@ -210,16 +217,35 @@ class FillCertificate:
                 failures.append("ratio of the zero filling must be 0")
         elif self.ratio != l1_norm(self.c) / nz:
             failures.append("ratio mismatch: |c|/|z| differs from stated ratio")
+        if self.method != "simplex-bland":
+            failures.append("unknown fill method %r" % (self.method,))
+        if self.support != self._derived_support():
+            failures.append("support is not the one fill_min gives z")
         return failures
 
-
-def full_support(G, degree, cap=DEFAULT_SIZE_CAP):
-    n = G.order()
-    if n is None:
-        raise SizeCapError("full support needs a finite group")
-    if n ** degree > cap:
-        raise SizeCapError("support size %d exceeds cap %d" % (n ** degree, cap))
-    return [index_tuple(G, i, degree) for i in range(n ** degree)]
+    def _derived_support(self):
+        """The support descriptor fill_min records, derived from z and
+        the group: empty for z = 0, the |G|^(q+1) tuples of a finite
+        group, else a word ball of the stated radius holding every tuple
+        of c; None when no support can match."""
+        G, n = self.z.group, self.z.degree + 1
+        if self.z.is_zero():
+            return {"kind": "empty"}
+        if G.is_finite():
+            return {"kind": "full", "size": G.order() ** n}
+        stated = self.support if isinstance(self.support, dict) else {}
+        radius, size = stated.get("radius"), stated.get("size")
+        if (not isinstance(G, FreeGroup) or type(radius) is not int
+                or type(size) is not int or radius < 0
+                or any(len(g) > radius for t in self.c.coeffs for g in t)):
+            return None
+        if G.rank == 1:
+            ball = 2 * radius + 1
+        elif radius > size.bit_length():
+            return None  # |ball| >= 3^radius cannot have `size` elements
+        else:
+            ball = 1 + G.rank * ((2 * G.rank - 1) ** radius - 1) // (G.rank - 1)
+        return {"kind": "ball", "radius": radius, "size": ball ** n}
 
 
 def _supports(G, degree, cap, start_radius, max_radius):
@@ -233,7 +259,7 @@ def _supports(G, degree, cap, start_radius, max_radius):
     fillings built over them are valid chains without a check.
     """
     if G.is_finite():
-        support = full_support(G, degree, cap=cap)
+        support = tuple_basis(G, degree, cap)
         yield support, {"kind": "full", "size": len(support)}
     elif isinstance(G, FreeGroup):
         radius = start_radius
@@ -254,7 +280,7 @@ def _supports(G, degree, cap, start_radius, max_radius):
 
 def _solve_fill(z: Chain, support):
     """An l1-minimal filling of z over support, or None when there is
-    none; the core of fill_min and of is_boundary over a free group."""
+    none."""
     G = z.group
     q = z.degree
     row_index = {}
@@ -319,26 +345,32 @@ def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
     return FillCertificate(z, c, ratio, descr)
 
 
-def is_boundary(z: Chain, cap=DEFAULT_SIZE_CAP,
-                start_radius=3, max_radius=12) -> bool:
-    """Whether z is a boundary.
+def is_boundary(z: Chain) -> bool:
+    """Whether z is a boundary, from homology and without an LP.
 
     Over a finite group a chain of degree >= 1 is a boundary exactly
     when it is a cycle, since H_q(G; Q) = 0 for q >= 1 (transfer;
-    Brown, Cohomology of Groups, III.10).  That answer needs no LP, so
-    cap does not limit it.  Over a free group the verdict is LP
-    feasibility over word balls of doubling radius, up to the largest
-    radius tried.
+    Brown, Cohomology of Groups, III.10).  A free group has
+    cohomological dimension 1, so there the same holds in degree >= 2,
+    and in degree 1, where every chain is a cycle and H_1(F; Q) = Q^rank,
+    z is a boundary exactly when the exponent sums of its words,
+    weighted by their coefficients, all vanish.  Other infinite groups
+    raise SizeCapError.
     """
-    if z.degree == 0:
-        return z.is_zero()
     if z.is_zero():
         return True
-    if z.group.is_finite():
+    if z.degree == 0:
+        return False
+    G = z.group
+    if G.is_finite() or (isinstance(G, FreeGroup) and z.degree >= 2):
         return is_cycle(z)
-    return any(_solve_fill(z, sup) is not None
-               for sup, _ in _supports(z.group, z.degree + 1, cap,
-                                       start_radius, max_radius))
+    if not isinstance(G, FreeGroup):
+        raise SizeCapError("no boundary test for %s" % G.backend)
+    sums = [Fraction(0)] * (G.rank + 1)
+    for (word,), r in z.coeffs.items():
+        for x in word:
+            sums[abs(x)] += r if x > 0 else -r
+    return not any(sums)
 
 
 def section_on(zs, h, **fill_kw):
@@ -436,8 +468,6 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
     ("cone-bound") once the lower bound reaches 1, else the bracket
     [lower, 1] ("sampled"), both with strategy "cone".
     """
-    if not G.is_finite():
-        raise SizeCapError("exact kappa needs a finite group")
     vrows = _image_basis(G, q, cap)
     d = len(vrows[0])
     if d == 0:

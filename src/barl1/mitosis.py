@@ -165,9 +165,8 @@ def mitosis_of_finite_abelian(G) -> MitosisData:
             % witness)
     B = DirectProduct((G, G))
     els = B.elements()
-    index = {x: k for k, x in enumerate(els)}
-    phi = tuple(index[a, G.mul(a, b)] for a, b in els)
-    psi = tuple(index[b, a] for a, b in els)
+    phi = tuple(B.element_index((a, G.mul(a, b))) for a, b in els)
+    psi = tuple(B.element_index((b, a)) for a, b in els)
     action = PermutationGroup(len(els), [phi, psi])
     M = SemidirectProduct(B, action)
     e = G.identity()
@@ -255,7 +254,7 @@ def dmap(z: Chain) -> TensorChain:
     return t
 
 
-def _boundary_factors(t: TensorChain, cap, what):
+def _boundary_factors(t: TensorChain, what):
     """t as a sum of elementary tensors u (x) v, yielded as (u, v): each
     bidegree block is split by the rank factorization of its matrix, so
     the u span its column space and the v its row space and inherit any
@@ -274,8 +273,7 @@ def _boundary_factors(t: TensorChain, cap, what):
         for colvec, rowvec in linalg.rank_factorization(w):
             u = Chain._of(GA, p, sum_terms(zip(rows, colvec)))
             v = Chain._of(GB, r, sum_terms(zip(cols, rowvec)))
-            if not (l1opt.is_boundary(u, cap=cap)
-                    and l1opt.is_boundary(v, cap=cap)):
+            if not (l1opt.is_boundary(u) and l1opt.is_boundary(v)):
                 raise PipelineError(
                     "a factor of %s in bidegree (%d, %d) is not a boundary"
                     % (what, p, r))
@@ -370,8 +368,7 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
 
     # (S (x) S)(id (x) d)(x), blockwise over boundary-factor decompositions
     ssn = TensorChain.zero((Hp, Hp), q + 1)
-    for u, v in _boundary_factors(tensor_second_boundary(x), cfg.fill_cap,
-                                  "(id (x) d)(x)"):
+    for u, v in _boundary_factors(tensor_second_boundary(x), "(id (x) d)(x)"):
         ssn = ssn + tensor_elementary(section(u, cfg.phi), section(v, cfg.phi))
 
     # U(x) = (phi (x) phi)(x) - d(SSN); both partial boundaries vanish
@@ -385,9 +382,8 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     # a factor that is a boundary is a cycle
     v_t = push_tensor(cfg.phi_prime, cfg.phi_prime, u_t)
     tt = TensorChain.zero((G, G), q + 1)
-    for a, b in _boundary_factors(v_t, cfg.fill_cap,
-                                  "(phi' (x) phi') U(x); is phi' rationally "
-                                  "acyclic there?"):
+    for a, b in _boundary_factors(v_t, "(phi' (x) phi') U(x); is phi' "
+                                  "rationally acyclic there?"):
         tt = tt + tensor_elementary(section(a, cfg.psi), push_chain(cfg.psi, b))
 
     g_hom = compose_homs(cfg.psi, cfg.phi_prime)

@@ -5,7 +5,22 @@ from fractions import Fraction
 
 from barl1 import barcomplex
 from barl1.barcomplex import Chain, Cochain, boundary, coboundary
+from barl1.groups import (DirectProduct, FreeGroup, FreeProduct, cyclic_group,
+                          symmetric_group_perm)
 from barl1.linalg import solve_square
+from barl1.mitosis import mitosis_of_finite_abelian
+
+
+def finite_backends():
+    """One finite group per backend, by name: table, permutation, direct,
+    free product, rank-0 free and semidirect (a mitosis ambient)."""
+    return {"Z3 table": cyclic_group(3),
+            "S3 perm": symmetric_group_perm(3),
+            "Z2 x Z3": DirectProduct((cyclic_group(2), cyclic_group(3))),
+            "Z3 * 1": FreeProduct((cyclic_group(3), cyclic_group(1))),
+            "F0": FreeGroup(0),
+            "mitosis ambient of Z2":
+                mitosis_of_finite_abelian(cyclic_group(2)).ambient}
 
 
 def random_chain(G, degree, rng, terms=3, lo=-3, hi=3):

@@ -7,14 +7,12 @@ import pytest
 from barl1.barcomplex import (Chain, Cochain, DEFAULT_SIZE_CAP,
                               MaterializeError, SizeCapError, betti,
                               boundary, boundary_matrix, chain_from_vector,
-                              coboundary, index_tuple,
-                              is_cycle, kronecker, l1_norm, push_chain,
-                              tuple_index)
-from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
-                          symmetric_group_perm, trivial_hom, identity_hom,
-                          build_hom)
+                              coboundary, is_cycle, kronecker, l1_norm,
+                              push_chain, tuple_basis, tuple_index)
+from barl1.groups import (FreeGroup, cyclic_group, symmetric_group_perm,
+                          trivial_hom, build_hom)
 from barl1.products import TensorChain
-from helpers import random_chain
+from helpers import finite_backends, random_chain
 
 
 def test_boundary_formula_z3():
@@ -173,13 +171,38 @@ def test_kronecker_bilinear_and_bounded():
 def test_tuple_index_round_trip():
     G = cyclic_group(3)
     for k in (0, 1, 2):
-        for i in range(3 ** k):
-            t = index_tuple(G, i, k)
+        basis = tuple_basis(G, k)
+        assert len(basis) == 3 ** k
+        for i, t in enumerate(basis):
             assert tuple_index(G, t) == i
     # lexicographic in element indices
-    assert index_tuple(G, 0, 2) == (0, 0)
-    assert index_tuple(G, 1, 2) == (0, 1)
-    assert index_tuple(G, 3, 2) == (1, 0)
+    basis = tuple_basis(G, 2)
+    assert basis[0] == (0, 0)
+    assert basis[1] == (0, 1)
+    assert basis[3] == (1, 0)
+
+
+@pytest.mark.parametrize("name", sorted(finite_backends()))
+def test_tuple_basis_is_the_product_of_elements(name):
+    G = finite_backends()[name]
+    assert tuple_basis(G, 2) == list(itertools.product(G.elements(), repeat=2))
+
+
+def test_tuple_basis_keeps_the_index_tuple_order():
+    # LP columns, boundary matrices and certificate bytes follow this
+    # order; these tuples were computed by the earlier mixed-radix index
+    basis = tuple_basis(symmetric_group_perm(3), 2)
+    assert [basis[i] for i in (0, 1, 6, 35)] == [
+        ((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (0, 2, 1)),
+        ((0, 2, 1), (0, 1, 2)), ((2, 1, 0), (2, 1, 0))]
+
+
+def test_tuple_basis_size_cap():
+    with pytest.raises(SizeCapError):
+        tuple_basis(FreeGroup(1), 1)
+    assert len(tuple_basis(cyclic_group(3), 3, cap=27)) == 27
+    with pytest.raises(SizeCapError):
+        tuple_basis(cyclic_group(3), 3, cap=26)
 
 
 def test_boundary_matrix_composes_to_zero():
@@ -195,8 +218,7 @@ def test_boundary_matrix_composes_to_zero():
 def test_boundary_matrix_matches_boundary():
     G = cyclic_group(2)
     bm = boundary_matrix(G, 2)
-    for j in range(4):
-        t = index_tuple(G, j, 2)
+    for j, t in enumerate(tuple_basis(G, 2)):
         col = [0] * 2
         for face, r in boundary(Chain.single(G, t)).terms():
             col[tuple_index(G, face)] = r

@@ -20,7 +20,7 @@ from barl1.fileio import (FileFormatError, certificate_to_dict,
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           GroupAxiomError, cyclic_group, group_to_spec,
                           symmetric_group_perm)
-from barl1.l1opt import fill_min, ubc_kappa_exact
+from barl1.l1opt import FillCertificate, fill_min, ubc_kappa_exact
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline, tower, verify_mitosis)
 from barl1.groups import identity_hom
@@ -363,3 +363,76 @@ def test_record_bytes_pinned():
         "free product chain":
             "a95bc85341d18e705de6b6fcab0a01061923e910b5a91a636fcf0d83be96c65e",
     }
+
+
+def _rejected(record, tmp_path):
+    """verify_certificate_dict finds a failure and `barl1 verify` exits 1."""
+    path = str(tmp_path / "forged.json")
+    dump_json(record, path)
+    return verify_certificate_dict(record) != [] and run(["verify", path]) == 1
+
+
+@pytest.mark.parametrize("field", ["theta", "aw", "shuffle", "e_input"])
+def test_tower_rejects_a_changed_row_field(field, tmp_path):
+    d = tower_to_dict(tower(3, xi=[0, 1, 0, Fraction(1, 2)]))
+    forged = copy.deepcopy(d)
+    row = forged["rows"][2]
+    row[field] = (format_fraction(parse_fraction(row[field]) + 1)
+                  if field == "e_input" else row[field] + 1)
+    assert verify_certificate_dict(forged) == [
+        "%s recursion fails at degree 2" % field]
+    assert _rejected(forged, tmp_path)
+
+
+def _z2_degree_two_fill():
+    d = fill_cert_to_dict(fill_min(boundary(Chain(G2, 3, {(1, 1, 1): 1,
+                                                           (1, 0, 1): 2}))))
+    assert d["support"] == {"kind": "full", "size": 8}
+    assert verify_certificate_dict(d) == []
+    return d
+
+
+@pytest.mark.parametrize("support", [
+    {"kind": "full", "size": 5},
+    {"kind": "ball", "radius": 3, "size": 8}], ids=["full-5", "ball"])
+def test_fill_rejects_a_support_the_group_does_not_give(support, tmp_path):
+    forged = dict(_z2_degree_two_fill(), support=support)
+    assert verify_certificate_dict(forged) == [
+        "support is not the one fill_min gives z"]
+    assert _rejected(forged, tmp_path)
+
+
+def test_fill_rejects_an_unknown_method(tmp_path):
+    forged = dict(_z2_degree_two_fill(), method="guess")
+    assert verify_certificate_dict(forged) == ["unknown fill method 'guess'"]
+    assert _rejected(forged, tmp_path)
+
+
+def test_fill_over_a_free_group_states_its_word_ball():
+    F = FreeGroup(1)
+    d = fill_cert_to_dict(fill_min(boundary(Chain.single(F, ((1,), (1,))))))
+    assert d["support"] == {"kind": "ball", "radius": 3, "size": 49}
+    assert verify_certificate_dict(d) == []
+    for support in ({"kind": "ball", "radius": 0, "size": 1},
+                    {"kind": "ball", "radius": 4, "size": 49},
+                    {"kind": "ball", "radius": 10 ** 9, "size": 49},
+                    {"kind": "full", "size": 49}):
+        assert verify_certificate_dict(dict(d, support=support)) == [
+            "support is not the one fill_min gives z"]
+    F2 = FreeGroup(2)
+    c = Chain.single(F2, ((1,), (2,)))
+    rec = fill_cert_to_dict(FillCertificate(
+        boundary(c), c, Fraction(1, 3), {"kind": "ball", "radius": 1, "size": 25}))
+    assert verify_certificate_dict(rec) == []
+    rec["support"] = {"kind": "ball", "radius": 10 ** 9, "size": 25}
+    assert verify_certificate_dict(rec) == [
+        "support is not the one fill_min gives z"]
+
+
+def test_kappa_rejects_a_strategy_its_method_does_not_imply(tmp_path):
+    d = kappa_to_dict(ubc_kappa_exact(G2, 2), G2)
+    assert d["strategy"] == "circuits" and verify_certificate_dict(d) == []
+    forged = dict(d, strategy="cone")
+    assert verify_certificate_dict(forged) == [
+        "strategy is not the one its method implies"]
+    assert _rejected(forged, tmp_path)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from barl1 import groups
 from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           FreeProduct, GroupAxiomError, Homomorphism,
                           HomomorphismError, PermutationGroup,
@@ -13,6 +14,7 @@ from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           identity_hom, inclusion_hom, is_abelian, pair_hom,
                           projection_hom, symmetric_group_perm, trivial_hom,
                           verify_hom)
+from helpers import finite_backends
 
 
 def test_cyclic_group_table():
@@ -307,3 +309,28 @@ def test_check_member_raises():
     G = cyclic_group(2)
     with pytest.raises(GroupAxiomError):
         G.check_member(5)
+
+
+@pytest.mark.parametrize("name", sorted(finite_backends()))
+def test_element_index_runs_along_elements(name):
+    G = finite_backends()[name]
+    els = G.elements()
+    assert len(els) == G.order()
+    assert [G.element_index(a) for a in els] == list(range(G.order()))
+    els.append(None)  # elements() hands out a fresh list
+    assert len(G.elements()) == G.order()
+
+
+def test_permutation_group_walks_its_generators_once(monkeypatch):
+    walks = []
+
+    def counting(G, gens, _orig=groups.generated):
+        walks.append(G)
+        return _orig(G, gens)
+
+    monkeypatch.setattr(groups, "generated", counting)
+    G = symmetric_group_perm(4)
+    assert G.contains((1, 0, 2, 3)) and not G.contains((0, 0, 1, 2))
+    assert G.order() == 24
+    assert G.element_index(G.elements()[5]) == 5
+    assert walks == [G]

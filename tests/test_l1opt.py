@@ -1,17 +1,18 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from barl1 import l1opt
 from barl1.barcomplex import (Chain, SizeCapError, boundary, boundary_matrix,
-                              index_tuple, l1_norm)
+                              l1_norm, tuple_basis)
 from barl1.groups import (FreeGroup, GroupOracle, cyclic_group, identity_hom,
                           symmetric_group_perm, trivial_hom)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
-                         full_support, is_boundary, lp_solve, section_on,
+                         is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
 from barl1.products import xi_fill
 from helpers import (averaged_cone, brute_lp_min, column_span_oracle,
@@ -302,24 +303,65 @@ def test_is_boundary_matches_span_oracle(G, q):
 
 
 def test_is_boundary_free_group():
-    # free groups go through LP feasibility over doubling word balls;
+    # over a free group the verdict comes from H_1(F; Q) = Q^rank;
     # the generator class spans H_1(Z; Q) = Q, so it is no boundary
     F = FreeGroup(1)
     assert is_boundary(boundary(Chain.single(F, ((1,), (1,)))))
-    assert not is_boundary(Chain.single(F, ((1,),)), max_radius=6)
+    assert not is_boundary(Chain.single(F, ((1,),)))
+
+
+def test_is_boundary_free_group_rank_two():
+    # degree >= 2: boundary iff cycle; degree 1: H_1(F_2; Q) = Q^2 by
+    # coefficient-weighted exponent sums.  No LP runs: the radius-3 word
+    # ball alone would give the first call 2809 support tuples
+    F = FreeGroup(2)
+    start = time.perf_counter()
+    assert is_boundary(boundary(Chain.single(F, ((1,), (1,)))))
+    assert time.perf_counter() - start < 1
+    assert not is_boundary(Chain.single(F, ((1,),)))
+    assert is_boundary(Chain(F, 1, {((1, 2),): 1, ((2, 1),): -1}))
+    assert not is_boundary(Chain(F, 1, {((1, 2),): 1, ((2, 2),): -1}))
+    assert not is_boundary(Chain.single(F, ((1,), (2,))))  # no cycle
+
+
+def test_is_boundary_free_group_agrees_with_fill_min():
+    # over F_1, on short words, the verdict from homology matches the LP
+    # search over the radius-3 word ball, both ways
+    F = FreeGroup(1)
+    words = F.ball(1)
+    rng = random.Random(47)
+
+    def chain(degree, terms=3):
+        return Chain(F, degree, ((tuple(rng.choice(words) for _ in range(degree)),
+                                  rng.choice((-2, -1, 1, 3)))
+                                 for _ in range(terms)))
+
+    def fills(z):
+        try:
+            return boundary(fill_min(z, max_radius=3).c) == z
+        except (Infeasible, SupportExhausted):
+            return False
+
+    cases = [boundary(chain(2)) for _ in range(3)] + [boundary(chain(3))]
+    cases += [z for z in (chain(1) for _ in range(6))
+              if sum(r * sum(w) for (w,), r in z.coeffs.items())][:3]
+    cases += [z for z in (chain(2) for _ in range(6))
+              if not boundary(z).is_zero()][:1]
+    verdicts = [is_boundary(z) for z in cases]
+    assert verdicts == [True] * 4 + [False] * 4
+    assert verdicts == [fills(z) for z in cases]
 
 
 def test_is_boundary_past_support_cap():
-    # the full support over S3 in degree 3 has 216 tuples; no LP is
-    # built, so a cap below that no longer raises SizeCapError
+    # the full support over S3 in degree 3 has 216 tuples; is_boundary
+    # builds no LP, so only tuple_basis meets the cap
     rng = random.Random(43)
     z = boundary(random_chain(S3, 3, rng))
     assert not z.is_zero()
-    assert is_boundary(z, cap=100)
-    assert not is_boundary(z + Chain.single(S3, (S3.identity(), S3.identity())),
-                           cap=100)
+    assert is_boundary(z)
+    assert not is_boundary(z + Chain.single(S3, (S3.identity(), S3.identity())))
     with pytest.raises(SizeCapError):
-        full_support(S3, 3, cap=100)
+        tuple_basis(S3, 3, cap=100)
 
 
 def test_fill_min_free_group_ball():
@@ -338,7 +380,7 @@ def test_free_group_start_radius_past_max_radius():
     z = boundary(Chain.single(F, ((1,), (1,))))
     cert = fill_min(z, start_radius=3, max_radius=1)
     assert cert.support == {"kind": "ball", "radius": 3, "size": 49}
-    assert is_boundary(z, start_radius=3, max_radius=1)
+    assert is_boundary(z)
     with pytest.raises(SupportExhausted, match="radius 3"):
         fill_min(Chain.single(F, ((1,),)), start_radius=3, max_radius=1)
 
@@ -394,8 +436,8 @@ def test_kappa_circuits_are_elementary(G, q, kappa, count):
         assert not any(other < sup for other in supports)
         # im d meets the coordinate subspace of sup in a line exactly
         # when the rows off sup drop the rank by one
-        off = [row for i, row in enumerate(dense)
-               if index_tuple(G, i, q) not in sup]
+        off = [row for row, t in zip(dense, tuple_basis(G, q))
+               if t not in sup]
         assert rank - rank_int(off, dmat.ncols) == 1
 
 

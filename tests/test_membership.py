@@ -116,7 +116,8 @@ def test_verify_rejects_a_respelled_free_word(tmp_path):
     a, b = (1,), (2,)
     c = Chain.single(F, (a, b))
     z = boundary(c)
-    rec = fill_cert_to_dict(FillCertificate(z, c, l1_norm(c) / l1_norm(z)))
+    rec = fill_cert_to_dict(FillCertificate(
+        z, c, l1_norm(c) / l1_norm(z), {"kind": "ball", "radius": 1, "size": 25}))
     assert verify_certificate_dict(rec) == []
     assert rec["c"][0]["tuple"] == ["x1", "x2"]
     rec["c"][0]["tuple"][0] = "x1*x2*x2^-1"

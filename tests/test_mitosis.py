@@ -11,7 +11,7 @@ from barl1.groups import (DirectProduct, FreeGroup, build_hom, compose_homs,
                           conjugation, cyclic_group, identity_hom,
                           symmetric_group_perm)
 from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
-                           PipelineError, check_theta_orientation, constant_c,
+                           check_theta_orientation, constant_c,
                            dmap, e_bound, emap, mitosis_of_finite_abelian,
                            mu_hom, primitive_pipeline, theta, theta_defect,
                            tower, verify_mitosis)

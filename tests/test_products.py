@@ -6,12 +6,12 @@ from math import comb
 import pytest
 
 from barl1.barcomplex import (Chain, Cochain, boundary, boundary_matrix,
-                              chain_from_vector, coboundary, index_tuple,
-                              kronecker, l1_norm, push_chain, tuple_boundary)
+                              chain_from_vector, coboundary, l1_norm,
+                              push_chain, tuple_basis, tuple_boundary)
 from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
                           diagonal_hom, symmetric_group_perm, trivial_hom)
 from barl1.mitosis import theta
-from barl1.products import (TensorChain, aw, cross_chain, cross_cochain,
+from barl1.products import (aw, cross_chain, cross_cochain,
                             cross_tensor, cup, normalize, pair_compat_check,
                             push_tensor, shuffles, tensor_boundary,
                             tensor_elementary, tensor_first_boundary,
@@ -196,7 +196,7 @@ def test_producers_equal_the_validating_constructor():
                            for x, r in a.coeffs.items() for j in range(1, 4)])
         vec = [rng.choice((0, 0, 1, -2)) for _ in range(8)]
         same(chain_from_vector(G2, 3, vec),
-             [(index_tuple(G2, i, 3), v) for i, v in enumerate(vec)])
+             list(zip(tuple_basis(G2, 3), vec)))
         same(tensor_elementary(a, b), ab)
         d1 = [((f, y), v) for (x, y), r in tt for f, v in faces(G2, x, r)]
         d2 = [((x, f), v) for (x, y), r in tt for f, v in faces(G3, y, r)]
