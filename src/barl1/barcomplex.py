@@ -19,15 +19,20 @@ and wraps it with the unchecked constructor SparseChain._of; the
 public constructors validate keys and coefficients first.
 
 Over a finite group the degree-k basis is tuple_basis(G, k): the
-k-tuples of G.elements() in itertools.product order, so tuple_index
-is the position of a tuple in it.  tuple_basis holds the one size-cap
-check of the finite-group enumerations (boundary matrices, betti,
-chain_from_vector, Cochain.materialize and l1opt's full supports): it
-raises SizeCapError for an infinite group or when |G|^k exceeds the cap.
+k-tuples of G.elements() in itertools.product order.  boundary_over is
+the one builder of the matrix of d_k on any k-tuples; it numbers the
+rows, the faces, in the order they first occur, and the matrix carries
+its row and column labels.  boundary_matrix(G, k), which every fill LP,
+rank and kappa over G reads, is that builder on tuple_basis(G, k), built
+once per (G, k) in a memo keyed on the structurally hashed group; with
+the identity listed first its rows are tuple_basis(G, k-1).  Both check
+the size cap on every call: SizeCapError for an infinite group or when
+|G|^k exceeds it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,54 +336,72 @@ def push_chain(h, c: Chain) -> Chain:
         (tuple(h.fn(g) for g in tup), r) for tup, r in c.coeffs.items()))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse integer matrix of d_k over the lexicographic tuple bases."""
+    """Sparse integer matrix of d_k on the k-tuples cols, one row per
+    face in the order the faces first occur.  boundary_matrix shares it
+    between callers, so it is never mutated."""
 
     group: GroupOracle
     degree: int
-    nrows: int
-    ncols: int
-    entries: dict  # (row, col) -> int
+    rows: dict  # (k-1)-tuple face -> its row
+    cols: tuple  # k-tuples
+    entries: tuple  # per row, {column: nonzero int}
 
     def dense_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        return [[row.get(j, 0) for j in range(len(self.cols))]
+                for row in self.entries]
 
     def rank(self) -> int:
         return len(linalg.rref(self.dense_rows())[1])
 
 
-def tuple_basis(G, k, cap=DEFAULT_SIZE_CAP) -> list:
-    """The k-tuples of G.elements() in itertools.product order, the
-    basis of degree k; SizeCapError for an infinite G or past the cap."""
+def _check_size(G, k, cap):
+    """The one size check of the finite-group enumerations."""
     n = G.order()
     if n is None:
         raise SizeCapError("tuple bases need a finite group")
     if n ** k > cap:
         raise SizeCapError("basis size %d exceeds cap %d" % (n ** k, cap))
+
+
+def tuple_basis(G, k, cap=DEFAULT_SIZE_CAP) -> list:
+    """The k-tuples of G.elements() in itertools.product order, the
+    basis of degree k; SizeCapError for an infinite G or past the cap."""
+    _check_size(G, k, cap)
     return list(itertools.product(G.elements(), repeat=k))
 
 
-def tuple_index(G, tup) -> int:
-    """The position of tup in tuple_basis(G, len(tup))."""
-    n = G.order()
-    idx = 0
-    for g in tup:
-        idx = idx * n + G.element_index(g)
-    return idx
+def boundary_over(G, k, cols) -> BoundaryMatrix:
+    """The matrix of d_k on the k-tuples cols; a face gets its row where
+    it first occurs, even if its terms cancel in that column."""
+    cols = tuple(cols)
+    rows, entries = {}, []
+    for j, tup in enumerate(cols):
+        col = sum_terms((rows.setdefault(face, len(rows)), sign)
+                        for face, sign in tuple_boundary(G, tup))
+        entries += [{} for _ in range(len(rows) - len(entries))]
+        for i, sign in col.items():
+            entries[i][j] = sign
+    return BoundaryMatrix(G, k, rows, cols, tuple(entries))
+
+
+MATRIX_MEMO = 16  # full matrices kept; the least recently used is dropped
+
+
+@functools.lru_cache(maxsize=MATRIX_MEMO)
+def _full_matrix(G, k):
+    return boundary_over(G, k, itertools.product(G.elements(), repeat=k))
 
 
 def boundary_matrix(G, k, cap=DEFAULT_SIZE_CAP) -> BoundaryMatrix:
+    """d_k on tuple_basis(G, k), built once per (G, k) and shared by
+    structurally equal groups; the size cap is checked on every call.
+    Its rows are tuple_basis(G, k-1) when G lists its identity first."""
     if k < 1:
         raise ValueError("boundary matrix defined for degree >= 1")
-    cols = tuple_basis(G, k, cap)
-    entries = sum_terms(
-        ((tuple_index(G, face), j), sign) for j, tup in enumerate(cols)
-        for face, sign in tuple_boundary(G, tup))
-    return BoundaryMatrix(G, k, len(cols) // G.order(), len(cols), entries)
+    _check_size(G, k, cap)
+    return _full_matrix(G, k)
 
 
 def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
@@ -388,11 +411,5 @@ def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
         raise ValueError("degree must be >= 0")
     d_k1 = boundary_matrix(G, k + 1, cap=cap)
     rank_k = boundary_matrix(G, k, cap=cap).rank() if k >= 1 else 0
-    return (d_k1.nrows - rank_k) - d_k1.rank()
+    return (len(d_k1.rows) - rank_k) - d_k1.rank()
 
-
-def chain_from_vector(G, k, vec) -> Chain:
-    """The chain whose coefficient on the i-th tuple of tuple_basis(G, k)
-    is vec[i]; vec has one entry per tuple."""
-    return Chain._of(G, k, sum_terms((t, Fraction(v)) for t, v in
-                                     zip(tuple_basis(G, k, len(vec)), vec) if v))

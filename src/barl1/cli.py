@@ -273,6 +273,9 @@ def _load_pipeline_config(path, cap):
     cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data, fill_cap=cap)
     degree = int(raw.get("degree", 2))
     samples = int(raw.get("samples", 1))
+    if samples < 1:
+        raise fileio.FileFormatError(
+            "pipeline samples must be at least 1, got %d" % samples)
     seed = int(raw.get("seed", 0))
     return cfg, degree, samples, seed
 
@@ -283,7 +286,6 @@ def _cmd_pipeline(args) -> int:
     rng = random.Random(seed)
     H = cfg.phi.source
     certs = []
-    worst = Fraction(0)
     for k in range(samples):
         z = boundary(random_chain(H, degree + 1, rng, 2, (-2, -1, 1, 2)))
         cert = mitosis.primitive_pipeline(z, cfg)
@@ -292,16 +294,13 @@ def _cmd_pipeline(args) -> int:
             raise _MathFailure("pipeline certificate %d failed: %s"
                                % (k, "; ".join(failures)))
         certs.append(cert)
-        if cert.ratio > worst:
-            worst = cert.ratio
-    bound = max((c.bound for c in certs), default=Fraction(0))
+    worst = max(c.ratio for c in certs)
+    bound = max(c.bound for c in certs)
     lines = ["degree: %d, samples: %d" % (degree, samples),
              "worst ratio = %s" % _frac(worst),
              "certified bound = %s" % _frac(bound),
-             "kappa_batch = %s" % _frac(max((c.kappa for c in certs),
-                                            default=Fraction(0))),
-             "xi_batch = %s" % _frac(max((c.xi_ratio for c in certs),
-                                         default=Fraction(0)))]
+             "kappa_batch = %s" % _frac(max(c.kappa for c in certs)),
+             "xi_batch = %s" % _frac(max(c.xi_ratio for c in certs))]
     records = [fileio.pipeline_cert_to_dict(c) for c in certs]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -317,9 +316,14 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    if args.degree < 0:
+        raise fileio.FileFormatError("--degree must be at least 0")
     xi = None
     if args.xi:
         xi = [fileio.parse_fraction(v.strip()) for v in args.xi.split(",")]
+        if len(xi) != args.degree:
+            raise fileio.FileFormatError("--xi needs %d values, got %d"
+                                         % (args.degree, len(xi)))
         xi = [Fraction(0)] + xi  # stage 0 has no xi input
     rows = mitosis.tower(args.degree, xi=xi)
     record = fileio.tower_to_dict(rows)

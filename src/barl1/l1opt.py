@@ -16,12 +16,12 @@ from linalg.solve_square on the final basis.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
-u, w >= 0 and minimizing sum(u) + sum(w), on sparse {column: value}
-LP rows.  The columns are the group's own support, every (q+1)-tuple
-of a finite group or word balls of doubling radius in a free group, so
-the filling is built from listed elements without a membership check.
-A finite group's full support is barcomplex.tuple_basis, which holds
-the size-cap check.
+u, w >= 0 and minimizing sum(u) + sum(w): the LP rows are [D | -D]
+for D the boundary matrix of d_{q+1} on the group's own support.  Over
+a finite group D is the one boundary_matrix(G, q+1), shared by every
+fill in degree q, so only the right-hand side z differs; over a free
+group it is built on word balls of doubling radius.  D's row labels
+place z, and its columns are listed elements, so c needs no check.
 
 is_boundary runs no LP; it answers from homology.  Over a finite group
 a cycle of degree >= 1 is a boundary, as H_q(G; Q) = 0 (transfer).  A
@@ -42,15 +42,15 @@ cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
-                         boundary_matrix, chain_from_vector, is_cycle,
-                         l1_norm, push_chain, sum_terms, tuple_basis,
-                         tuple_boundary)
+                         boundary_matrix, boundary_over, is_cycle, l1_norm,
+                         push_chain, sum_terms)
 from .groups import FreeGroup
 
 
@@ -249,18 +249,15 @@ class FillCertificate:
 
 
 def _supports(G, degree, cap, start_radius, max_radius):
-    """The supports a filling of degree `degree` is sought over, in turn.
-
-    Yields (support list, description) pairs: the full support of a
-    finite group once, else word balls of a free group with the radius
-    doubling from start_radius while it stays within max_radius
-    (start_radius itself is always tried).  Any other group has no
-    support.  Every tuple comes from G.elements() or G.ball(), so the
-    fillings built over them are valid chains without a check.
-    """
+    """The boundary matrices of degree `degree` a filling is sought
+    over, in turn, as (matrix, description) pairs: boundary_matrix of a
+    finite group once, else boundary_over the word balls of a free group
+    with the radius doubling from start_radius while it stays within
+    max_radius (start_radius itself is always tried).  Any other group
+    has no support."""
     if G.is_finite():
-        support = tuple_basis(G, degree, cap)
-        yield support, {"kind": "full", "size": len(support)}
+        d = boundary_matrix(G, degree, cap)
+        yield d, {"kind": "full", "size": len(d.cols)}
     elif isinstance(G, FreeGroup):
         radius = start_radius
         while True:
@@ -268,9 +265,8 @@ def _supports(G, degree, cap, start_radius, max_radius):
             if len(ball) ** degree > cap:
                 raise SizeCapError("ball support size %d exceeds cap %d"
                                    % (len(ball) ** degree, cap))
-            support = list(itertools.product(ball, repeat=degree))
-            yield support, {"kind": "ball", "radius": radius,
-                            "size": len(support)}
+            d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
+            yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
             if 2 * radius > max_radius:
                 return
             radius *= 2
@@ -278,40 +274,26 @@ def _supports(G, degree, cap, start_radius, max_radius):
         raise SizeCapError("no support policy for %s" % G.backend)
 
 
-def _solve_fill(z: Chain, support):
-    """An l1-minimal filling of z over support, or None when there is
-    none."""
-    G = z.group
-    q = z.degree
-    row_index = {}
-    rows_of_col = []
-    for tup in support:
-        faces = list(tuple_boundary(G, tup))
-        for face, _ in faces:
-            row_index.setdefault(face, len(row_index))
-        rows_of_col.append(sum_terms((row_index[f], s) for f, s in faces))
-    for tup, _ in z.terms():
-        if tup not in row_index:
-            row_index[tup] = len(row_index)
-    m = len(row_index)
-    S = len(support)
-    # sparse rows: column j is u_j, column S + j is w_j
-    a = [{} for _ in range(m)]
-    for j, col in enumerate(rows_of_col):
-        for r, v in col.items():
-            a[r][j] = v
-            a[r][S + j] = -v
-    b = [Fraction(0)] * m
+def _solve_fill(z: Chain, d):
+    """An l1-minimal filling of z over the columns of the boundary
+    matrix d, or None when there is none.  A term of z on no row of d
+    has no filling there, so it needs no LP."""
+    if any(t not in d.rows for t in z.coeffs):
+        return None
+    S = len(d.cols)
+    # [D | -D]: column j is u_j, column S + j is w_j
+    a = [{**row, **{S + j: -v for j, v in row.items()}} for row in d.entries]
+    b = [Fraction(0)] * len(a)
     for tup, r in z.coeffs.items():
-        b[row_index[tup]] = r
+        b[d.rows[tup]] = r
     res = lp_solve(LpProblem(tuple(a), tuple(b), (Fraction(1),) * (2 * S)))
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise Unbounded("filling program cannot be unbounded; solver bug")
     x = res.x
-    return Chain._of(G, q + 1, sum_terms(
-        (tup, x[j] - x[S + j]) for j, tup in enumerate(support)))
+    return Chain._of(z.group, z.degree + 1, sum_terms(
+        (tup, x[j] - x[S + j]) for j, tup in enumerate(d.cols)))
 
 
 def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
@@ -330,8 +312,8 @@ def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
     if z.is_zero():
         return FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
-    for sup, descr in _supports(G, q + 1, cap, start_radius, max_radius):
-        c = _solve_fill(z, sup)
+    for d, descr in _supports(G, q + 1, cap, start_radius, max_radius):
+        c = _solve_fill(z, d)
         if c is not None:
             break
     else:
@@ -379,15 +361,8 @@ def section_on(zs, h, **fill_kw):
     Returns (certificates, kappa) where kappa is the batch maximum
     ratio, the empirical norm of a section of h on these boundaries.
     """
-    certs = []
-    kappa = Fraction(0)
-    for z in zs:
-        w = push_chain(h, z)
-        cert = fill_min(w, **fill_kw)
-        certs.append(cert)
-        if cert.ratio > kappa:
-            kappa = cert.ratio
-    return certs, kappa
+    certs = [fill_min(push_chain(h, z), **fill_kw) for z in zs]
+    return certs, max((cert.ratio for cert in certs), default=Fraction(0))
 
 
 @dataclass
@@ -407,11 +382,17 @@ ENUM_BUDGET = 200_000  # (d-1)-subsets the circuit enumeration may visit
 
 
 def _image_basis(G, q, cap):
-    """The N x d integer matrix of the pivot columns of d_{q+1}: a basis
-    of im d over the N degree-q tuples, one row per tuple."""
-    dense = boundary_matrix(G, q + 1, cap=cap).dense_rows()
+    """The row labels of boundary_matrix(G, q+1), N degree-q tuples, and
+    the N x d integer matrix of its pivot columns, a basis of im d."""
+    d = boundary_matrix(G, q + 1, cap=cap)
+    dense = d.dense_rows()
     _, pivots = linalg.rref(dense)
-    return [[row[j] for j in pivots] for row in dense]
+    return d.rows, [[row[j] for j in pivots] for row in dense]
+
+
+def _row_chain(G, q, rows, x):
+    """The degree-q chain with coefficient x[i] on the i-th of rows."""
+    return Chain._of(G, q, sum_terms((t, Fraction(v)) for t, v in zip(rows, x)))
 
 
 def _circuit(vrows, R):
@@ -448,8 +429,9 @@ def circuits(G, q):
     in the order ubc_kappa_exact fills them at its default cap and
     budget; None past the budget.  Linear algebra only, so a checker
     can list them without an LP."""
-    verts = _circuits(_image_basis(G, q, DEFAULT_SIZE_CAP), ENUM_BUDGET)
-    return None if verts is None else [chain_from_vector(G, q, x) for x in verts]
+    rows, vrows = _image_basis(G, q, DEFAULT_SIZE_CAP)
+    verts = _circuits(vrows, ENUM_BUDGET)
+    return None if verts is None else [_row_chain(G, q, rows, x) for x in verts]
 
 
 def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
@@ -468,7 +450,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
     ("cone-bound") once the lower bound reaches 1, else the bracket
     [lower, 1] ("sampled"), both with strategy "cone".
     """
-    vrows = _image_basis(G, q, cap)
+    rows, vrows = _image_basis(G, q, cap)
     d = len(vrows[0])
     if d == 0:
         # no nonzero boundaries: the polytope is empty and kappa = 0
@@ -477,14 +459,12 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
 
     verts = _circuits(vrows, enum_budget)
     if verts is not None:
-        certs = [fill_min(chain_from_vector(G, q, x), cap=cap) for x in verts]
+        certs = [fill_min(_row_chain(G, q, rows, x), cap=cap) for x in verts]
         kappa = max(cert.ratio for cert in certs)
         return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration",
                            certs, strategy="circuits")
 
-    if rng is None:
-        import random
-        rng = random.Random(0)
+    rng = rng or random.Random(0)
     lower = Fraction(0)
     certs = []
     seen = set()
@@ -493,7 +473,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
         if x is None or x in seen:
             continue
         seen.add(x)
-        cert = fill_min(chain_from_vector(G, q, x), cap=cap)
+        cert = fill_min(_row_chain(G, q, rows, x), cap=cap)
         certs.append(cert)
         lower = max(lower, cert.ratio)
         if lower == 1:

@@ -347,15 +347,10 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
         raise ValueError("emap input must be a tensor chain over (H, H)")
     q = x.degree
     certs = []
-    kappa = Fraction(0)
 
     def section(src_chain, hom):
-        nonlocal kappa
-        w = push_chain(hom, src_chain)
-        cert = l1opt.fill_min(w, cap=cfg.fill_cap)
+        cert = l1opt.fill_min(push_chain(hom, src_chain), cap=cfg.fill_cap)
         certs.append(cert)
-        if cert.ratio > kappa:
-            kappa = cert.ratio
         return cert.c
 
     if x.is_zero():
@@ -393,6 +388,7 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     if tensor_boundary(value) != push_tensor(f, f, x):
         raise PipelineError("emap boundary identity d E(x) = (f (x) f)(x) failed")
 
+    kappa = max((cert.ratio for cert in certs), default=Fraction(0))
     in_norm = l1_norm(x)
     out_norm = l1_norm(value)
     holds = out_norm <= e_bound(q, kappa) * in_norm

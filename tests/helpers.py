@@ -85,8 +85,8 @@ def column_span_oracle(dmat):
     """Rank oracle for boundaries: z is in the rational column span of
     the boundary matrix dmat exactly when appending z as a column leaves
     the rank unchanged, i.e. when z reduces to 0 against an echelon
-    basis of the columns.  Sparse elimination over Fraction."""
-    from barl1.barcomplex import tuple_index
+    basis of the columns.  Sparse elimination over Fraction; z is
+    placed by the matrix's row labels."""
 
     def reduce(vec):
         while True:
@@ -102,9 +102,10 @@ def column_span_oracle(dmat):
                 else:
                     del vec[k]
 
-    cols = [{} for _ in range(dmat.ncols)]
-    for (i, j), v in dmat.entries.items():
-        cols[j][i] = Fraction(v)
+    cols = [{} for _ in dmat.cols]
+    for i, nonzero in enumerate(dmat.entries):
+        for j, v in nonzero.items():
+            cols[j][i] = Fraction(v)
     echelon = {}
     for col in cols:
         vec = reduce(col)
@@ -113,8 +114,7 @@ def column_span_oracle(dmat):
             echelon[p] = {k: x / vec[p] for k, x in vec.items()}
 
     def in_span(z):
-        return not reduce({tuple_index(dmat.group, t): Fraction(c)
-                           for t, c in z.terms()})
+        return not reduce({dmat.rows[t]: Fraction(c) for t, c in z.terms()})
 
     return in_span
 

@@ -6,9 +6,8 @@ import pytest
 
 from barl1.barcomplex import (Chain, Cochain, DEFAULT_SIZE_CAP,
                               MaterializeError, SizeCapError, betti,
-                              boundary, boundary_matrix, chain_from_vector,
-                              coboundary, is_cycle, kronecker, l1_norm,
-                              push_chain, tuple_basis, tuple_index)
+                              boundary, boundary_matrix, coboundary, is_cycle,
+                              kronecker, l1_norm, push_chain, tuple_basis)
 from barl1.groups import (FreeGroup, cyclic_group, symmetric_group_perm,
                           trivial_hom, build_hom)
 from barl1.products import TensorChain
@@ -168,13 +167,14 @@ def test_kronecker_bilinear_and_bounded():
     assert abs(kronecker(f, a)) <= f.sup_norm(a.support()) * l1_norm(a)
 
 
-def test_tuple_index_round_trip():
+def test_row_labels_index_the_tuple_basis():
     G = cyclic_group(3)
-    for k in (0, 1, 2):
-        basis = tuple_basis(G, k)
-        assert len(basis) == 3 ** k
+    for k in (1, 2, 3):
+        rows = boundary_matrix(G, k).rows
+        basis = tuple_basis(G, k - 1)
+        assert len(basis) == len(rows) == 3 ** (k - 1)
         for i, t in enumerate(basis):
-            assert tuple_index(G, t) == i
+            assert rows[t] == i
     # lexicographic in element indices
     basis = tuple_basis(G, 2)
     assert basis[0] == (0, 0)
@@ -205,6 +205,25 @@ def test_tuple_basis_size_cap():
         tuple_basis(cyclic_group(3), 3, cap=26)
 
 
+@pytest.mark.parametrize("name", sorted(finite_backends()))
+def test_boundary_matrix_rows_are_the_tuple_basis(name):
+    # faces are numbered as they first occur; with the identity listed
+    # first that is the tuple basis one degree down
+    G = finite_backends()[name]
+    for k in (1, 2):
+        assert list(boundary_matrix(G, k).rows) == tuple_basis(G, k - 1)
+
+
+def test_boundary_matrix_is_shared_and_capped_on_every_call():
+    G3 = cyclic_group(3)
+    d = boundary_matrix(G3, 3)
+    assert boundary_matrix(cyclic_group(3), 3) is d
+    with pytest.raises(SizeCapError):
+        boundary_matrix(G3, 3, cap=7)
+    with pytest.raises(SizeCapError):
+        boundary_matrix(cyclic_group(3), 3, cap=26)
+
+
 def test_boundary_matrix_composes_to_zero():
     G = cyclic_group(3)
     m2 = boundary_matrix(G, 2).dense_rows()
@@ -218,23 +237,25 @@ def test_boundary_matrix_composes_to_zero():
 def test_boundary_matrix_matches_boundary():
     G = cyclic_group(2)
     bm = boundary_matrix(G, 2)
+    rows = bm.dense_rows()
     for j, t in enumerate(tuple_basis(G, 2)):
+        assert bm.cols[j] == t
         col = [0] * 2
         for face, r in boundary(Chain.single(G, t)).terms():
-            col[tuple_index(G, face)] = r
-        rows = bm.dense_rows()
+            col[bm.rows[face]] = r
         assert [rows[i][j] for i in range(2)] == col
 
 
 def test_chain_vector_round_trip():
     G = cyclic_group(3)
+    rows = boundary_matrix(G, 3).rows
     rng = random.Random(19)
     for _ in range(20):
         c = random_chain(G, 2, rng)
         v = [0] * 9
         for t, r in c.terms():
-            v[tuple_index(G, t)] = r
-        assert chain_from_vector(G, 2, v) == c
+            v[rows[t]] = r
+        assert Chain(G, 2, zip(rows, v)) == c
 
 
 def test_betti_finite_groups_vanish():

@@ -185,6 +185,35 @@ def test_tower_command(capsys):
     assert str(constant_c(1, 0, 1)) in out
 
 
+@pytest.mark.parametrize("degree, xi", [("2", "1,2,3"), ("3", "1")],
+                         ids=["extra", "missing"])
+def test_tower_xi_count_must_match_the_degree(capsys, degree, xi):
+    # neither drop extra values nor pad missing ones with 0
+    assert run(["tower", "--degree", degree, "--xi", xi]) == 2
+    captured = capsys.readouterr()
+    assert "--xi needs %s values, got %d" % (degree, xi.count(",") + 1) \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_tower_negative_degree_is_an_input_error(capsys):
+    assert run(["tower", "--degree", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert "--degree must be at least 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_pipeline_needs_at_least_one_sample(tmp_path, capsys, samples):
+    cfg = jfile(tmp_path, "cfg.json",
+                {"group": group_to_spec(G2), "homs": "identity",
+                 "degree": 1, "samples": samples})
+    assert run(["pipeline", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "samples must be at least 1" in captured.err
+    assert "certified bound" not in captured.out
+
+
 def test_input_error_paths(tmp_path, z3file, capsys):
     assert run(["group", "check", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

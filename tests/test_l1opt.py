@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -6,14 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from barl1 import l1opt
-from barl1.barcomplex import (Chain, SizeCapError, boundary, boundary_matrix,
-                              l1_norm, tuple_basis)
-from barl1.groups import (FreeGroup, GroupOracle, cyclic_group, identity_hom,
+from barl1 import barcomplex, l1opt
+from barl1.barcomplex import (Chain, SizeCapError, betti, boundary,
+                              boundary_matrix, l1_norm, push_chain,
+                              tuple_basis)
+from barl1.fileio import kappa_to_dict, verify_certificate_dict
+from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
+                          GroupOracle, build_hom, cyclic_group, identity_hom,
                           symmetric_group_perm, trivial_hom)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          is_boundary, lp_solve, section_on,
                          ubc_kappa_exact)
+from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
+                           primitive_pipeline)
 from barl1.products import xi_fill
 from helpers import (averaged_cone, brute_lp_min, column_span_oracle,
                      random_chain, rank_int)
@@ -391,6 +397,101 @@ def test_fill_min_free_group_non_boundary():
         fill_min(Chain.single(F, ((1,),)), max_radius=6)
 
 
+def test_free_group_target_off_the_support_runs_no_lp(monkeypatch):
+    # x1^10 is no face of a pair of words of length <= 3
+    F = FreeGroup(1)
+    x5 = (1,) * 5
+    z = boundary(Chain.single(F, (x5, x5)))
+    calls = []
+    monkeypatch.setattr(l1opt, "lp_solve",
+                        lambda prob: calls.append(prob) or lp_solve(prob))
+    with pytest.raises(SupportExhausted, match="radius 3"):
+        fill_min(z, start_radius=3, max_radius=3)
+    assert calls == []
+
+
+def _count_builds(monkeypatch):
+    """The (G, k) of every boundary_over call from here on, starting
+    from an empty matrix memo."""
+    built = []
+    over = barcomplex.boundary_over
+
+    def counted(G, k, cols):
+        built.append((G, k))
+        return over(G, k, cols)
+
+    monkeypatch.setattr(barcomplex, "boundary_over", counted)
+    barcomplex._full_matrix.cache_clear()
+    return built
+
+
+def test_one_matrix_per_group_and_degree(monkeypatch):
+    # a degree-2 pipeline over Z/2 fills over Z/2 and over Z/2 x Z/2
+    # (xi_fill builds its product afresh each time); the structurally
+    # keyed memo builds each matrix once for the whole batch
+    built = _count_builds(monkeypatch)
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    rng = random.Random(59)
+    for _ in range(20):
+        z = boundary(random_chain(G2, 3, rng, terms=2))
+        assert primitive_pipeline(z, cfg).verify() == []
+    assert built == [(DirectProduct((G2, G2)), 3), (G2, 2)]
+    assert boundary_matrix(DirectProduct((G2, G2)), 3) is boundary_matrix(
+        DirectProduct((G2, G2)), 3)
+    assert len(built) == 2
+
+
+def test_kappa_vertex_fills_share_the_image_matrix(monkeypatch):
+    # each (G, q) builds d_{q+1} once: its pivot columns give the
+    # circuits and the same matrix is every vertex fill's LP; a second
+    # pass builds nothing
+    built = _count_builds(monkeypatch)
+    table = [(G2, 1), (G2, 2), (G2, 3), (G3, 1), (G3, 2),
+             (cyclic_group(4), 1), (S3, 1)]
+    for _ in range(2):
+        for G, q in table:
+            assert ubc_kappa_exact(G, q).kappa is not None
+    assert built == [(G, q + 1) for G, q in table]
+
+
+def test_fills_leave_the_shared_matrix_unchanged():
+    d = boundary_matrix(G3, 3)
+    before = copy.deepcopy((d.rows, d.cols, d.entries))
+    rng = random.Random(61)
+    for _ in range(10):
+        z = boundary(random_chain(G3, 3, rng))
+        if not z.is_zero():
+            assert fill_min(z).verify() == []
+    assert ubc_kappa_exact(G3, 2).kappa == Fraction(1, 2)
+    assert boundary_matrix(G3, 3) is d
+    assert (d.rows, d.cols, d.entries) == before
+
+
+def test_identity_listed_second():
+    # Z/3 as a table listed a, e, b: the matrix rows follow the faces,
+    # not the tuple basis, and kappa, fills and records are unchanged
+    old = [1, 0, 2]  # table index -> element of G3
+    new = {g: i for i, g in enumerate(old)}
+    H = FiniteTableGroup([[new[G3.mul(a, b)] for b in old] for a in old],
+                         names=["a", "e", "b"])
+    iso = build_hom(G3, H, fn=new.__getitem__)
+    assert H.identity() == 1
+    assert list(boundary_matrix(H, 2).rows) != tuple_basis(H, 1)
+    assert betti(H, 1) == betti(H, 2) == 0
+    for q, kappa in ((1, Fraction(1)), (2, Fraction(1, 2))):
+        res = ubc_kappa_exact(H, q)
+        assert res.method == "vertex-enumeration" and res.kappa == kappa
+        assert verify_certificate_dict(kappa_to_dict(res, H)) == []
+    rng = random.Random(67)
+    for _ in range(6):
+        z = boundary(random_chain(G3, 3, rng))
+        if z.is_zero():
+            continue
+        cert = fill_min(push_chain(iso, z))
+        assert cert.verify() == [] and cert.ratio == fill_min(z).ratio
+
+
 def test_kappa_z2_degree_one():
     res = ubc_kappa_exact(G2, 1)
     assert res.kappa == 1 and res.lower == 1 and res.upper == 1
@@ -436,9 +537,8 @@ def test_kappa_circuits_are_elementary(G, q, kappa, count):
         assert not any(other < sup for other in supports)
         # im d meets the coordinate subspace of sup in a line exactly
         # when the rows off sup drop the rank by one
-        off = [row for row, t in zip(dense, tuple_basis(G, q))
-               if t not in sup]
-        assert rank - rank_int(off, dmat.ncols) == 1
+        off = [row for row, t in zip(dense, dmat.rows) if t not in sup]
+        assert rank - rank_int(off, len(dmat.cols)) == 1
 
 
 def test_kappa_sampled_brackets_exact():
