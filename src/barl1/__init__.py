@@ -19,7 +19,7 @@ from .products import (TensorChain, aw, cross_chain, cross_cochain,
                        tensor_boundary, xi_fill)
 from .l1opt import (FillCertificate, Infeasible, LpProblem, SupportExhausted,
                     UbcConstant, Unbounded, fill_min, is_boundary, lp_solve,
-                    section_on, ubc_kappa_exact)
+                    ubc_kappa_exact)
 from .mitosis import (MitosisData, MitosisError, MitosisReport,
                       PipelineCertificate, PipelineConfig, PipelineError,
                       constant_c, dmap, e_bound, emap, mitosis_of_finite_abelian,

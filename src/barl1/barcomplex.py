@@ -52,9 +52,8 @@ class MaterializeError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("float coefficient %r rejected; use Fraction" % x)
-    return Fraction(x)
+    """x as a Fraction, by linalg.exact's rule: a float is rejected."""
+    return Fraction(linalg.exact(x))
 
 
 def basis_tuple(G, tup, degree) -> tuple:

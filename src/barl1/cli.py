@@ -271,12 +271,12 @@ def _load_pipeline_config(path, cap):
 
     data = mitosis.mitosis_of_finite_abelian(G)
     cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data, fill_cap=cap)
-    degree = int(raw.get("degree", 2))
-    samples = int(raw.get("samples", 1))
+    degree = fileio.parse_int(raw.get("degree", 2), "pipeline degree")
+    samples = fileio.parse_int(raw.get("samples", 1), "pipeline samples")
     if samples < 1:
         raise fileio.FileFormatError(
             "pipeline samples must be at least 1, got %d" % samples)
-    seed = int(raw.get("seed", 0))
+    seed = fileio.parse_int(raw.get("seed", 0), "pipeline seed")
     return cfg, degree, samples, seed
 
 

@@ -41,6 +41,14 @@ def parse_fraction(s) -> Fraction:
     raise FileFormatError("expected a rational 'p/q' string, got %r" % (s,))
 
 
+def parse_int(v, field) -> int:
+    """v, the record's `field`, as an integer: a JSON integer only, so
+    neither true/false, 1.7 nor "1"."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise FileFormatError("%s must be an integer, got %r" % (field, v))
+
+
 def format_fraction(fr) -> str:
     fr = Fraction(fr)
     if fr.denominator == 1:
@@ -146,14 +154,14 @@ def chain_to_dict(c: Chain) -> dict:
 def chain_from_dict(G, d) -> Chain:
     if not isinstance(d, dict) or "degree" not in d:
         raise FileFormatError("chain file needs a 'degree' field")
-    degree = int(d["degree"])
+    degree = parse_int(d["degree"], "degree")
     return chain_from_records(G, degree, d.get("terms", []))
 
 
 def cochain_from_dict(G, d) -> Cochain:
     if not isinstance(d, dict) or "degree" not in d:
         raise FileFormatError("cochain file needs a 'degree' field")
-    degree = int(d["degree"])
+    degree = parse_int(d["degree"], "degree")
     table = {}
     for rec in d.get("terms", []):
         tup = tuple(decode_element(G, x) for x in rec["tuple"])
@@ -213,7 +221,7 @@ def fill_cert_to_dict(cert: l1opt.FillCertificate) -> dict:
 
 def fill_cert_from_dict(d) -> l1opt.FillCertificate:
     G = build_group(d["group"])
-    degree = int(d["degree"])
+    degree = parse_int(d["degree"], "degree")
     z = chain_from_records(G, degree, d["z"])
     c = chain_from_records(G, degree + 1, d["c"])
     return l1opt.FillCertificate(z, c, parse_fraction(d["ratio"]),
@@ -249,7 +257,7 @@ def pipeline_cert_to_dict(cert: mitosis.PipelineCertificate) -> dict:
 def pipeline_cert_from_dict(d) -> mitosis.PipelineCertificate:
     H = build_group(d["source_group"])
     M = build_group(d["ambient_group"])
-    q = int(d["degree"])
+    q = parse_int(d["degree"], "degree")
     return mitosis.PipelineCertificate(
         z=chain_from_records(H, q, d["z"]),
         target=chain_from_records(M, q, d["target"]),
@@ -301,16 +309,6 @@ def mitosis_from_dict(d) -> mitosis.MitosisData:
                                decode_element(M, d["d"]))
 
 
-def certificate_to_dict(obj) -> dict:
-    if isinstance(obj, l1opt.FillCertificate):
-        return fill_cert_to_dict(obj)
-    if isinstance(obj, mitosis.PipelineCertificate):
-        return pipeline_cert_to_dict(obj)
-    if isinstance(obj, mitosis.MitosisData):
-        return mitosis_to_dict(obj)
-    raise FileFormatError("no serialization for %r" % (obj,))
-
-
 def _vertex_set_failures(expected, G, q, zs) -> list[str]:
     """A vertex-enumeration kappa record must fill every vertex of the
     unit boundary polytope, and nothing else: its vertex boundaries zs
@@ -352,7 +350,7 @@ def verify_certificate_dict(d) -> list[str]:
         # finite group in degree >= 1, above which no fill is minimal
         failures = []
         G = build_group(d["group"])
-        q = int(d["degree"])
+        q = parse_int(d["degree"], "degree")
         cone = q >= 1 and G.is_finite()
         vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]
         for i, cert in enumerate(vertices):
@@ -388,8 +386,13 @@ def verify_certificate_dict(d) -> list[str]:
         return failures
     if kind == "tower":
         # every row is recomputed from the stated xi values and compared
-        # whole, so no field is trusted
+        # whole, so no field is trusted; an integer field must be one,
+        # as true == 1 and 1.0 == 1 would compare equal
         rows = d.get("rows", [])
+        for r in rows:
+            for k in ("degree", "size", "theta", "aw", "shuffle"):
+                if k in r:
+                    parse_int(r[k], "tower row " + k)
         if not rows or rows[0].get("degree") != 0:
             return ["tower must start at degree 0"]
         xis = [Fraction(0)] + [parse_fraction(r.get("xi", 0)) for r in rows[1:]]
@@ -407,7 +410,3 @@ def verify_certificate_dict(d) -> list[str]:
         report = mitosis.verify_mitosis(mitosis_from_dict(d))
         return ["axiom failed: %s" % a for a in report.failed_axioms()]
     raise FileFormatError("unknown certificate kind %r" % (kind,))
-
-
-def verify_certificate(path) -> list[str]:
-    return verify_certificate_dict(load_json(path))

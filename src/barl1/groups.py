@@ -574,13 +574,6 @@ def symmetric_group_perm(n) -> PermutationGroup:
     return PermutationGroup(n, [swap, cycle])
 
 
-def cayley_table_from(G) -> FiniteTableGroup:
-    """Materialize any finite oracle as a Cayley-table oracle."""
-    els = G.elements()
-    table = [[G.element_index(G.mul(a, b)) for b in els] for a in els]
-    return FiniteTableGroup(table, check=False)
-
-
 def is_abelian(G, witness=False):
     els = G.elements()
     for a in els:
@@ -729,36 +722,8 @@ def verify_hom(h: Homomorphism) -> dict:
     return {"mode": mode, "checked_pairs": count}
 
 
-def build_hom(source, target, table=None, images=None, fn=None,
-              name="hom") -> Homomorphism:
-    """Constructor from an element table, generator images, or a function;
-    the result has passed verify_hom."""
-    given = sum(x is not None for x in (table, images, fn))
-    if given != 1:
-        raise HomomorphismError("give exactly one of table, images, fn")
-    if table is not None:
-        if not source.is_finite():
-            raise HomomorphismError("element tables need a finite source")
-        mapping = dict(table)
-        for a in source.elements():
-            if a not in mapping:
-                raise HomomorphismError("table misses element %r" % (a,))
-        fn = mapping.__getitem__
-    elif images is not None:
-        if not isinstance(source, FreeGroup):
-            raise HomomorphismError("generator images need a free source")
-        if len(images) != source.rank:
-            raise HomomorphismError(
-                "expected %d images, got %d" % (source.rank, len(images)))
-        images = list(images)
-
-        def fn(word, _im=images):
-            out = target.identity()
-            for x in word:
-                g = _im[abs(x) - 1]
-                out = target.mul(out, g if x > 0 else target.inv(g))
-            return out
-
+def build_hom(source, target, fn, name="hom") -> Homomorphism:
+    """The homomorphism g -> fn(g), once it has passed verify_hom."""
     h = Homomorphism(source, target, fn, name=name)
     verify_hom(h)
     return h
@@ -766,11 +731,6 @@ def build_hom(source, target, table=None, images=None, fn=None,
 
 def identity_hom(G) -> Homomorphism:
     return Homomorphism(G, G, lambda g: g, name="id")
-
-
-def trivial_hom(source, target) -> Homomorphism:
-    e = target.identity()
-    return Homomorphism(source, target, lambda g: e, name="trivial")
 
 
 def compose_homs(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
@@ -796,33 +756,9 @@ def diagonal_hom(G) -> Homomorphism:
     return Homomorphism(G, DirectProduct((G, G)), lambda g: (g, g), name="diag")
 
 
-def projection_hom(P: DirectProduct, k) -> Homomorphism:
-    return Homomorphism(P, P.factors[k], lambda a: a[k], name="proj%d" % k)
-
-
-def inclusion_hom(P: DirectProduct, k) -> Homomorphism:
-    e = P.identity()
-
-    def fn(g, _e=e, _k=k):
-        out = list(_e)
-        out[_k] = g
-        return tuple(out)
-
-    return Homomorphism(P.factors[k], P, fn, name="incl%d" % k)
-
-
 def pair_hom(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
     """h1 x h2 componentwise on two-factor direct products."""
     S = DirectProduct((h1.source, h2.source))
     T = DirectProduct((h1.target, h2.target))
     return Homomorphism(S, T, lambda a: (h1.fn(a[0]), h2.fn(a[1])),
                         name="%s x %s" % (h1.name, h2.name))
-
-
-def free_product_inclusion(P: FreeProduct, k) -> Homomorphism:
-    f = P.factors[k]
-
-    def fn(g, _f=f, _k=k):
-        return () if g == _f.identity() else ((_k, g),)
-
-    return Homomorphism(f, P, fn, name="fp-incl%d" % k)

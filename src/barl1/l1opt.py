@@ -20,8 +20,9 @@ u, w >= 0 and minimizing sum(u) + sum(w): the LP rows are [D | -D]
 for D the boundary matrix of d_{q+1} on the group's own support.  Over
 a finite group D is the one boundary_matrix(G, q+1), shared by every
 fill in degree q, so only the right-hand side z differs; over a free
-group it is built on word balls of doubling radius.  D's row labels
-place z, and its columns are listed elements, so c needs no check.
+group it is built on word balls whose radius doubles from START_RADIUS
+while it stays within MAX_RADIUS.  D's row labels place z, and its
+columns are listed elements, so c needs no check.
 
 is_boundary runs no LP; it answers from homology.  Over a finite group
 a cycle of degree >= 1 is a boundary, as H_q(G; Q) = 0 (transfer).  A
@@ -33,10 +34,10 @@ weighted exponent sums of its words all vanish.
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
 linear algebra alone for the checker in fileio.  Past its subset budget
-kappa is bracketed by sampled circuits below and by 1 above: over a
-finite group the averaged cone s(z) = (-1)^(q+1)/|G| sum_k sum_t
-z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every degree-q
-cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
+ENUM_BUDGET kappa is bracketed by SAMPLES sampled circuits below and by
+1 above: over a finite group the averaged cone s(z) = (-1)^(q+1)/|G|
+sum_k sum_t z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every
+degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from math import comb, gcd
 from . import linalg
 from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
                          boundary_matrix, boundary_over, is_cycle, l1_norm,
-                         push_chain, sum_terms)
+                         sum_terms)
 from .groups import FreeGroup
 
 
@@ -63,7 +64,12 @@ class Unbounded(Exception):
 
 
 class SupportExhausted(Exception):
-    """Support growth hit its cap without reaching feasibility."""
+    """z is a boundary, but no word ball up to MAX_RADIUS holds a
+    filling of it."""
+
+
+START_RADIUS = 3  # the first word ball a free-group filling is sought on
+MAX_RADIUS = 12  # radius past which the doubling word balls stop
 
 
 @dataclass(frozen=True)
@@ -248,18 +254,18 @@ class FillCertificate:
         return {"kind": "ball", "radius": radius, "size": ball ** n}
 
 
-def _supports(G, degree, cap, start_radius, max_radius):
+def _supports(G, degree, cap):
     """The boundary matrices of degree `degree` a filling is sought
     over, in turn, as (matrix, description) pairs: boundary_matrix of a
     finite group once, else boundary_over the word balls of a free group
-    with the radius doubling from start_radius while it stays within
-    max_radius (start_radius itself is always tried).  Any other group
+    with the radius doubling from START_RADIUS while it stays within
+    MAX_RADIUS (START_RADIUS itself is always tried).  Any other group
     has no support."""
     if G.is_finite():
         d = boundary_matrix(G, degree, cap)
         yield d, {"kind": "full", "size": len(d.cols)}
     elif isinstance(G, FreeGroup):
-        radius = start_radius
+        radius = START_RADIUS
         while True:
             ball = G.ball(radius)
             if len(ball) ** degree > cap:
@@ -267,7 +273,7 @@ def _supports(G, degree, cap, start_radius, max_radius):
                                    % (len(ball) ** degree, cap))
             d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
             yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
-            if 2 * radius > max_radius:
+            if 2 * radius > MAX_RADIUS:
                 return
             radius *= 2
     else:
@@ -296,14 +302,14 @@ def _solve_fill(z: Chain, d):
         (tup, x[j] - x[S + j]) for j, tup in enumerate(d.cols)))
 
 
-def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
-             start_radius=3, max_radius=12) -> FillCertificate:
+def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP) -> FillCertificate:
     """l1-minimal c with dc = z, by exact LP over the group's support.
 
     Finite groups use the full tuple support; free groups grow a
-    word-ball support, doubling the radius on infeasibility up to
-    max_radius.  Raises Infeasible / SupportExhausted when z is not a
-    boundary over the admissible support.
+    word-ball support, doubling the radius from START_RADIUS on
+    infeasibility up to MAX_RADIUS.  When no support holds a filling,
+    is_boundary tells why: Infeasible when z is not a boundary at all,
+    SupportExhausted when it is one but the balls are too small.
     """
     q = z.degree
     if q < 1:
@@ -312,12 +318,12 @@ def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP,
     if z.is_zero():
         return FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
-    for d, descr in _supports(G, q + 1, cap, start_radius, max_radius):
+    for d, descr in _supports(G, q + 1, cap):
         c = _solve_fill(z, d)
         if c is not None:
             break
     else:
-        if descr["kind"] == "ball":
+        if descr["kind"] == "ball" and is_boundary(z):
             raise SupportExhausted("no filling over word balls up to radius %d"
                                    % descr["radius"])
         raise Infeasible("z is not a boundary")
@@ -355,16 +361,6 @@ def is_boundary(z: Chain) -> bool:
     return not any(sums)
 
 
-def section_on(zs, h, **fill_kw):
-    """Minimal fillings of push_chain(h, z) for each boundary z.
-
-    Returns (certificates, kappa) where kappa is the batch maximum
-    ratio, the empirical norm of a section of h on these boundaries.
-    """
-    certs = [fill_min(push_chain(h, z), **fill_kw) for z in zs]
-    return certs, max((cert.ratio for cert in certs), default=Fraction(0))
-
-
 @dataclass
 class UbcConstant:
     """kappa(G, q): worst l1-minimal filling ratio over degree-q boundaries."""
@@ -379,6 +375,7 @@ class UbcConstant:
 
 
 ENUM_BUDGET = 200_000  # (d-1)-subsets the circuit enumeration may visit
+SAMPLES = 100  # random row subsets of the sampled bracket past ENUM_BUDGET
 
 
 def _image_basis(G, q, cap):
@@ -411,13 +408,13 @@ def _circuit(vrows, R):
     return tuple(v // g for v in x)
 
 
-def _circuits(vrows, budget):
+def _circuits(vrows):
     """Every _circuit of vrows, scaled to |x|_1 = 1 and sorted; None
-    when the C(N, d-1) row subsets exceed budget."""
+    when the C(N, d-1) row subsets exceed ENUM_BUDGET."""
     N, d = len(vrows), len(vrows[0])
     if d == 0:
         return []
-    if comb(N, d - 1) > budget:
+    if comb(N, d - 1) > ENUM_BUDGET:
         return None
     seen = {_circuit(vrows, R) for R in itertools.combinations(range(N), d - 1)}
     seen.discard(None)
@@ -426,16 +423,15 @@ def _circuits(vrows, budget):
 
 def circuits(G, q):
     """The vertices of {z in im d_{q+1} : |z|_1 <= 1} as degree-q chains,
-    in the order ubc_kappa_exact fills them at its default cap and
-    budget; None past the budget.  Linear algebra only, so a checker
-    can list them without an LP."""
+    in the order ubc_kappa_exact fills them at its default cap; None
+    past ENUM_BUDGET.  Linear algebra only, so a checker can list them
+    without an LP."""
     rows, vrows = _image_basis(G, q, DEFAULT_SIZE_CAP)
-    verts = _circuits(vrows, ENUM_BUDGET)
+    verts = _circuits(vrows)
     return None if verts is None else [_row_chain(G, q, rows, x) for x in verts]
 
 
-def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
-                    samples=100, rng=None) -> UbcConstant:
+def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, rng=None) -> UbcConstant:
     """kappa(G, q), the largest l1-minimal filling ratio of a degree-q
     boundary.
 
@@ -444,8 +440,8 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
     scaled to |z|_1 = 1.  With d = rank d_{q+1} over N degree-q tuples,
     the C(N, d-1) row subsets of the pivot columns of d give them, one
     kernel line each, and each is filled exactly (strategy "circuits").
-    Past enum_budget subsets the lower bound is the best ratio over the
-    circuits of `samples` random row subsets (repeats skipped) and the
+    Past ENUM_BUDGET subsets the lower bound is the best ratio over the
+    circuits of SAMPLES random row subsets (repeats skipped) and the
     upper bound is 1, the averaged cone's (module docstring): exact
     ("cone-bound") once the lower bound reaches 1, else the bracket
     [lower, 1] ("sampled"), both with strategy "cone".
@@ -457,7 +453,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
         return UbcConstant(q, Fraction(0), Fraction(0), Fraction(0),
                            "vertex-enumeration", [], strategy="trivial")
 
-    verts = _circuits(vrows, enum_budget)
+    verts = _circuits(vrows)
     if verts is not None:
         certs = [fill_min(_row_chain(G, q, rows, x), cap=cap) for x in verts]
         kappa = max(cert.ratio for cert in certs)
@@ -468,7 +464,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, enum_budget=ENUM_BUDGET,
     lower = Fraction(0)
     certs = []
     seen = set()
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         x = _circuit(vrows, rng.sample(range(len(vrows)), d - 1))
         if x is None or x in seen:
             continue

@@ -15,8 +15,14 @@ from math import gcd, lcm
 
 
 def exact(v):
-    """v as an exact number: ints and Fractions as they are."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    """v as an exact number: ints and Fractions as they are, anything
+    else through Fraction, except a float, which is rejected, as its
+    binary value is seldom the number meant."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if isinstance(v, float):
+        raise TypeError("float %r rejected; use Fraction" % (v,))
+    return Fraction(v)
 
 
 def int_row(values, b):

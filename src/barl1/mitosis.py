@@ -515,15 +515,12 @@ class TowerRow:
 
 def tower(q_max, xi=None) -> list[TowerRow]:
     """Iterated constants: kappa_0 = 0, kappa_q = c(q, kappa_{q-1}, xi_q),
-    with ambient sizes n_0 = 1, n_q = 3 n_{q-1} + 1."""
-    if xi is None:
-        xis = [Fraction(0)] * (q_max + 1)
-    elif isinstance(xi, (int, Fraction)):
-        xis = [Fraction(xi)] * (q_max + 1)
-    else:
-        xis = [Fraction(v) for v in xi]
-        if len(xis) < q_max + 1:
-            xis = xis + [Fraction(0)] * (q_max + 1 - len(xis))
+    with ambient sizes n_0 = 1, n_q = 3 n_{q-1} + 1.  xi lists xi_0 (not
+    read) to xi_{q_max}; None means every xi_q is 0."""
+    xis = [Fraction(0)] * (q_max + 1) if xi is None else [Fraction(v) for v in xi]
+    if len(xis) != q_max + 1:
+        raise ValueError("tower to degree %d needs %d xi values, got %d"
+                         % (q_max, q_max + 1, len(xis)))
     rows = [TowerRow(0, 1, Fraction(0))]
     kappa = Fraction(0)
     n = 1

@@ -8,8 +8,8 @@ from barl1.barcomplex import (Chain, Cochain, DEFAULT_SIZE_CAP,
                               MaterializeError, SizeCapError, betti,
                               boundary, boundary_matrix, coboundary, is_cycle,
                               kronecker, l1_norm, push_chain, tuple_basis)
-from barl1.groups import (FreeGroup, cyclic_group, symmetric_group_perm,
-                          trivial_hom, build_hom)
+from barl1.groups import (FreeGroup, Homomorphism, build_hom, cyclic_group,
+                          symmetric_group_perm)
 from barl1.products import TensorChain
 from helpers import finite_backends, random_chain
 
@@ -94,7 +94,7 @@ def test_is_cycle():
 
 def test_push_chain_is_chain_map_and_nonexpansive():
     G2, G4 = cyclic_group(2), cyclic_group(4)
-    h = build_hom(G2, G4, table={0: 0, 1: 2})
+    h = build_hom(G2, G4, fn=lambda g: 2 * g)
     rng = random.Random(8)
     for _ in range(50):
         k = rng.randrange(1, 4)
@@ -108,7 +108,8 @@ def test_push_chain_collision_combining():
     G = cyclic_group(3)
     T = cyclic_group(1)
     c = Chain(G, 2, {(1, 2): 1, (2, 1): 1, (0, 0): -2})
-    assert push_chain(trivial_hom(G, T), c).is_zero()
+    trivial = Homomorphism(G, T, lambda g: T.identity())
+    assert push_chain(trivial, c).is_zero()
 
 
 def test_cochain_table_or_fn_exclusive():

@@ -214,6 +214,24 @@ def test_pipeline_needs_at_least_one_sample(tmp_path, capsys, samples):
     assert "certified bound" not in captured.out
 
 
+@pytest.mark.parametrize("fields", [
+    {"degree": True, "samples": True, "seed": False},
+    {"degree": 1.7},
+    {"samples": 2.0},
+    {"seed": "0"},
+], ids=["booleans", "float-degree", "float-samples", "string-seed"])
+def test_pipeline_config_integers_must_be_json_integers(tmp_path, capsys,
+                                                        fields):
+    # int() would read each of these as a small integer and run
+    cfg = jfile(tmp_path, "cfg.json",
+                {"group": group_to_spec(G2), "homs": "identity",
+                 "degree": 1, "samples": 1, **fields})
+    assert run(["pipeline", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "must be an integer" in captured.err
+    assert "certified bound" not in captured.out
+
+
 def test_input_error_paths(tmp_path, z3file, capsys):
     assert run(["group", "check", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

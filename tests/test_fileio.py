@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from barl1 import l1opt
 from barl1.barcomplex import Chain, boundary, l1_norm
 from barl1.cli import run
-from barl1.fileio import (FileFormatError, certificate_to_dict,
-                          chain_from_dict, chain_from_records, chain_to_dict,
+from barl1.fileio import (FileFormatError, chain_from_dict,
+                          chain_from_records, chain_to_dict,
                           chain_to_records, cochain_from_dict, decode_element,
                           dump_json, encode_element, fill_cert_from_dict,
                           fill_cert_to_dict, format_fraction, kappa_to_dict,
                           load_chain, load_group, load_json, mitosis_from_dict,
                           mitosis_to_dict, parse_fraction,
                           pipeline_cert_from_dict, pipeline_cert_to_dict,
-                          tower_to_dict, verify_certificate,
-                          verify_certificate_dict)
+                          tower_to_dict, verify_certificate_dict)
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           GroupAxiomError, cyclic_group, group_to_spec,
                           symmetric_group_perm)
@@ -210,8 +210,9 @@ def test_kappa_cone_bound_record_verifies():
         "exact kappa stated for a non-exact method"]
 
 
-def test_kappa_bracket_upper_is_the_cone_bound():
-    d = kappa_to_dict(ubc_kappa_exact(G2, 2, enum_budget=0), G2)
+def test_kappa_bracket_upper_is_the_cone_bound(monkeypatch):
+    monkeypatch.setattr(l1opt, "ENUM_BUDGET", 0)
+    d = kappa_to_dict(ubc_kappa_exact(G2, 2), G2)
     assert (d["method"], d["kappa"], d["lower"], d["upper"]) == \
         ("sampled", None, "1/2", "1")
     assert verify_certificate_dict(d) == []
@@ -313,17 +314,15 @@ def test_mitosis_record_with_a_non_homomorphic_injection(tmp_path):
 def test_certificate_dispatch_and_file_round_trip(tmp_path):
     z = boundary(Chain.single(G3, (1, 2)))
     cert = fill_min(z)
-    d = certificate_to_dict(cert)
+    d = fill_cert_to_dict(cert)
     assert d["kind"] == "fill"
     p = tmp_path / "cert.json"
     dump_json(d, p)
-    assert verify_certificate(p) == []
+    assert verify_certificate_dict(load_json(p)) == []
     with pytest.raises(FileFormatError, match="kind"):
         verify_certificate_dict({"kind": "nonsense"})
     with pytest.raises(FileFormatError):
         verify_certificate_dict(["not", "a", "dict"])
-    with pytest.raises(FileFormatError):
-        certificate_to_dict(object())
 
 
 def test_load_chain(tmp_path):
@@ -436,3 +435,65 @@ def test_kappa_rejects_a_strategy_its_method_does_not_imply(tmp_path):
     assert verify_certificate_dict(forged) == [
         "strategy is not the one its method implies"]
     assert _rejected(forged, tmp_path)
+
+
+def _input_error(record, tmp_path):
+    """`barl1 verify` refuses the record as an input error (exit 2)."""
+    path = str(tmp_path / "bad-input.json")
+    dump_json(record, path)
+    return run(["verify", path]) == 2
+
+
+@pytest.mark.parametrize("degree", [True, 1.9], ids=["bool", "float"])
+def test_chain_degree_must_be_a_json_integer(degree, tmp_path, capsys):
+    # int() would read either as degree 1
+    d = {"degree": degree, "terms": [{"coeff": "1", "tuple": ["1"]}]}
+    with pytest.raises(FileFormatError, match="degree must be an integer"):
+        chain_from_dict(G2, d)
+    with pytest.raises(FileFormatError, match="degree must be an integer"):
+        cochain_from_dict(G2, d)
+    group, chain = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    dump_json(group_to_spec(G2), group)
+    dump_json(d, chain)
+    assert run(["boundary", "--group", group, "--chain", chain]) == 2
+    assert "degree must be an integer" in capsys.readouterr().err
+
+
+def _degree_one_record(kind):
+    z = Chain(G2, 1, {(1,): Fraction(2), (0,): Fraction(-1)})
+    if kind == "fill":
+        return fill_cert_to_dict(fill_min(z))
+    if kind == "kappa":
+        return kappa_to_dict(ubc_kappa_exact(G2, 1), G2)
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    return pipeline_cert_to_dict(primitive_pipeline(Chain.single(G2, (1,)), cfg))
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("kind", ["fill", "kappa", "pipeline"])
+def test_certificate_degree_must_be_a_json_integer(kind, degree, tmp_path,
+                                                   capsys):
+    d = _degree_one_record(kind)
+    assert d["degree"] == 1 and verify_certificate_dict(d) == []
+    forged = dict(d, degree=degree)
+    with pytest.raises(FileFormatError, match="degree must be an integer"):
+        verify_certificate_dict(forged)
+    assert _input_error(forged, tmp_path)
+
+
+@pytest.mark.parametrize("row, change", [
+    (0, {"degree": False, "size": True}),
+    (1, {"theta": 2.0}),
+    (2, {"size": 13.0}),
+], ids=["bool-base-row", "float-theta", "float-size"])
+def test_tower_integer_fields_must_be_json_integers(row, change, tmp_path,
+                                                    capsys):
+    # false == 0, true == 1 and 2.0 == 2 would pass the row comparison
+    d = tower_to_dict(tower(2))
+    forged = copy.deepcopy(d)
+    forged["rows"][row].update(change)
+    assert forged["rows"][row] == d["rows"][row]
+    with pytest.raises(FileFormatError, match="must be an integer"):
+        verify_certificate_dict(forged)
+    assert _input_error(forged, tmp_path)

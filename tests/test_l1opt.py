@@ -14,10 +14,9 @@ from barl1.barcomplex import (Chain, SizeCapError, betti, boundary,
 from barl1.fileio import kappa_to_dict, verify_certificate_dict
 from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           GroupOracle, build_hom, cyclic_group, identity_hom,
-                          symmetric_group_perm, trivial_hom)
+                          symmetric_group_perm)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
-                         is_boundary, lp_solve, section_on,
-                         ubc_kappa_exact)
+                         is_boundary, lp_solve, ubc_kappa_exact)
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
 from barl1.products import xi_fill
@@ -57,6 +56,20 @@ def test_lp_shape_validation():
         LpProblem(((1, 2),), (1, 2), (1, 1))
     with pytest.raises(ValueError):
         LpProblem(((1,),), (1,), (1, 1))
+
+
+def test_lp_rejects_floats():
+    # 0.1 is not 1/10 in binary; the exact LP must not solve its image
+    with pytest.raises(TypeError, match="float"):
+        lp_solve(LpProblem(((1.0, 1.0),), (0.1,), (1.0, 2.0)))
+    for prob in (LpProblem(((1, 1),), (0.5,), (1, 2)),
+                 LpProblem(({1: 0.5},), (1,), (1, 2)),
+                 LpProblem(((1, 1),), (1,), (1, 0.5)),
+                 LpProblem((), (), (0.5,))):
+        with pytest.raises(TypeError, match="float"):
+            lp_solve(prob)
+    assert lp_solve(LpProblem(((1, 1),), ("1/2",), (1, 2))).objective == \
+        Fraction(1, 2)
 
 
 def test_lp_mapping_rows():
@@ -330,9 +343,10 @@ def test_is_boundary_free_group_rank_two():
     assert not is_boundary(Chain.single(F, ((1,), (2,))))  # no cycle
 
 
-def test_is_boundary_free_group_agrees_with_fill_min():
+def test_is_boundary_free_group_agrees_with_fill_min(monkeypatch):
     # over F_1, on short words, the verdict from homology matches the LP
     # search over the radius-3 word ball, both ways
+    monkeypatch.setattr(l1opt, "MAX_RADIUS", 3)
     F = FreeGroup(1)
     words = F.ball(1)
     rng = random.Random(47)
@@ -344,7 +358,7 @@ def test_is_boundary_free_group_agrees_with_fill_min():
 
     def fills(z):
         try:
-            return boundary(fill_min(z, max_radius=3).c) == z
+            return boundary(fill_min(z).c) == z
         except (Infeasible, SupportExhausted):
             return False
 
@@ -380,21 +394,40 @@ def test_fill_min_free_group_ball():
     assert cert.support.get("kind") == "ball"
 
 
-def test_free_group_start_radius_past_max_radius():
-    # the first word ball is tried even when start_radius > max_radius
+def test_free_group_start_radius_past_max_radius(monkeypatch):
+    # the first word ball is tried even when START_RADIUS > MAX_RADIUS
+    monkeypatch.setattr(l1opt, "MAX_RADIUS", 1)
     F = FreeGroup(1)
     z = boundary(Chain.single(F, ((1,), (1,))))
-    cert = fill_min(z, start_radius=3, max_radius=1)
+    cert = fill_min(z)
     assert cert.support == {"kind": "ball", "radius": 3, "size": 49}
     assert is_boundary(z)
+    x5 = (1,) * 5  # x1^10, a face of (x5, x5), lies off the radius-3 ball
     with pytest.raises(SupportExhausted, match="radius 3"):
-        fill_min(Chain.single(F, ((1,),)), start_radius=3, max_radius=1)
+        fill_min(boundary(Chain.single(F, (x5, x5))))
 
 
-def test_fill_min_free_group_non_boundary():
+def test_fill_min_free_group_non_boundary(monkeypatch):
+    monkeypatch.setattr(l1opt, "MAX_RADIUS", 6)
     F = FreeGroup(1)
-    with pytest.raises(SupportExhausted):
-        fill_min(Chain.single(F, ((1,),)), max_radius=6)
+    with pytest.raises(Infeasible):
+        fill_min(Chain.single(F, ((1,),)))
+
+
+def test_free_group_non_boundary_is_infeasible_not_exhausted(monkeypatch):
+    # (x1) has exponent sum 1, so no word ball of any radius fills it;
+    # is_boundary decides that only once every ball has failed
+    calls = []
+    monkeypatch.setattr(l1opt, "is_boundary",
+                        lambda z: calls.append(z) or is_boundary(z))
+    F = FreeGroup(1)
+    fill_min(boundary(Chain.single(F, ((1,), (1,)))))
+    fill_min(boundary(Chain.single(G3, (1, 2))))
+    assert calls == []
+    z = Chain.single(F, ((1,),))
+    with pytest.raises(Infeasible, match="not a boundary"):
+        fill_min(z)
+    assert calls == [z]
 
 
 def test_free_group_target_off_the_support_runs_no_lp(monkeypatch):
@@ -405,8 +438,9 @@ def test_free_group_target_off_the_support_runs_no_lp(monkeypatch):
     calls = []
     monkeypatch.setattr(l1opt, "lp_solve",
                         lambda prob: calls.append(prob) or lp_solve(prob))
+    monkeypatch.setattr(l1opt, "MAX_RADIUS", 3)
     with pytest.raises(SupportExhausted, match="radius 3"):
-        fill_min(z, start_radius=3, max_radius=3)
+        fill_min(z)
     assert calls == []
 
 
@@ -541,9 +575,10 @@ def test_kappa_circuits_are_elementary(G, q, kappa, count):
         assert rank - rank_int(off, len(dmat.cols)) == 1
 
 
-def test_kappa_sampled_brackets_exact():
-    res = ubc_kappa_exact(G2, 2, enum_budget=0, samples=30,
-                          rng=random.Random(3))
+def test_kappa_sampled_brackets_exact(monkeypatch):
+    monkeypatch.setattr(l1opt, "ENUM_BUDGET", 0)
+    monkeypatch.setattr(l1opt, "SAMPLES", 30)
+    res = ubc_kappa_exact(G2, 2, rng=random.Random(3))
     assert res.method == "sampled" and res.strategy == "cone"
     assert res.kappa is None and res.upper == 1
     assert res.lower <= Fraction(1, 2) <= res.upper
@@ -559,8 +594,9 @@ def test_kappa_cone_bound_closes_the_bracket():
     assert all(cert.verify() == [] for cert in res.certificates)
 
 
-def test_kappa_sampled_circuits_below_the_cone_bound():
-    res = ubc_kappa_exact(S3, 2, samples=10, rng=random.Random(0))
+def test_kappa_sampled_circuits_below_the_cone_bound(monkeypatch):
+    monkeypatch.setattr(l1opt, "SAMPLES", 10)
+    res = ubc_kappa_exact(S3, 2, rng=random.Random(0))
     assert res.method == "sampled" and res.strategy == "cone"
     assert res.kappa is None and res.upper == 1
     assert Fraction(1, 2) <= res.lower < 1
@@ -586,24 +622,3 @@ def test_kappa_needs_finite_group():
     with pytest.raises(SizeCapError):
         ubc_kappa_exact(FreeGroup(1), 1)
 
-
-def test_section_on_identity():
-    rng = random.Random(29)
-    zs = []
-    while len(zs) < 5:
-        z = boundary(random_chain(G2, 2, rng))
-        if not z.is_zero():
-            zs.append(z)
-    certs, kappa = section_on(zs, identity_hom(G2))
-    assert len(certs) == 5
-    assert all(cert.verify() == [] for cert in certs)
-    assert kappa <= 1  # kappa(Z/2, 1) = 1 caps every identity-push ratio
-    assert kappa == max(fill_min(z).ratio for z in zs)
-
-
-def test_section_on_trivial_target_and_zero():
-    rng = random.Random(31)
-    zs = [Chain.zero(G2, 1), boundary(random_chain(G2, 2, rng))]
-    certs, kappa = section_on(zs, trivial_hom(G2, G1))
-    assert certs[0].ratio == 0
-    assert kappa >= 0

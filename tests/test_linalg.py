@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from barl1.linalg import null_vector, rank_factorization, rref, solve_square
+import pytest
+
+from barl1.linalg import (exact, int_row, null_vector, rank_factorization,
+                          rref, solve_square)
 from helpers import rank_int
 
 
@@ -134,3 +137,15 @@ def test_rank_factorization_factors_span_column_space():
     for col, _ in pairs:
         aug = [list(c) for c in zip(*(cols + [col]))]
         assert len(rref(aug)[1]) == base_rank
+
+
+def test_exact_rejects_floats():
+    assert exact(3) == 3 and exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert exact("2/5") == Fraction(2, 5)
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError, match="float"):
+            exact(bad)
+        with pytest.raises(TypeError, match="float"):
+            int_row([1, bad], 1)
+        with pytest.raises(TypeError, match="float"):
+            solve_square([[1]], [bad])

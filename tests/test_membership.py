@@ -60,7 +60,7 @@ def test_entry_points_reject_non_members(case):
     with pytest.raises((FileFormatError, GroupAxiomError)):
         decode_element(G, encoded)
     with pytest.raises(GroupAxiomError):
-        build_hom(Z2, G, table={0: G.identity(), 1: bad})
+        build_hom(Z2, G, fn=lambda g: bad if g else G.identity())
 
 
 def test_free_product_decoding_checks_each_syllable():

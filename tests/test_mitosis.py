@@ -261,10 +261,10 @@ def test_tower_sizes_and_recursion():
 
 
 def test_tower_xi_forms():
-    scalar = tower(2, xi=1)
-    assert scalar[1].kappa == constant_c(1, 0, 1) == 3
-    assert scalar[1].xi == 1 and scalar[2].xi == 1
-    listed = tower(2, xi=[0, Fraction(5, 2)])
+    listed = tower(2, xi=[0, Fraction(5, 2), 0])
     assert listed[1].xi == Fraction(5, 2)
-    assert listed[2].xi == 0  # short lists pad with zero
+    assert listed[2].xi == 0
     assert listed[1].kappa == constant_c(1, 0, Fraction(5, 2))
+    for xi in ([0, 1], [0, 1, 0, 0]):  # xi_0 to xi_2, no fewer or more
+        with pytest.raises(ValueError, match="needs 3 xi values"):
+            tower(2, xi=xi)

@@ -7,8 +7,9 @@ import pytest
 
 from barl1.barcomplex import (Chain, Cochain, boundary, boundary_matrix,
                               coboundary, l1_norm, push_chain, tuple_boundary)
-from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
-                          diagonal_hom, symmetric_group_perm, trivial_hom)
+from barl1.groups import (DirectProduct, FreeGroup, Homomorphism,
+                          cyclic_group, diagonal_hom, identity_hom,
+                          symmetric_group_perm)
 from barl1.l1opt import _row_chain
 from barl1.mitosis import theta
 from barl1.products import (aw, cross_chain, cross_cochain,
@@ -159,7 +160,8 @@ def test_producers_equal_the_validating_constructor():
     # repeated tuples make terms collide and cancel
     rng = random.Random(31)
     e2, e3 = G2.identity(), G3.identity()
-    to3, to2 = trivial_hom(G2, G3), trivial_hom(G3, G2)
+    to3 = Homomorphism(G2, G3, lambda g: e3)
+    to2 = Homomorphism(G3, G2, lambda g: e2)
 
     def same(x, terms):
         assert x == type(x)(x.space, x.degree, terms)
@@ -228,8 +230,7 @@ def test_tensor_component_and_bidegrees():
 
 def test_push_tensor():
     t = tensor_elementary(Chain.single(G2, (1,)), Chain.single(G3, (2,)))
-    from barl1.groups import identity_hom, trivial_hom
-    s = push_tensor(identity_hom(G2), trivial_hom(G3, G3), t)
+    s = push_tensor(identity_hom(G2), Homomorphism(G3, G3, lambda g: 0), t)
     assert s == tensor_elementary(Chain.single(G2, (1,)), Chain.single(G3, (0,)))
 
 
