@@ -63,6 +63,13 @@ class HomomorphismError(ValueError):
     """The homomorphism law failed; the message carries a witness."""
 
 
+def _int(v, what):
+    """v, a record's `what`: an int but not a bool, else TypeError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
 class GroupOracle:
     backend = "abstract"
 
@@ -155,7 +162,7 @@ class FiniteTableGroup(GroupOracle):
                 raise GroupAxiomError("table row %d has length %d, expected %d"
                                       % (i, len(row), n))
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not 0 <= _int(v, "table entry") < n:
                     raise GroupAxiomError("table entry %r out of range" % (v,))
         self._identity = self._find_identity()
         if check:
@@ -237,10 +244,10 @@ class PermutationGroup(GroupOracle):
     backend = "perm"
 
     def __init__(self, degree, generators):
-        self.degree = int(degree)
+        self.degree = _int(degree, "permutation degree")
         gens = []
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = tuple(_int(x, "generator entry") for x in g)
             if sorted(g) != list(range(self.degree)):
                 raise GroupAxiomError(
                     "generator %r is not a permutation of 0..%d" % (g, self.degree - 1))
@@ -287,9 +294,9 @@ class FreeGroup(GroupOracle):
     backend = "free"
 
     def __init__(self, rank):
-        if rank < 0:
+        self.rank = _int(rank, "free group rank")
+        if self.rank < 0:
             raise GroupAxiomError("free group rank must be >= 0")
-        self.rank = int(rank)
 
     def identity(self):
         return ()

@@ -303,34 +303,39 @@ def _solve_fill(z: Chain, d):
 
 
 def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP) -> FillCertificate:
-    """l1-minimal c with dc = z, by exact LP over the group's support.
+    """l1-minimal c with dc = z, by exact LP over the group's support,
+    as a certificate that has passed its verify().
 
     Finite groups use the full tuple support; free groups grow a
     word-ball support, doubling the radius from START_RADIUS on
     infeasibility up to MAX_RADIUS.  When no support holds a filling,
     is_boundary tells why: Infeasible when z is not a boundary at all,
-    SupportExhausted when it is one but the balls are too small.
+    SupportExhausted when it is one but the balls are too small.  A
+    failed verify() is a solver bug: AssertionError names the checks.
     """
     q = z.degree
     if q < 1:
         raise ValueError("fillings are defined for boundaries of degree >= 1")
     G = z.group
     if z.is_zero():
-        return FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
+        cert = FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
-    for d, descr in _supports(G, q + 1, cap):
-        c = _solve_fill(z, d)
-        if c is not None:
-            break
     else:
-        if descr["kind"] == "ball" and is_boundary(z):
-            raise SupportExhausted("no filling over word balls up to radius %d"
-                                   % descr["radius"])
-        raise Infeasible("z is not a boundary")
-    if boundary(c) != z:
-        raise AssertionError("solver returned a non-filling; this is a bug")
-    ratio = l1_norm(c) / l1_norm(z)
-    return FillCertificate(z, c, ratio, descr)
+        for d, descr in _supports(G, q + 1, cap):
+            c = _solve_fill(z, d)
+            if c is not None:
+                break
+        else:
+            if descr["kind"] == "ball" and is_boundary(z):
+                raise SupportExhausted("no filling over word balls up to "
+                                       "radius %d" % descr["radius"])
+            raise Infeasible("z is not a boundary")
+        cert = FillCertificate(z, c, l1_norm(c) / l1_norm(z), descr)
+    failures = cert.verify()
+    if failures:
+        raise AssertionError("solver returned a certificate that fails %s; "
+                             "this is a bug" % "; ".join(failures))
+    return cert
 
 
 def is_boundary(z: Chain) -> bool:

@@ -16,7 +16,9 @@ chain of maps H -> H' -> K -> G -> M, into an explicit primitive c'
 over M with d(c') = (i o f)_* z and a certified l1 ratio.  All the
 ingredients (splitting D, lifting E, the shuffle assembly, the
 conjugation homotopy) are exact; the only searches are the l1-minimal
-section fillings, and those return certificates.
+fillings (emap's sections, xi_fill's xi), and those stages return their
+fill_min certificates.  A certificate is checked once, by its verify(),
+in the function that builds it, and callers trust it.
 
 verify_mitosis checks that the injection is a homomorphism (verify_hom)
 and the axioms on every element when source and ambient are finite,
@@ -281,16 +283,6 @@ def _boundary_factors(t: TensorChain, what):
 
 
 @dataclass
-class EmapResult:
-    value: TensorChain
-    kappa: Fraction
-    section_certificates: list
-    input_norm: Fraction
-    output_norm: Fraction
-    norm_bound_holds: bool
-
-
-@dataclass
 class PipelineConfig:
     """Maps H -phi-> H' -phi'-> K -psi-> G with a mitosis of G.
 
@@ -330,18 +322,19 @@ class PipelineConfig:
         return self._mu
 
 
-def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
-    """Certified lift: returns E(x) with d E(x) = (f (x) f)(x) for a
-    boundary x in intermediate bidegrees, where f = psi o phi' o phi.
+def emap(x: TensorChain, cfg: PipelineConfig):
+    """Certified lift: returns (E(x), section certificates) with
+    d E(x) = (f (x) f)(x) for a boundary x in intermediate bidegrees,
+    where f = psi o phi' o phi.
 
     The section maps S (over phi) and T (over psi) are realized per
-    instance by l1-minimal fillings; each block of an intermediate
-    tensor is decomposed into elementary tensors whose factors are
-    checked to be boundaries before filling.
+    instance by l1-minimal fillings, whose fill_min certificates are
+    returned in order; each block of an intermediate tensor is
+    decomposed into elementary tensors whose factors are checked to be
+    boundaries before filling.
     """
     H = cfg.phi.source
     Hp = cfg.phi.target
-    K = cfg.psi.source
     G = cfg.psi.target
     if x.groups != (H, H):
         raise ValueError("emap input must be a tensor chain over (H, H)")
@@ -352,10 +345,6 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
         cert = l1opt.fill_min(push_chain(hom, src_chain), cap=cfg.fill_cap)
         certs.append(cert)
         return cert.c
-
-    if x.is_zero():
-        zero = TensorChain.zero((G, G), q + 1)
-        return EmapResult(zero, Fraction(0), [], Fraction(0), Fraction(0), True)
 
     for p, r in x.bidegrees():
         if not 1 <= p <= q - 1:
@@ -387,12 +376,7 @@ def emap(x: TensorChain, cfg: PipelineConfig) -> EmapResult:
     f = cfg.f()
     if tensor_boundary(value) != push_tensor(f, f, x):
         raise PipelineError("emap boundary identity d E(x) = (f (x) f)(x) failed")
-
-    kappa = max((cert.ratio for cert in certs), default=Fraction(0))
-    in_norm = l1_norm(x)
-    out_norm = l1_norm(value)
-    holds = out_norm <= e_bound(q, kappa) * in_norm
-    return EmapResult(value, kappa, certs, in_norm, out_norm, holds)
+    return value, certs
 
 
 @dataclass
@@ -427,12 +411,14 @@ class PipelineCertificate:
 
 
 def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
-    """Explicit primitive of (i o f)_* z over the mitosis ambient group.
+    """Explicit primitive of (i o f)_* z over the mitosis ambient group,
+    as a certificate that has passed its verify().
 
     Assembles c' = theta((conj d)_* (i o f)_* z) - mu_*(E'(z)) where
-    E'(z) = cross(E(D(z))) - (f x f)_* xi and checks d c' = (i o f)_* z
-    exactly, then certifies |c'|/|z| against the constant from
-    constant_c at the batch kappa and xi ratios.
+    E'(z) = cross(E(D(z))) - (f x f)_* xi, with the bound constant_c at
+    kappa, the largest section ratio of E, and the xi ratio |xi|/|z|
+    (both 0 for z = 0).  verify() checks d c' = (i o f)_* z and the
+    bound; a failure raises PipelineError naming the failed checks.
     """
     H = cfg.phi.source
     q = z.degree
@@ -441,53 +427,34 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
     if q < 1:
         raise ValueError("the pipeline needs degree >= 1")
     M = cfg.mitosis.ambient
-    i = cfg.mitosis.inj
     f = cfg.f()
-    i_f = compose_homs(i, f)
-    if z.is_zero():
-        zero = Chain.zero(M, q + 1)
-        return PipelineCertificate(z, Chain.zero(M, q), zero, q, Fraction(0),
-                                   Fraction(0), Fraction(0),
-                                   constant_c(q, 0, 0))
-    if not boundary(z).is_zero():
-        raise ValueError("z must be a cycle")
-    G = cfg.psi.target
 
-    xi_res = xi_fill(z, cap=cfg.fill_cap)
-    dz = dmap(z)
-    if dz.is_zero():
-        e_res = None
-        e_val = TensorChain.zero((G, G), q + 1)
-        kappa = Fraction(0)
-    else:
-        e_res = emap(dz, cfg)
-        e_val = e_res.value
-        kappa = e_res.kappa
+    xi = xi_fill(z, cap=cfg.fill_cap).c  # raises ValueError on a non-cycle
+    e_val, sections = emap(dmap(z), cfg)
+    e_prime = cross_tensor(e_val) - push_chain(pair_hom(f, f), xi)
 
-    e_prime = cross_tensor(e_val) - push_chain(pair_hom(f, f), xi_res.xi)
-
-    w = push_chain(i_f, z)
-    mu = cfg.mu()
-    mu_e = push_chain(mu, e_prime)
-
+    w = push_chain(compose_homs(cfg.mitosis.inj, f), z)
     # inserted conjugator d s^-1; gamma_{s d^-1} overall
     wd = push_chain(conjugation(M, cfg.mitosis.d), w)
-    c_prime = theta(wd, cfg._conj) - mu_e
+    c_prime = theta(wd, cfg._conj) - push_chain(cfg.mu(), e_prime)
 
-    if boundary(c_prime) != w:
-        raise PipelineError("primitive boundary identity d c' = (i o f)_* z failed")
-    ratio = l1_norm(c_prime) / l1_norm(z)
-    bound = constant_c(q, kappa, xi_res.ratio_vs_input)
-    if ratio > bound:
-        raise PipelineError("observed ratio %s exceeds certified constant %s"
-                            % (ratio, bound))
-    return PipelineCertificate(z, w, c_prime, q, ratio, kappa,
-                               xi_res.ratio_vs_input, bound)
+    nz = l1_norm(z)
+    kappa = max((cert.ratio for cert in sections), default=Fraction(0))
+    xi_ratio = l1_norm(xi) / nz if nz else Fraction(0)
+    ratio = l1_norm(c_prime) / nz if nz else Fraction(0)
+    cert = PipelineCertificate(z, w, c_prime, q, ratio, kappa, xi_ratio,
+                               constant_c(q, kappa, xi_ratio))
+    failures = cert.verify()
+    if failures:
+        raise PipelineError("pipeline certificate fails %s"
+                            % "; ".join(failures))
+    return cert
 
 
 def e_bound(q, kappa) -> Fraction:
-    """Operator bound for the lift E at section norm kappa."""
-    k = Fraction(kappa)
+    """Operator bound for the lift E at section norm kappa (a float
+    raises TypeError, by linalg.exact)."""
+    k = Fraction(linalg.exact(kappa))
     n = q + 1
     return k + 2 * n * k ** 2 * (1 + n * k + n * n * k ** 2)
 
@@ -495,10 +462,10 @@ def e_bound(q, kappa) -> Fraction:
 def constant_c(q, kappa, xi) -> Fraction:
     """Certified primitive ratio: theta term (q+1), shuffle assembly
     binom(q+1, floor((q+1)/2)) times the E bound times the D bound
-    (q+3), plus the xi contribution."""
+    (q+3), plus the xi contribution (a float raises TypeError)."""
     return (Fraction(q + 1)
             + comb(q + 1, (q + 1) // 2) * e_bound(q, kappa) * (q + 3)
-            + Fraction(xi))
+            + linalg.exact(xi))
 
 
 @dataclass
@@ -516,8 +483,10 @@ class TowerRow:
 def tower(q_max, xi=None) -> list[TowerRow]:
     """Iterated constants: kappa_0 = 0, kappa_q = c(q, kappa_{q-1}, xi_q),
     with ambient sizes n_0 = 1, n_q = 3 n_{q-1} + 1.  xi lists xi_0 (not
-    read) to xi_{q_max}; None means every xi_q is 0."""
-    xis = [Fraction(0)] * (q_max + 1) if xi is None else [Fraction(v) for v in xi]
+    read) to xi_{q_max} (a float raises TypeError); None means every
+    xi_q is 0."""
+    xis = [Fraction(linalg.exact(v))
+           for v in ([0] * (q_max + 1) if xi is None else xi)]
     if len(xis) != q_max + 1:
         raise ValueError("tower to degree %d needs %d xi values, got %d"
                          % (q_max, q_max + 1, len(xis)))

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import l1opt
 from .barcomplex import (DEFAULT_SIZE_CAP, Chain, Cochain, SparseChain,
-                         basis_tuple, boundary, kronecker, l1_norm, push_chain,
+                         basis_tuple, boundary, kronecker, push_chain,
                          sum_terms, tuple_boundary)
 from .groups import DirectProduct, diagonal_hom
 
@@ -182,31 +182,14 @@ def normalize(x):
     raise TypeError("normalize expects a Chain or a TensorChain")
 
 
-@dataclass
-class XiFillResult:
-    """Per-instance homotopy between cross o aw and the identity on the
-    diagonal image of one cycle: d(xi) = (cross(aw(Dz)) - Dz)."""
-
-    certificate: l1opt.FillCertificate
-    xi: Chain
-    target: Chain
-    ratio_vs_input: Fraction
-
-
-def xi_fill(z: Chain, cap=DEFAULT_SIZE_CAP) -> XiFillResult:
-    """Fill (cross o aw - id) of the diagonal push of a cycle z, over
-    fill_min's default support at size cap `cap`."""
+def xi_fill(z: Chain, cap=DEFAULT_SIZE_CAP) -> l1opt.FillCertificate:
+    """xi, the per-instance homotopy between cross o aw and the identity
+    on the diagonal image D of a cycle z: fill_min's certificate of the
+    target cross(aw(D)) - D, whose c is xi, at size cap `cap`."""
     if z.degree >= 1 and not boundary(z).is_zero():
         raise ValueError("xi_fill expects a cycle")
     dz = push_chain(diagonal_hom(z.group), z)
-    target = cross_tensor(aw(dz)) - dz
-    if z.is_zero():
-        cert = l1opt.FillCertificate(target, Chain.zero(dz.group, z.degree + 1),
-                                     Fraction(0), {"kind": "empty"})
-        return XiFillResult(cert, cert.c, target, Fraction(0))
-    cert = l1opt.fill_min(target, cap=cap)
-    ratio = l1_norm(cert.c) / l1_norm(z)
-    return XiFillResult(cert, cert.c, target, ratio)
+    return l1opt.fill_min(cross_tensor(aw(dz)) - dz, cap=cap)
 
 
 def cross_cochain(f: Cochain, g: Cochain) -> Cochain:
@@ -243,7 +226,6 @@ class PairCompatReport:
     lhs: Fraction
     rhs: Fraction
     sign: int
-    bidegree: tuple
     ok: bool
 
 
@@ -255,4 +237,4 @@ def pair_compat_check(f: Cochain, g: Cochain, c: Chain,
     sign = -1 if (p * q) % 2 else 1
     lhs = kronecker(cross_cochain(f, g), cross_chain(c, d))
     rhs = sign * kronecker(f, c) * kronecker(g, d)
-    return PairCompatReport(lhs, rhs, sign, (p, q), lhs == rhs)
+    return PairCompatReport(lhs, rhs, sign, lhs == rhs)

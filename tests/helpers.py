@@ -23,6 +23,21 @@ def finite_backends():
                 mitosis_of_finite_abelian(cyclic_group(2)).ambient}
 
 
+def record_calls(monkeypatch, owner, name):
+    """Wrap owner.name, a function or method, so that the first argument
+    of every call (the instance, for a method) is appended to the list
+    returned."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def random_chain(G, degree, rng, terms=3, lo=-3, hi=3):
     # rng.choice(range(lo, hi + 1)) draws as rng.randrange(lo, hi + 1)
     return barcomplex.random_chain(G, degree, rng, terms, range(lo, hi + 1))

@@ -15,7 +15,7 @@ from barl1.fileio import (dump_json, fill_cert_to_dict, kappa_to_dict,
 from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
                           identity_hom, symmetric_group_perm)
 from barl1.l1opt import fill_min, ubc_kappa_exact
-from barl1.mitosis import (PipelineConfig, constant_c, dmap, emap,
+from barl1.mitosis import (PipelineConfig, constant_c, dmap, e_bound, emap,
                            mitosis_of_finite_abelian, mu_hom,
                            primitive_pipeline, theta, theta_defect, tower,
                            verify_mitosis)
@@ -173,9 +173,10 @@ def test_criterion_7_pipeline_batch():
         if emap_checked < 10:
             x = dmap(z)
             if not x.is_zero():
-                res = emap(x, cfg)
-                assert tensor_boundary(res.value) == push_tensor(f, f, x)
-                assert res.norm_bound_holds
+                value, sections = emap(x, cfg)
+                assert tensor_boundary(value) == push_tensor(f, f, x)
+                kappa = max((c.ratio for c in sections), default=0)
+                assert l1_norm(value) <= e_bound(x.degree, kappa) * l1_norm(x)
                 emap_checked += 1
         cert = primitive_pipeline(z, cfg)
         assert cert.verify() == []

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from barl1 import fileio, mitosis
+from barl1 import barcomplex, fileio, mitosis
 from barl1.barcomplex import Chain, boundary
 from barl1.cli import run
-from barl1.fileio import chain_to_dict, dump_json, load_json
-from barl1.groups import cyclic_group, group_to_spec
+from barl1.fileio import chain_to_dict, dump_json, fill_cert_to_dict, load_json
+from barl1.groups import (SemidirectProduct, build_group, cyclic_group,
+                          group_to_spec)
+from barl1.l1opt import fill_min
 from barl1.mitosis import constant_c
 
 G2 = cyclic_group(2)
@@ -325,3 +327,78 @@ def test_json_output_is_deterministic(z2file, capsys):
     assert first == second
     record = json.loads(first)
     assert record["kind"] == "kappa" and record["kappa"] == "1"
+
+
+def _count_boundaries(monkeypatch, counted):
+    """Wrap barcomplex.boundary wherever a barl1 module binds it; the
+    calls whose chain `counted` accepts are listed in the result."""
+    calls = []
+    orig = barcomplex.boundary
+
+    def traced(c):
+        if counted(c):
+            calls.append(c)
+        return orig(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "barl1" and vars(module).get("boundary") is orig:
+            monkeypatch.setattr(module, "boundary", traced)
+    return calls
+
+
+def test_pipeline_takes_d_of_each_primitive_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # one degree-3 boundary over the ambient is the set-up theta
+    # self-test, then one per certificate: its own verify()
+    cfg = jfile(tmp_path, "cfg.json", {"group": group_to_spec(G2),
+                                       "degree": 2, "samples": 3, "seed": 5})
+    calls = _count_boundaries(monkeypatch, lambda c: c.degree == 3 and
+                              isinstance(c.group, SemidirectProduct))
+    assert run(["pipeline", "--config", cfg]) == 0
+    assert "samples: 3" in capsys.readouterr().out
+    assert len(calls) == 4
+
+
+def test_fill_takes_d_c_once(tmp_path, z2file, capsys, monkeypatch):
+    z = boundary(Chain(G2, 3, {(1, 1, 1): 1, (1, 0, 1): 2}))
+    cf = jfile(tmp_path, "z.json", chain_to_dict(z))
+    calls = _count_boundaries(monkeypatch, lambda c: c.degree == 3)
+    assert run(["fill", "--group", z2file, "--chain", cf]) == 0
+    assert "ratio = 1/2" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+# a group record whose integer is not a JSON integer, the record it
+# stands for, and an element of that group other than the identity
+NON_INTEGER_GROUPS = {
+    "rank true": ({"type": "free", "rank": True},
+                  {"type": "free", "rank": 1}, (1,)),
+    "rank 1.5": ({"type": "free", "rank": 1.5},
+                 {"type": "free", "rank": 1}, (1,)),
+    "degree 2.9": ({"type": "perm", "degree": 2.9, "generators": [[1, 0]]},
+                   {"type": "perm", "degree": 2, "generators": [[1, 0]]},
+                   (1, 0)),
+    "boolean generator": (
+        {"type": "perm", "degree": 2, "generators": [[True, False]]},
+        {"type": "perm", "degree": 2, "generators": [[1, 0]]}, (1, 0)),
+    "boolean table": (
+        {"type": "finite", "elements": ["0", "1"],
+         "table": [[False, True], [True, False]]},
+        {"type": "finite", "elements": ["0", "1"], "table": [[0, 1], [1, 0]]},
+        1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_GROUPS))
+def test_group_record_integers_must_be_integers(tmp_path, capsys, case):
+    bad, good, g = NON_INTEGER_GROUPS[case]
+    assert run(["group", "check", jfile(tmp_path, "g.json", bad)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+    z = boundary(Chain.single(build_group(good), (g, g)))
+    record = fill_cert_to_dict(fill_min(z))
+    assert run(["verify", jfile(tmp_path, "good.json", record)]) == 0
+    record["group"] = bad
+    assert run(["verify", jfile(tmp_path, "bad.json", record)]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "must be an integer" in captured.err

@@ -21,7 +21,7 @@ from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
 from barl1.products import xi_fill
 from helpers import (averaged_cone, brute_lp_min, column_span_oracle,
-                     random_chain, rank_int)
+                     random_chain, rank_int, record_calls)
 
 G1 = cyclic_group(1)
 G2 = cyclic_group(2)
@@ -273,6 +273,23 @@ def test_fill_min_checks_no_membership(monkeypatch):
     cert = fill_min(z)
     assert calls == []
     assert cert.verify() == [] and cert.ratio > 0
+
+
+def test_fill_min_verifies_its_certificate_once(monkeypatch):
+    checks = record_calls(monkeypatch, l1opt.FillCertificate, "verify")
+    for z in (boundary(Chain.single(G2, (1, 1, 1))), Chain.zero(G3, 2)):
+        cert = fill_min(z)
+        assert checks == [cert]
+        checks.clear()
+
+
+def test_fill_min_solver_bug_fails_its_verify(monkeypatch):
+    # a filling that does not fill z is a bug, named by verify()
+    solve = l1opt._solve_fill
+    monkeypatch.setattr(l1opt, "_solve_fill",
+                        lambda z, d: solve(z, d).scale(2))
+    with pytest.raises(AssertionError, match=r"boundary mismatch.*bug"):
+        fill_min(boundary(Chain.single(G2, (1, 1, 1))))
 
 
 def test_fill_min_non_boundary_is_infeasible():

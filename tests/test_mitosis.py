@@ -5,19 +5,19 @@ from math import comb
 
 import pytest
 
-from barl1 import mitosis
+from barl1 import l1opt, mitosis
 from barl1.barcomplex import Chain, boundary, l1_norm, push_chain
 from barl1.groups import (DirectProduct, FreeGroup, build_hom, compose_homs,
                           conjugation, cyclic_group, identity_hom,
                           symmetric_group_perm)
 from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
-                           check_theta_orientation, constant_c,
+                           PipelineError, check_theta_orientation, constant_c,
                            dmap, e_bound, emap, mitosis_of_finite_abelian,
                            mu_hom, primitive_pipeline, theta, theta_defect,
                            tower, verify_mitosis)
 from barl1.products import (TensorChain, push_tensor, tensor_boundary,
                             tensor_elementary)
-from helpers import random_chain
+from helpers import random_chain, record_calls
 
 G2 = cyclic_group(2)
 G3 = cyclic_group(3)
@@ -159,19 +159,18 @@ def test_emap_identity_configs():
             x = dmap(z) if not z.is_zero() else None
             if x is None or x.is_zero():
                 continue
-            res = emap(x, cfg)
-            assert tensor_boundary(res.value) == push_tensor(f, f, x)
-            assert res.norm_bound_holds
-            assert res.input_norm == l1_norm(x)
-            assert res.output_norm == l1_norm(res.value)
-            assert all(c.verify() == [] for c in res.section_certificates)
+            value, sections = emap(x, cfg)
+            assert tensor_boundary(value) == push_tensor(f, f, x)
+            kappa = max((c.ratio for c in sections), default=0)
+            assert l1_norm(value) <= e_bound(x.degree, kappa) * l1_norm(x)
+            assert sections and all(c.verify() == [] for c in sections)
             done += 1
 
 
 def test_emap_zero_and_bad_inputs():
     cfg = identity_config(G2)
-    res = emap(TensorChain.zero((G2, G2), 2), cfg)
-    assert res.value.is_zero() and res.kappa == 0
+    value, sections = emap(TensorChain.zero((G2, G2), 2), cfg)
+    assert value == TensorChain.zero((G2, G2), 3) and sections == []
     outer = tensor_elementary(Chain.single(G2, ()), Chain.single(G2, (1, 1)))
     with pytest.raises(ValueError, match="outer bidegree"):
         emap(outer, cfg)
@@ -212,6 +211,25 @@ def test_pipeline_input_validation():
     zero = primitive_pipeline(Chain.zero(G2, 2), cfg)
     assert zero.primitive.is_zero() and zero.ratio == 0
     assert zero.verify() == []
+
+
+def test_pipeline_verifies_each_certificate_once(monkeypatch):
+    cfg = identity_config(G2)
+    fills = record_calls(monkeypatch, l1opt, "fill_min")
+    fill_checks = record_calls(monkeypatch, l1opt.FillCertificate, "verify")
+    checks = record_calls(monkeypatch, mitosis.PipelineCertificate, "verify")
+    cert = primitive_pipeline(boundary(Chain.single(G2, (1, 1, 1))), cfg)
+    assert checks == [cert]
+    # xi and at least one section: each fill checked by fill_min alone
+    assert len(fills) >= 2 and len(fill_checks) == len(fills)
+
+
+def test_pipeline_failing_its_verify_raises(monkeypatch):
+    cfg = identity_config(G2)
+    theta = mitosis.theta
+    monkeypatch.setattr(mitosis, "theta", lambda c, w: theta(c, w).scale(2))
+    with pytest.raises(PipelineError, match="boundary mismatch"):
+        primitive_pipeline(boundary(Chain.single(G2, (1, 1, 1))), cfg)
 
 
 def test_pipeline_certificate_tamper_detection():
@@ -268,3 +286,12 @@ def test_tower_xi_forms():
     for xi in ([0, 1], [0, 1, 0, 0]):  # xi_0 to xi_2, no fewer or more
         with pytest.raises(ValueError, match="needs 3 xi values"):
             tower(2, xi=xi)
+
+
+def test_tower_constants_reject_floats():
+    # 0.1 would enter as its binary value 3602879701896397/2^55
+    for call in (lambda: tower(1, xi=[0, 0.1]), lambda: e_bound(1, 0.5),
+                 lambda: constant_c(1, 0.5, 0), lambda: constant_c(1, 0, 0.5)):
+        with pytest.raises(TypeError, match="float"):
+            call()
+    assert tower(1, xi=[0, Fraction(1, 10)])[1].xi == Fraction(1, 10)

@@ -11,7 +11,8 @@ from barl1.groups import (DirectProduct, FreeGroup, Homomorphism,
                           cyclic_group, diagonal_hom, identity_hom,
                           symmetric_group_perm)
 from barl1.l1opt import _row_chain
-from barl1.mitosis import theta
+from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
+                           primitive_pipeline, theta)
 from barl1.products import (aw, cross_chain, cross_cochain,
                             cross_tensor, cup, normalize, pair_compat_check,
                             push_tensor, shuffles, tensor_boundary,
@@ -235,19 +236,21 @@ def test_push_tensor():
 
 
 def test_xi_fill_zero_input():
-    res = xi_fill(Chain.zero(G2, 2))
-    assert res.xi.is_zero() and res.ratio_vs_input == 0
+    cert = xi_fill(Chain.zero(G2, 2))
+    assert cert.z.is_zero() and cert.c.is_zero() and cert.ratio == 0
 
 
 def test_xi_fill_z2_boundary():
     z = boundary(Chain.single(G2, (1, 1)))
-    res = xi_fill(z)
-    from barl1.barcomplex import push_chain
+    cert = xi_fill(z)
     dz = push_chain(diagonal_hom(G2), z)
     target = cross_tensor(aw(dz)) - dz
-    assert boundary(res.xi) == target
-    assert res.certificate.verify() == []
-    assert res.ratio_vs_input == l1_norm(res.xi) / l1_norm(z)
+    assert cert.z == target and boundary(cert.c) == target
+    assert cert.verify() == []
+    # the pipeline states |xi| / |z| as its xi ratio
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    assert primitive_pipeline(z, cfg).xi_ratio == l1_norm(cert.c) / l1_norm(z)
 
 
 def test_xi_fill_rejects_non_cycle():
