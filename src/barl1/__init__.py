@@ -18,7 +18,7 @@ from .products import (TensorChain, aw, cross_chain, cross_cochain,
                        cross_tensor, cup, normalize, pair_compat_check,
                        tensor_boundary, xi_fill)
 from .l1opt import (FillCertificate, Infeasible, LpProblem, SupportExhausted,
-                    UbcConstant, Unbounded, fill_min, is_boundary, lp_solve,
+                    UbcConstant, fill_min, is_boundary, lp_solve,
                     ubc_kappa_exact)
 from .mitosis import (MitosisData, MitosisError, MitosisReport,
                       PipelineCertificate, PipelineConfig, PipelineError,

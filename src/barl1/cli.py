@@ -24,7 +24,7 @@ from .barcomplex import (DEFAULT_SIZE_CAP, SizeCapError, betti, boundary,
                          l1_norm, random_chain)
 from .groups import (GroupAxiomError, HomomorphismError, build_group,
                      build_hom, check_axioms, identity_hom)
-from .l1opt import Infeasible, SupportExhausted, Unbounded
+from .l1opt import Infeasible, SupportExhausted
 from .mitosis import MitosisError, PipelineError
 from .products import cross_chain, cup, pair_compat_check
 
@@ -460,7 +460,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_MathFailure, MitosisError, PipelineError, Infeasible, Unbounded,
+    except (_MathFailure, MitosisError, PipelineError, Infeasible,
             SupportExhausted, GroupAxiomError, HomomorphismError) as exc:
         sys.stderr.write("mathematical failure: %s\n" % exc)
         return 1

@@ -190,14 +190,19 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def load_group(path):
-    spec = load_json(path)
+def _read_group(spec, where):
+    """build_group of the group record read from `where` (a file or a
+    record field), a schema error raised as FileFormatError."""
     try:
         return build_group(spec)
     except GroupAxiomError:
         raise
     except (TypeError, ValueError, KeyError, IndexError) as exc:
-        raise FileFormatError("bad group record in %s: %s" % (path, exc)) from None
+        raise FileFormatError("bad group record in %s: %s" % (where, exc)) from None
+
+
+def load_group(path):
+    return _read_group(load_json(path), path)
 
 
 def load_chain(path, G) -> Chain:
@@ -220,7 +225,7 @@ def fill_cert_to_dict(cert: l1opt.FillCertificate) -> dict:
 
 
 def fill_cert_from_dict(d) -> l1opt.FillCertificate:
-    G = build_group(d["group"])
+    G = _read_group(d["group"], "field 'group'")
     degree = parse_int(d["degree"], "degree")
     z = chain_from_records(G, degree, d["z"])
     c = chain_from_records(G, degree + 1, d["c"])
@@ -255,8 +260,8 @@ def pipeline_cert_to_dict(cert: mitosis.PipelineCertificate) -> dict:
 
 
 def pipeline_cert_from_dict(d) -> mitosis.PipelineCertificate:
-    H = build_group(d["source_group"])
-    M = build_group(d["ambient_group"])
+    H = _read_group(d["source_group"], "field 'source_group'")
+    M = _read_group(d["ambient_group"], "field 'ambient_group'")
     q = parse_int(d["degree"], "degree")
     return mitosis.PipelineCertificate(
         z=chain_from_records(H, q, d["z"]),
@@ -297,8 +302,8 @@ def mitosis_to_dict(data: mitosis.MitosisData) -> dict:
 
 
 def mitosis_from_dict(d) -> mitosis.MitosisData:
-    G = build_group(d["source"])
-    M = build_group(d["ambient"])
+    G = _read_group(d["source"], "field 'source'")
+    M = _read_group(d["ambient"], "field 'ambient'")
     table = {decode_element(G, src): decode_element(M, img)
              for src, img in d["injection"]}
     if len(table) != G.order():
@@ -349,7 +354,7 @@ def verify_certificate_dict(d) -> list[str]:
         # proves: kappa for vertex-enumeration, else the cone bound 1 of a
         # finite group in degree >= 1, above which no fill is minimal
         failures = []
-        G = build_group(d["group"])
+        G = _read_group(d["group"], "field 'group'")
         q = parse_int(d["degree"], "degree")
         cone = q >= 1 and G.is_finite()
         vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]

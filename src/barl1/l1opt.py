@@ -9,10 +9,12 @@ rhs.  That denominator is the row's entry in its basic column, and an
 updated row is divided by the gcd of its entries.  A pivot updates only
 the rows holding the entering column, and only at the pivot row's
 nonzeros.  Every decision (entering column, ratio test, artificial
-drive-out, dropped redundant rows) is made on exact values, so the
+drive-out, redundant rows set aside) is made on exact values, so the
 pivots and the outputs are those of a dense Fraction tableau.  The row
 kernel is linalg's (int_row / eliminate / pivot), and the dual comes
-from linalg.solve_square on the final basis.
+from linalg.solve_square on the final basis.  The artificial column of
+each given row stays in the tableau through phase 2 without entering,
+so the optimal tableau carries B^-1, and lp_solve returns it.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
@@ -23,6 +25,21 @@ fill in degree q, so only the right-hand side z differs; over a free
 group it is built on word balls whose radius doubles from START_RADIUS
 while it stays within MAX_RADIUS.  D's row labels place z, and its
 columns are listed elements, so c needs no check.
+
+Each fill re-solves from one optimal tableau of [D | -D] (Lemke's dual
+simplex, 1954): reduced costs do not depend on the rhs, so an optimal
+basis for one rhs is dual feasible for every other.  Over a finite
+group that start is solved once per shared matrix, for the boundary of
+its first column, and kept in a memo of MATRIX_MEMO entries like the
+matrices themselves; a word ball is built for one z, so there z is its
+own start.  z, scaled to integers, enters the start's frame through
+the artificial columns.  A row phase 1 found redundant
+holds a left null vector of D, so a nonzero image there means z is no
+boundary on D (Infeasible); otherwise the dual simplex runs on the same
+row kernel, leaving by the smallest basic index among negative rhs and
+entering by the least reduced-cost ratio, ties to the smallest column.
+Every fill starts from the same basis, so its certificate depends on
+(G, q, z) alone, never on the order of the calls.
 
 is_boundary runs no LP; it answers from homology.  Over a finite group
 a cycle of degree >= 1 is a boundary, as H_q(G; Q) = 0 (transfer).  A
@@ -42,25 +59,22 @@ degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import linalg
-from .barcomplex import (Chain, DEFAULT_SIZE_CAP, SizeCapError, boundary,
-                         boundary_matrix, boundary_over, is_cycle, l1_norm,
-                         sum_terms)
+from .barcomplex import (Chain, DEFAULT_SIZE_CAP, MATRIX_MEMO, SizeCapError,
+                         boundary, boundary_matrix, boundary_over, is_cycle,
+                         l1_norm, sum_terms)
 from .groups import FreeGroup
 
 
 class Infeasible(Exception):
     """The linear system has no nonnegative solution."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded below on the feasible set."""
 
 
 class SupportExhausted(Exception):
@@ -104,6 +118,25 @@ class LpResult:
     x: list | None = None
     objective: Fraction | None = None
     dual: list | None = None
+    # the final tableau of an optimal solve, which a fill engine resumes
+    tableau: _Tableau | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class _Tableau:
+    """lp_solve's optimal tableau over n columns, less its rhs: its rows
+    with the artificial column n + i of each given row i kept as the
+    record of B^-1, the basis, the reduced-cost row, the sign int_row
+    gave each given row, and the rows phase 1 found redundant (artificial
+    entries only).  A fill start is shared by every fill, so it is never
+    mutated."""
+
+    n: int
+    rows: list
+    basis: list
+    cost: dict
+    signs: list
+    redundant: list
 
 
 def _price_out(cost, rows, rhs, basis):
@@ -114,11 +147,14 @@ def _price_out(cost, rows, rhs, basis):
     return cost
 
 
-def _optimize(rows, rhs, cost, basis):
+def _optimize(rows, rhs, cost, basis, n):
+    """Primal simplex by Bland's rule over the columns j < n; the status
+    and the final reduced-cost row."""
     while True:
-        enter = min((j for j, v in cost.items() if v < 0), default=None)
+        enter = min((j for j, v in cost.items() if v < 0 and j < n),
+                    default=None)
         if enter is None:
-            return "optimal"
+            return "optimal", cost
         # ratio test: rhs[i] / rows[i][enter] needs no denominator, as
         # a row and its rhs share one; compare by cross-multiplying
         leave = None
@@ -132,9 +168,35 @@ def _optimize(rows, rhs, cost, basis):
                 if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave, lb, la = i, rhs[i], a
         if leave is None:
-            return "unbounded"
+            return "unbounded", cost
         linalg.pivot(rows, rhs, basis, leave, enter)
         cost, _ = linalg.eliminate(cost, 0, rows[leave], rhs[leave], enter)
+
+
+def _dual_optimize(rows, rhs, cost, basis):
+    """Dual simplex from a basis whose reduced costs are all >= 0: the
+    row of smallest basic index among those with negative rhs leaves,
+    and the column of least ratio cost[j] / -row[j] over the row's
+    negative entries enters, ties to the smallest column.  False when a
+    leaving row has no negative entry, so that no x >= 0 solves it."""
+    while True:
+        leave = min((i for i, b in enumerate(rhs) if b < 0),
+                    key=basis.__getitem__, default=None)
+        if leave is None:
+            return True
+        enter = None
+        for j, a in rows[leave].items():
+            if a < 0:
+                # cost[j] / -a against ec / -ea, cross-multiplied
+                cj = cost.get(j, 0)
+                if enter is None or cj * ea > ec * a or (
+                        cj * ea == ec * a and j < enter):
+                    enter, ec, ea = j, cj, a
+        if enter is None:
+            return False
+        linalg.pivot(rows, rhs, basis, leave, enter)
+        if enter in cost:
+            cost, _ = linalg.eliminate(cost, 0, rows[leave], rhs[leave], enter)
 
 
 def lp_solve(prob: LpProblem) -> LpResult:
@@ -149,34 +211,38 @@ def lp_solve(prob: LpProblem) -> LpResult:
     # phase 1: artificial basis, minimize its total.  Artificial i is
     # column n + i; its entry in row i is the row's denominator.
     given = [r if isinstance(r, dict) else dict(enumerate(r)) for r in prob.rows]
-    rows, rhs = [], []
+    rows, rhs, signs = [], [], []
     for i, (r, b) in enumerate(zip(given, prob.rhs)):
-        row, b, den = linalg.int_row(r, b)
+        row, bi, den = linalg.int_row(r, b)
         row[n + i] = den
         rows.append(row)
-        rhs.append(b)
+        rhs.append(bi)
+        signs.append(-1 if linalg.exact(b) < 0 else 1)
     basis = [n + i for i in range(m)]
     cost = _price_out({n + i: 1 for i in range(m)}, rows, rhs, basis)
-    _optimize(rows, rhs, cost, basis)
+    _optimize(rows, rhs, cost, basis, n + m)
     if any(rhs[i] > 0 for i in range(m) if basis[i] >= n):
         return LpResult("infeasible")
 
-    # drive leftover artificial basics out, drop redundant rows
-    rowmap = list(range(m))
+    # drive leftover artificial basics out; a row left with no original
+    # column is redundant and is set aside
+    rowmap, redundant = list(range(m)), []
     i = 0
     while i < len(rows):
         if basis[i] >= n:
             piv = min((j for j in rows[i] if j < n), default=None)
             if piv is None:
-                del rows[i], rhs[i], basis[i], rowmap[i]
+                redundant.append(rows.pop(i))
+                del rhs[i], basis[i], rowmap[i]
                 continue
             linalg.pivot(rows, rhs, basis, i, piv)
         i += 1
 
-    # phase 2 on the original columns
-    rows = [{j: v for j, v in row.items() if j < n} for row in rows]
+    # phase 2 on the original columns; the artificial ones stay in the
+    # rows as the record of B^-1 but never enter
     cost, _, _ = linalg.int_row(c, 0)
-    status = _optimize(rows, rhs, _price_out(cost, rows, rhs, basis), basis)
+    status, cost = _optimize(rows, rhs, _price_out(cost, rows, rhs, basis),
+                             basis, n)
     if status == "unbounded":
         return LpResult("unbounded")
     x = [Fraction(0)] * n
@@ -194,7 +260,8 @@ def lp_solve(prob: LpProblem) -> LpResult:
         if y is not None:
             for i, yi in zip(rowmap, y):
                 dual[i] = yi
-    return LpResult("optimal", x, objective, dual)
+    return LpResult("optimal", x, objective, dual,
+                    _Tableau(n, rows, basis, cost, signs, redundant))
 
 
 @dataclass
@@ -280,26 +347,58 @@ def _supports(G, degree, cap):
         raise SizeCapError("no support policy for %s" % G.backend)
 
 
+def _start(d, rhs):
+    """The optimal tableau of the l1 program [D | -D] x = rhs, x >= 0 of
+    the boundary matrix d (column j is u_j, column S + j is w_j), or None
+    when it is infeasible."""
+    S = len(d.cols)
+    a = tuple({**row, **{S + j: -v for j, v in row.items()}}
+              for row in d.entries)
+    return lp_solve(LpProblem(a, tuple(rhs), (1,) * (2 * S))).tableau
+
+
+@functools.lru_cache(maxsize=MATRIX_MEMO)
+def _full_start(d):
+    """The one start tableau of a finite group's shared matrix d, for the
+    boundary of its first column, so that every fill over d re-solves
+    from the same basis."""
+    return _start(d, [row.get(0, 0) for row in d.entries])
+
+
 def _solve_fill(z: Chain, d):
     """An l1-minimal filling of z over the columns of the boundary
     matrix d, or None when there is none.  A term of z on no row of d
-    has no filling there, so it needs no LP."""
-    if any(t not in d.rows for t in z.coeffs):
+    has no filling there, so it needs no LP.  Otherwise z is re-solved
+    from a start tableau t (module docstring): _full_start(d) over a
+    finite group, else z's own."""
+    if any(tup not in d.rows for tup in z.coeffs):
+        return None
+    b = {d.rows[tup]: r for tup, r in z.coeffs.items()}
+    t = (_full_start(d) if d.group.is_finite()
+         else _start(d, [b.get(i, 0) for i in range(len(d.rows))]))
+    if t is None:
+        return None
+    # z scaled to integers, in t's frame through the artificial columns
+    scale = lcm(*(r.denominator for r in b.values()))
+    art = {t.n + i: t.signs[i] * int(r * scale) for i, r in b.items()}
+
+    def image(row):
+        return sum(row.get(j, 0) * v for j, v in art.items())
+
+    if any(map(image, t.redundant)):
+        return None
+    rhs = [image(row) for row in t.rows]
+    # the copies drop the artificial columns, which never enter
+    rows = [{j: v for j, v in row.items() if j < t.n} for row in t.rows]
+    cost = {j: v for j, v in t.cost.items() if j < t.n}
+    basis = list(t.basis)
+    if not _dual_optimize(rows, rhs, cost, basis):
         return None
     S = len(d.cols)
-    # [D | -D]: column j is u_j, column S + j is w_j
-    a = [{**row, **{S + j: -v for j, v in row.items()}} for row in d.entries]
-    b = [Fraction(0)] * len(a)
-    for tup, r in z.coeffs.items():
-        b[d.rows[tup]] = r
-    res = lp_solve(LpProblem(tuple(a), tuple(b), (Fraction(1),) * (2 * S)))
-    if res.status == "infeasible":
-        return None
-    if res.status != "optimal":
-        raise Unbounded("filling program cannot be unbounded; solver bug")
-    x = res.x
     return Chain._of(z.group, z.degree + 1, sum_terms(
-        (tup, x[j] - x[S + j]) for j, tup in enumerate(d.cols)))
+        (d.cols[j], Fraction(v, rows[i][j] * scale)) if j < S
+        else (d.cols[j - S], Fraction(-v, rows[i][j] * scale))
+        for i, (j, v) in enumerate(zip(basis, rhs)) if v))
 
 
 def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP) -> FillCertificate:

@@ -402,3 +402,4 @@ def test_group_record_integers_must_be_integers(tmp_path, capsys, case):
     assert run(["verify", jfile(tmp_path, "bad.json", record)]) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and "must be an integer" in captured.err
+    assert "Error(" not in captured.err  # a message, not an exception repr

@@ -332,19 +332,40 @@ def test_load_chain(tmp_path):
     assert load_chain(p, G3) == c
 
 
-def test_record_bytes_pinned():
-    # sha256 of the JSON bytes of four records; they pin the order of
-    # chain terms, kappa vertices and mitosis tables, which follows the
-    # order of the group elements themselves
+def _pinned_pipeline_record():
     h = identity_hom(G2)
     cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
     z = boundary(Chain(G2, 3, {(1, 1, 1): 1, (1, 0, 1): 2}))
+    return pipeline_cert_to_dict(primitive_pipeline(z, cfg))
+
+
+def test_pinned_records_keep_their_optima():
+    # the values a tie between optimal fillings cannot move: kappa, the
+    # xi ratio and the bound of the pipeline record, and kappa and every
+    # vertex fill ratio of the kappa record.  The primitive may be
+    # another one of no larger ratio, within the bound
+    p = _pinned_pipeline_record()
+    assert (p["kappa"], p["xi"], p["bound"]) == ("1", "5/2", "2381/2")
+    assert parse_fraction(p["ratio"]) <= 8
+    k = kappa_to_dict(ubc_kappa_exact(G3, 2), G3)
+    assert (k["kappa"], k["lower"], k["upper"]) == ("1/2", "1/2", "1/2")
+    assert [v["ratio"] for v in k["vertices"]] == [
+        "1/2", "3/8", "1/4", "3/8", "1/4", "1/2", "3/8", "1/4", "1/2", "1/2",
+        "1/4", "3/8", "1/2", "1/2", "1/2", "1/2", "1/2", "1/2", "1/2", "1/2",
+        "1/2"]
+
+
+def test_record_bytes_pinned():
+    # sha256 of the JSON bytes of four records; they pin the order of
+    # chain terms, kappa vertices and mitosis tables, which follows the
+    # order of the group elements themselves, and which optimal filling
+    # the solver returns on a tie
     a, b, c = ((0, 1),), ((1, 2),), ((1, 1), (0, 1))
     fp_chain = Chain(FreeProduct((G2, G3)), 2,
                      {(c, a): 3, (a, b): -1, ((), c): Fraction(1, 2),
                       (b, a): 2, (a, ()): 5})
     records = {
-        "pipeline": pipeline_cert_to_dict(primitive_pipeline(z, cfg)),
+        "pipeline": _pinned_pipeline_record(),
         "kappa": kappa_to_dict(ubc_kappa_exact(G3, 2), G3),
         "mitosis": mitosis_to_dict(
             mitosis_of_finite_abelian(DirectProduct((G2, G2)))),
@@ -354,9 +375,9 @@ def test_record_bytes_pinned():
                for k, v in records.items()}
     assert digests == {
         "pipeline":
-            "99c9244f68a684a71bffa701257c41254f12147fdb57013aa83fb170a16590fe",
+            "4ae28b7e33c9a32c5bea221a32f8a9efc13e743c5267c21bdc8cee708b45b758",
         "kappa":
-            "289868780a78df3b2e1da26fad63129f167131d5af1fd89a09dc31641fa3d5e4",
+            "3e4ae6aebdc3f3822a7a899352959b1e4473b6278626187f5e797faf8bd12962",
         "mitosis":
             "565611ca95dc6220437103d8e8a49fb2fb5d8db4be84a6ec7d524724ec3434eb",
         "free product chain":

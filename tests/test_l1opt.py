@@ -11,15 +11,16 @@ from barl1 import barcomplex, l1opt
 from barl1.barcomplex import (Chain, SizeCapError, betti, boundary,
                               boundary_matrix, l1_norm, push_chain,
                               tuple_basis)
-from barl1.fileio import kappa_to_dict, verify_certificate_dict
+from barl1.fileio import (dump_json, fill_cert_to_dict, kappa_to_dict,
+                          verify_certificate_dict)
 from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
-                          GroupOracle, build_hom, cyclic_group, identity_hom,
-                          symmetric_group_perm)
+                          GroupOracle, build_hom, cyclic_group, diagonal_hom,
+                          identity_hom, symmetric_group_perm)
 from barl1.l1opt import (Infeasible, LpProblem, SupportExhausted, fill_min,
                          is_boundary, lp_solve, ubc_kappa_exact)
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
-from barl1.products import xi_fill
+from barl1.products import aw, cross_tensor
 from helpers import (averaged_cone, brute_lp_min, column_span_oracle,
                      random_chain, rank_int, record_calls)
 
@@ -147,25 +148,35 @@ def test_lp_deterministic():
     assert first.x == second.x and first.objective == second.objective
 
 
-def _xi_fill_problem(monkeypatch):
-    """The 16x128 LP that xi_fill solves for one fixed Z/2 degree-2 boundary."""
-    seen = []
-    solve = l1opt.lp_solve
+def _xi_target(z):
+    """The degree-2 boundary over G x G that xi_fill fills for the cycle z."""
+    dz = push_chain(diagonal_hom(z.group), z)
+    return cross_tensor(aw(dz)) - dz
 
-    def record(prob):
-        seen.append(prob)
-        return solve(prob)
 
-    monkeypatch.setattr(l1opt, "lp_solve", record)
-    xi_fill(boundary(Chain(G2, 3, {(1, 1, 0): Fraction(1),
-                                   (0, 1, 1): Fraction(-2)})))
-    monkeypatch.undo()
-    (prob,) = seen
+def _l1_program(z):
+    """The l1 program [D | -D] x = z, x >= 0 of a filling of z, D the
+    boundary matrix of z's group one degree up (column j is u_j, column
+    S + j is w_j)."""
+    d = boundary_matrix(z.group, z.degree + 1)
+    S = len(d.cols)
+    rows = tuple({**row, **{S + j: -v for j, v in row.items()}}
+                 for row in d.entries)
+    rhs = [Fraction(0)] * len(rows)
+    for tup, r in z.coeffs.items():
+        rhs[d.rows[tup]] = r
+    return LpProblem(rows, tuple(rhs), (Fraction(1),) * (2 * S))
+
+
+def _xi_fill_problem():
+    """The 16x128 LP of xi_fill for one fixed Z/2 degree-2 cycle."""
+    prob = _l1_program(_xi_target(boundary(Chain(
+        G2, 3, {(1, 1, 0): Fraction(1), (0, 1, 1): Fraction(-2)}))))
     assert (len(prob.rows), len(prob.objective)) == (16, 128)
     return prob
 
 
-def _pinned_problems(monkeypatch):
+def _pinned_problems():
     rng = random.Random(41)
     probs = []
     for _ in range(40):
@@ -191,16 +202,16 @@ def _pinned_problems(monkeypatch):
     # the row is dropped
     probs.append(LpProblem(((1, 1, 0), (2, 2, 0), (0, 1, 1)), (1, 2, 1),
                            (1, 2, 3)))
-    probs.append(_xi_fill_problem(monkeypatch))
+    probs.append(_xi_fill_problem())
     return probs
 
 
-def test_lp_pinned_outputs(monkeypatch):
+def test_lp_pinned_outputs():
     """Status, x and objective over a fixed batch hash to a pinned value,
     so any change of pivot under ties, or of a redundant-row or
     artificial-variable decision, shows."""
     out = []
-    for prob in _pinned_problems(monkeypatch):
+    for prob in _pinned_problems():
         res = lp_solve(prob)
         out.append([res.status,
                     None if res.x is None else [str(v) for v in res.x],
@@ -296,6 +307,58 @@ def test_fill_min_non_boundary_is_infeasible():
     # (1, 1) over Z/2 is no cycle, so no filling exists over the full support
     with pytest.raises(Infeasible):
         fill_min(Chain.single(G2, (1, 1)))
+
+
+def _xi_targets(n, seed):
+    rng = random.Random(seed)
+    targets = []
+    while len(targets) < n:
+        z = boundary(random_chain(G2, 3, rng, terms=2))
+        if not z.is_zero():
+            targets.append(_xi_target(z))
+    return targets
+
+
+def test_engine_fills_are_cold_optima():
+    # every fill re-solved from the shared start basis has the l1 norm
+    # of lp_solve's optimum of the same program from an artificial basis
+    targets = _xi_targets(12, 71)
+    targets += [cert.z for cert in ubc_kappa_exact(G3, 2).certificates]
+    assert len(targets) == 12 + 21
+    for z in targets:
+        cert = fill_min(z)
+        assert l1_norm(cert.c) == lp_solve(_l1_program(z)).objective
+
+
+def test_engine_certificates_do_not_depend_on_call_order():
+    (z,) = _xi_targets(1, 73)
+    l1opt._full_start.cache_clear()
+    first = dump_json(fill_cert_to_dict(fill_min(z)))
+    for other in _xi_targets(20, 79):
+        fill_min(other)
+    assert dump_json(fill_cert_to_dict(fill_min(z))) == first
+
+
+def test_engine_rejects_a_non_boundary_by_a_redundant_row(monkeypatch):
+    # (1, 1) over Z/2 is no cycle; a row phase 1 found redundant sees
+    # that, so the dual simplex never runs
+    calls = record_calls(monkeypatch, l1opt, "_dual_optimize")
+    assert l1opt._full_start(boundary_matrix(G2, 3)).redundant
+    with pytest.raises(Infeasible):
+        fill_min(Chain.single(G2, (1, 1)))
+    assert calls == []
+    fill_min(boundary(Chain.single(G2, (1, 1, 1))))
+    assert len(calls) == 1
+
+
+def test_engine_memo_is_bounded():
+    # one start per shared matrix, dropped least recently used, as the
+    # matrices themselves are
+    l1opt._full_start.cache_clear()
+    for n in range(2, barcomplex.MATRIX_MEMO + 4):
+        G = cyclic_group(n)
+        assert fill_min(boundary(Chain.single(G, (1, 1)))).ratio <= 1
+    assert l1opt._full_start.cache_info().currsize == barcomplex.MATRIX_MEMO
 
 
 def test_is_boundary_basics():
