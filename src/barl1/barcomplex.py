@@ -25,15 +25,18 @@ rows, the faces, in the order they first occur, and the matrix carries
 its row and column labels.  boundary_matrix(G, k), which every fill LP,
 rank and kappa over G reads, is that builder on tuple_basis(G, k), built
 once per (G, k) in a memo keyed on the structurally hashed group; with
-the identity listed first its rows are tuple_basis(G, k-1).  Both check
-the size cap on every call: SizeCapError for an infinite group or when
-|G|^k exceeds it.
+the identity listed first its rows are tuple_basis(G, k-1).
+
+Every enumeration, these bases and l1opt's word balls alike, passes
+check_size first, the one reader of the size cap: the BARL1_SIZE_CAP
+environment variable on every call, else DEFAULT_SIZE_CAP.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,8 +50,27 @@ class SizeCapError(ValueError):
     """An enumeration would exceed the configured size cap."""
 
 
-class MaterializeError(ValueError):
-    """A cochain table cannot be materialized (infinite domain)."""
+def check_size(n, k) -> None:
+    """The one size check: the n**k k-tuples of n elements (n None for
+    an infinite group) against BARL1_SIZE_CAP, read on every call, else
+    DEFAULT_SIZE_CAP when it is unset or empty.  SizeCapError for a
+    setting that is not an integer of at least 1, for an infinite
+    group, and past the cap."""
+    env = os.environ.get("BARL1_SIZE_CAP")
+    cap = DEFAULT_SIZE_CAP
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise SizeCapError("BARL1_SIZE_CAP must be an integer of at "
+                               "least 1, got %r" % env)
+    if n is None:
+        raise SizeCapError("tuple bases need a finite group")
+    if n ** k > cap:
+        raise SizeCapError("basis size %d exceeds the size cap %d "
+                           "(BARL1_SIZE_CAP)" % (n ** k, cap))
 
 
 def _as_fraction(x) -> Fraction:
@@ -277,30 +299,20 @@ class Cochain:
 
     __call__ = value
 
-    def materialize(self, cap=DEFAULT_SIZE_CAP) -> "Cochain":
+    def materialize(self) -> "Cochain":
+        """This cochain as a table over tuple_basis, which refuses an
+        infinite group or a basis past the size cap."""
         if self.table is not None:
             return self
-        if not self.group.is_finite():
-            raise MaterializeError(
-                "cannot materialize a lazy cochain over an infinite group")
         table = {}
-        for tup in tuple_basis(self.group, self.degree, cap):
+        for tup in tuple_basis(self.group, self.degree):
             v = _as_fraction(self.fn(tup))
             if v != 0:
                 table[tup] = v
         return Cochain(self.group, self.degree, table=table, name=self.name)
 
-    def sup_norm(self, support=None, cap=DEFAULT_SIZE_CAP) -> Fraction:
-        """Max |f| over the given tuples, or over the whole (finite)
-        domain when support is None."""
-        if support is not None:
-            return max((abs(self.value(t)) for t in support),
-                       default=Fraction(0))
-        f = self.materialize(cap=cap)
-        return max((abs(v) for v in f.table.values()), default=Fraction(0))
 
-
-def coboundary(f: Cochain, cap=DEFAULT_SIZE_CAP) -> Cochain:
+def coboundary(f: Cochain) -> Cochain:
     """Adjoint of the boundary: (df)(t) = f(boundary of t)."""
     G = f.group
     k = f.degree
@@ -313,8 +325,8 @@ def coboundary(f: Cochain, cap=DEFAULT_SIZE_CAP) -> Cochain:
 
     out = Cochain(G, k + 1, fn=fn, name="d(%s)" % f.name)
     try:
-        return out.materialize(cap=cap)
-    except (MaterializeError, SizeCapError):
+        return out.materialize()
+    except SizeCapError:
         return out  # infinite or past the cap: stays lazy
 
 
@@ -355,19 +367,10 @@ class BoundaryMatrix:
         return len(linalg.rref(self.dense_rows())[1])
 
 
-def _check_size(G, k, cap):
-    """The one size check of the finite-group enumerations."""
-    n = G.order()
-    if n is None:
-        raise SizeCapError("tuple bases need a finite group")
-    if n ** k > cap:
-        raise SizeCapError("basis size %d exceeds cap %d" % (n ** k, cap))
-
-
-def tuple_basis(G, k, cap=DEFAULT_SIZE_CAP) -> list:
+def tuple_basis(G, k) -> list:
     """The k-tuples of G.elements() in itertools.product order, the
-    basis of degree k; SizeCapError for an infinite G or past the cap."""
-    _check_size(G, k, cap)
+    basis of degree k; check_size refuses an infinite G or past the cap."""
+    check_size(G.order(), k)
     return list(itertools.product(G.elements(), repeat=k))
 
 
@@ -393,22 +396,22 @@ def _full_matrix(G, k):
     return boundary_over(G, k, itertools.product(G.elements(), repeat=k))
 
 
-def boundary_matrix(G, k, cap=DEFAULT_SIZE_CAP) -> BoundaryMatrix:
+def boundary_matrix(G, k) -> BoundaryMatrix:
     """d_k on tuple_basis(G, k), built once per (G, k) and shared by
     structurally equal groups; the size cap is checked on every call.
     Its rows are tuple_basis(G, k-1) when G lists its identity first."""
     if k < 1:
         raise ValueError("boundary matrix defined for degree >= 1")
-    _check_size(G, k, cap)
+    check_size(G.order(), k)
     return _full_matrix(G, k)
 
 
-def betti(G, k, cap=DEFAULT_SIZE_CAP) -> int:
+def betti(G, k) -> int:
     """dim H_k(G; Q) for finite G, by exact ranks of d_k and d_{k+1};
     boundary_matrix refuses an infinite G or a basis past the cap."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    d_k1 = boundary_matrix(G, k + 1, cap=cap)
-    rank_k = boundary_matrix(G, k, cap=cap).rank() if k >= 1 else 0
+    d_k1 = boundary_matrix(G, k + 1)
+    rank_k = boundary_matrix(G, k).rank() if k >= 1 else 0
     return (len(d_k1.rows) - rank_k) - d_k1.rank()
 

@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 mathematical failure (axiom violation,
 infeasibility, certificate mismatch), 2 input error (bad schema,
 unreadable file, size cap exceeded).  All rationals print as "p/q".
 Reports are deterministic; `--json` switches to the record format.
-The subcommands that enumerate bases (homology, fill, kappa, cup,
-pipeline) take the size cap from --cap, else the BARL1_SIZE_CAP
-environment variable.  fill and pipeline emit the certificates of
-fill_min and primitive_pipeline, which have passed their verify()
-there; `barl1 verify` re-checks a written record.
+Every subcommand that enumerates a basis or a word ball (homology,
+fill, kappa, cup, pipeline, verify) obeys the one size cap, the
+BARL1_SIZE_CAP environment variable that barcomplex.check_size reads.
+fill and pipeline emit the certificates of fill_min and
+primitive_pipeline, which have passed their verify() there;
+`barl1 verify` re-checks a written record.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, fileio, l1opt, mitosis
-from .barcomplex import (DEFAULT_SIZE_CAP, SizeCapError, betti, boundary,
-                         l1_norm, random_chain)
+from .barcomplex import SizeCapError, betti, boundary, l1_norm, random_chain
 from .groups import (GroupAxiomError, HomomorphismError, build_group,
                      build_hom, check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted
@@ -35,25 +35,6 @@ class _MathFailure(Exception):
 
 def _frac(fr) -> str:
     return fileio.format_fraction(fr)
-
-
-def _size_cap(args) -> int:
-    """--cap, else BARL1_SIZE_CAP, else the default; below 1 is an
-    input error."""
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get("BARL1_SIZE_CAP")
-        if not env:
-            return DEFAULT_SIZE_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise fileio.FileFormatError(
-                "BARL1_SIZE_CAP must be an integer, got %r" % env) from None
-    if cap < 1:
-        raise fileio.FileFormatError(
-            "size cap (--cap or BARL1_SIZE_CAP) must be at least 1, got %d" % cap)
-    return cap
 
 
 def _emit(args, report: dict, lines: list[str], saved_as=None) -> None:
@@ -102,8 +83,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_homology(args) -> int:
     G = fileio.load_group(args.group)
-    cap = _size_cap(args)
-    rank = betti(G, args.degree, cap=cap)
+    rank = betti(G, args.degree)
     lines = ["H_%d rank: %d" % (args.degree, rank)]
     _emit(args, {"command": "homology", "version": __version__,
                  "degree": args.degree, "rank": rank}, lines)
@@ -113,7 +93,7 @@ def _cmd_homology(args) -> int:
 def _cmd_fill(args) -> int:
     G = fileio.load_group(args.group)
     z = fileio.load_chain(args.chain, G)
-    cert = l1opt.fill_min(z, cap=_size_cap(args))
+    cert = l1opt.fill_min(z)
     record = fileio.fill_cert_to_dict(cert)
     lines = ["ratio = %s" % _frac(cert.ratio),
              "|z| = %s, |c| = %s" % (_frac(l1_norm(z)), _frac(l1_norm(cert.c))),
@@ -125,7 +105,7 @@ def _cmd_fill(args) -> int:
 def _cmd_kappa(args) -> int:
     G = fileio.load_group(args.group)
     rng = random.Random(args.seed)
-    res = l1opt.ubc_kappa_exact(G, args.degree, cap=_size_cap(args), rng=rng)
+    res = l1opt.ubc_kappa_exact(G, args.degree, rng=rng)
     record = fileio.kappa_to_dict(res, G)
     if res.kappa is not None:
         lines = ["kappa = %s (exact, %s)" % (_frac(res.kappa), res.method)]
@@ -157,8 +137,7 @@ def _cmd_cup(args) -> int:
     f = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_a))
     g = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_b))
     h = cup(f, g)
-    cap = _size_cap(args)
-    table = h.materialize(cap)
+    table = h.materialize().table
     lines = ["degree: %d + %d -> %d" % (f.degree, g.degree, h.degree)]
     terms = []
     for t in sorted(table):
@@ -222,7 +201,7 @@ def _cmd_mitosis_build(args) -> int:
     return 0
 
 
-def _load_pipeline_config(path, cap):
+def _load_pipeline_config(path):
     raw = fileio.load_json(path)
     if not isinstance(raw, dict):
         raise fileio.FileFormatError("pipeline config must be an object")
@@ -268,7 +247,7 @@ def _load_pipeline_config(path, cap):
         psi = hom_of(homs["psi"], K, G, "psi")
 
     data = mitosis.mitosis_of_finite_abelian(G)
-    cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data, fill_cap=cap)
+    cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data)
     degree = fileio.parse_int(raw.get("degree", 2), "pipeline degree")
     samples = fileio.parse_int(raw.get("samples", 1), "pipeline samples")
     if samples < 1:
@@ -279,8 +258,7 @@ def _load_pipeline_config(path, cap):
 
 
 def _cmd_pipeline(args) -> int:
-    cap = _size_cap(args)
-    cfg, degree, samples, seed = _load_pipeline_config(args.config, cap)
+    cfg, degree, samples, seed = _load_pipeline_config(args.config)
     rng = random.Random(seed)
     H = cfg.phi.source
     certs = []
@@ -355,13 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None, help="write output here")
 
-    def capped(p, out=True):
-        """common, plus --cap for the subcommands that read it."""
-        common(p, out)
-        p.add_argument("--cap", type=int, default=None,
-                       help="basis size cap (default %d or BARL1_SIZE_CAP)"
-                            % DEFAULT_SIZE_CAP)
-
     gp = sub.add_parser("group", help="group file operations")
     gsub = gp.add_subparsers(dest="groupcmd", required=True)
     g1 = gsub.add_parser("check", help="verify the group axioms of a file")
@@ -378,20 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("homology", help="rational homology rank")
     h.add_argument("--group", required=True)
     h.add_argument("--degree", type=int, required=True)
-    capped(h)
+    common(h)
     h.set_defaults(func=_cmd_homology)
 
     f = sub.add_parser("fill", help="l1-minimal filling certificate")
     f.add_argument("--group", required=True)
     f.add_argument("--chain", required=True)
-    capped(f)
+    common(f)
     f.set_defaults(func=_cmd_fill)
 
     k = sub.add_parser("kappa", help="uniform boundary constant")
     k.add_argument("--group", required=True)
     k.add_argument("--degree", type=int, required=True)
     k.add_argument("--seed", type=int, default=0)
-    capped(k)
+    common(k)
     k.set_defaults(func=_cmd_kappa)
 
     x = sub.add_parser("cross", help="homological cross product")
@@ -406,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--group", required=True)
     cu.add_argument("--cochain-a", required=True)
     cu.add_argument("--cochain-b", required=True)
-    capped(cu)
+    common(cu)
     cu.set_defaults(func=_cmd_cup)
 
     pr = sub.add_parser("pair", help="cross pairing compatibility check")
@@ -434,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline", help="certified primitive pipeline")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out-dir", default=None)
-    capped(pl, out=False)
+    common(pl, out=False)
     pl.set_defaults(func=_cmd_pipeline)
 
     tw = sub.add_parser("tower", help="iterated constants table")

@@ -67,8 +67,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import linalg
-from .barcomplex import (Chain, DEFAULT_SIZE_CAP, MATRIX_MEMO, SizeCapError,
-                         boundary, boundary_matrix, boundary_over, is_cycle,
+from .barcomplex import (Chain, MATRIX_MEMO, SizeCapError, boundary,
+                         boundary_matrix, boundary_over, check_size, is_cycle,
                          l1_norm, sum_terms)
 from .groups import FreeGroup
 
@@ -321,30 +321,26 @@ class FillCertificate:
         return {"kind": "ball", "radius": radius, "size": ball ** n}
 
 
-def _supports(G, degree, cap):
+def _supports(G, degree):
     """The boundary matrices of degree `degree` a filling is sought
     over, in turn, as (matrix, description) pairs: boundary_matrix of a
     finite group once, else boundary_over the word balls of a free group
     with the radius doubling from START_RADIUS while it stays within
-    MAX_RADIUS (START_RADIUS itself is always tried).  Any other group
-    has no support."""
-    if G.is_finite():
-        d = boundary_matrix(G, degree, cap)
+    MAX_RADIUS (START_RADIUS itself is always tried).  Each passes
+    check_size first, which refuses any other infinite group."""
+    if G.is_finite() or not isinstance(G, FreeGroup):
+        d = boundary_matrix(G, degree)
         yield d, {"kind": "full", "size": len(d.cols)}
-    elif isinstance(G, FreeGroup):
-        radius = START_RADIUS
-        while True:
-            ball = G.ball(radius)
-            if len(ball) ** degree > cap:
-                raise SizeCapError("ball support size %d exceeds cap %d"
-                                   % (len(ball) ** degree, cap))
-            d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
-            yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
-            if 2 * radius > MAX_RADIUS:
-                return
-            radius *= 2
-    else:
-        raise SizeCapError("no support policy for %s" % G.backend)
+        return
+    radius = START_RADIUS
+    while True:
+        ball = G.ball(radius)
+        check_size(len(ball), degree)
+        d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
+        yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
+        if 2 * radius > MAX_RADIUS:
+            return
+        radius *= 2
 
 
 def _start(d, rhs):
@@ -401,7 +397,7 @@ def _solve_fill(z: Chain, d):
         for i, (j, v) in enumerate(zip(basis, rhs)) if v))
 
 
-def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP) -> FillCertificate:
+def fill_min(z: Chain) -> FillCertificate:
     """l1-minimal c with dc = z, by exact LP over the group's support,
     as a certificate that has passed its verify().
 
@@ -420,7 +416,7 @@ def fill_min(z: Chain, cap=DEFAULT_SIZE_CAP) -> FillCertificate:
         cert = FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
                                {"kind": "empty"})
     else:
-        for d, descr in _supports(G, q + 1, cap):
+        for d, descr in _supports(G, q + 1):
             c = _solve_fill(z, d)
             if c is not None:
                 break
@@ -482,10 +478,10 @@ ENUM_BUDGET = 200_000  # (d-1)-subsets the circuit enumeration may visit
 SAMPLES = 100  # random row subsets of the sampled bracket past ENUM_BUDGET
 
 
-def _image_basis(G, q, cap):
+def _image_basis(G, q):
     """The row labels of boundary_matrix(G, q+1), N degree-q tuples, and
     the N x d integer matrix of its pivot columns, a basis of im d."""
-    d = boundary_matrix(G, q + 1, cap=cap)
+    d = boundary_matrix(G, q + 1)
     dense = d.dense_rows()
     _, pivots = linalg.rref(dense)
     return d.rows, [[row[j] for j in pivots] for row in dense]
@@ -527,15 +523,14 @@ def _circuits(vrows):
 
 def circuits(G, q):
     """The vertices of {z in im d_{q+1} : |z|_1 <= 1} as degree-q chains,
-    in the order ubc_kappa_exact fills them at its default cap; None
-    past ENUM_BUDGET.  Linear algebra only, so a checker can list them
-    without an LP."""
-    rows, vrows = _image_basis(G, q, DEFAULT_SIZE_CAP)
+    in the order ubc_kappa_exact fills them; None past ENUM_BUDGET.
+    Linear algebra only, so a checker can list them without an LP."""
+    rows, vrows = _image_basis(G, q)
     verts = _circuits(vrows)
     return None if verts is None else [_row_chain(G, q, rows, x) for x in verts]
 
 
-def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, rng=None) -> UbcConstant:
+def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
     """kappa(G, q), the largest l1-minimal filling ratio of a degree-q
     boundary.
 
@@ -550,7 +545,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, rng=None) -> UbcConstant:
     ("cone-bound") once the lower bound reaches 1, else the bracket
     [lower, 1] ("sampled"), both with strategy "cone".
     """
-    rows, vrows = _image_basis(G, q, cap)
+    rows, vrows = _image_basis(G, q)
     d = len(vrows[0])
     if d == 0:
         # no nonzero boundaries: the polytope is empty and kappa = 0
@@ -559,7 +554,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, rng=None) -> UbcConstant:
 
     verts = _circuits(vrows)
     if verts is not None:
-        certs = [fill_min(_row_chain(G, q, rows, x), cap=cap) for x in verts]
+        certs = [fill_min(_row_chain(G, q, rows, x)) for x in verts]
         kappa = max(cert.ratio for cert in certs)
         return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration",
                            certs, strategy="circuits")
@@ -573,7 +568,7 @@ def ubc_kappa_exact(G, q, cap=DEFAULT_SIZE_CAP, rng=None) -> UbcConstant:
         if x is None or x in seen:
             continue
         seen.add(x)
-        cert = fill_min(_row_chain(G, q, rows, x), cap=cap)
+        cert = fill_min(_row_chain(G, q, rows, x))
         certs.append(cert)
         lower = max(lower, cert.ratio)
         if lower == 1:

@@ -36,8 +36,8 @@ from fractions import Fraction
 from math import comb
 
 from . import l1opt, linalg
-from .barcomplex import (Chain, DEFAULT_SIZE_CAP, boundary, l1_norm,
-                         push_chain, random_chain, sum_terms)
+from .barcomplex import (Chain, boundary, l1_norm, push_chain, random_chain,
+                         sum_terms)
 from .groups import (DirectProduct, Homomorphism, HomomorphismError,
                      PermutationGroup, SemidirectProduct, build_hom,
                      compose_homs, conjugation, diagonal_hom, generated,
@@ -296,7 +296,6 @@ class PipelineConfig:
     phi_prime: Homomorphism
     psi: Homomorphism
     mitosis: MitosisData
-    fill_cap: int = DEFAULT_SIZE_CAP
     _mu: Homomorphism = field(init=False, repr=False)
     _conj: object = field(init=False, repr=False)
 
@@ -342,7 +341,7 @@ def emap(x: TensorChain, cfg: PipelineConfig):
     certs = []
 
     def section(src_chain, hom):
-        cert = l1opt.fill_min(push_chain(hom, src_chain), cap=cfg.fill_cap)
+        cert = l1opt.fill_min(push_chain(hom, src_chain))
         certs.append(cert)
         return cert.c
 
@@ -429,7 +428,7 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
     M = cfg.mitosis.ambient
     f = cfg.f()
 
-    xi = xi_fill(z, cap=cfg.fill_cap).c  # raises ValueError on a non-cycle
+    xi = xi_fill(z).c  # raises ValueError on a non-cycle
     e_val, sections = emap(dmap(z), cfg)
     e_prime = cross_tensor(e_val) - push_chain(pair_hom(f, f), xi)
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import l1opt
-from .barcomplex import (DEFAULT_SIZE_CAP, Chain, Cochain, SparseChain,
-                         basis_tuple, boundary, kronecker, push_chain,
-                         sum_terms, tuple_boundary)
+from .barcomplex import (Chain, Cochain, SparseChain, basis_tuple, boundary,
+                         kronecker, push_chain, sum_terms, tuple_boundary)
 from .groups import DirectProduct, diagonal_hom
 
 
@@ -182,14 +181,14 @@ def normalize(x):
     raise TypeError("normalize expects a Chain or a TensorChain")
 
 
-def xi_fill(z: Chain, cap=DEFAULT_SIZE_CAP) -> l1opt.FillCertificate:
+def xi_fill(z: Chain) -> l1opt.FillCertificate:
     """xi, the per-instance homotopy between cross o aw and the identity
     on the diagonal image D of a cycle z: fill_min's certificate of the
-    target cross(aw(D)) - D, whose c is xi, at size cap `cap`."""
+    target cross(aw(D)) - D, whose c is xi."""
     if z.degree >= 1 and not boundary(z).is_zero():
         raise ValueError("xi_fill expects a cycle")
     dz = push_chain(diagonal_hom(z.group), z)
-    return l1opt.fill_min(cross_tensor(aw(dz)) - dz, cap=cap)
+    return l1opt.fill_min(cross_tensor(aw(dz)) - dz)
 
 
 def cross_cochain(f: Cochain, g: Cochain) -> Cochain:

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from barl1.barcomplex import (Chain, Cochain, DEFAULT_SIZE_CAP,
-                              MaterializeError, SizeCapError, betti,
-                              boundary, boundary_matrix, coboundary, is_cycle,
+from barl1.barcomplex import (Chain, Cochain, SizeCapError, betti, boundary,
+                              boundary_matrix, coboundary, is_cycle,
                               kronecker, l1_norm, push_chain, tuple_basis)
 from barl1.groups import (FreeGroup, Homomorphism, build_hom, cyclic_group,
                           symmetric_group_perm)
@@ -120,17 +119,17 @@ def test_cochain_table_or_fn_exclusive():
         Cochain(G, 1, table={}, fn=lambda t: 0)
 
 
-def test_cochain_materialize_and_sup_norm():
+def test_cochain_materialize():
     G = cyclic_group(2)
     f = Cochain(G, 1, fn=lambda t: Fraction(t[0]))
-    tab = f.materialize(DEFAULT_SIZE_CAP)
+    tab = f.materialize()
     assert tab.value((0,)) == 0 and tab.value((1,)) == 1
-    assert tab.table is not None
-    assert f.sup_norm([(0,), (1,)]) == 1
+    assert tab.table == {(1,): 1}
+    assert tab.materialize() is tab
     F = FreeGroup(1)
     lazy = Cochain(F, 1, fn=lambda t: Fraction(sum(t[0])))
-    with pytest.raises(MaterializeError):
-        lazy.materialize(DEFAULT_SIZE_CAP)
+    with pytest.raises(SizeCapError, match="finite group"):
+        lazy.materialize()
 
 
 def test_coboundary_squares_to_zero():
@@ -165,7 +164,8 @@ def test_kronecker_bilinear_and_bounded():
     a = random_chain(G, 2, rng)
     b = random_chain(G, 2, rng)
     assert kronecker(f, a + b) == kronecker(f, a) + kronecker(f, b)
-    assert abs(kronecker(f, a)) <= f.sup_norm(a.support()) * l1_norm(a)
+    sup = max((abs(f.value(t)) for t in a.support()), default=0)
+    assert abs(kronecker(f, a)) <= sup * l1_norm(a)
 
 
 def test_row_labels_index_the_tuple_basis():
@@ -198,12 +198,14 @@ def test_tuple_basis_keeps_the_index_tuple_order():
         ((0, 2, 1), (0, 1, 2)), ((2, 1, 0), (2, 1, 0))]
 
 
-def test_tuple_basis_size_cap():
+def test_tuple_basis_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         tuple_basis(FreeGroup(1), 1)
-    assert len(tuple_basis(cyclic_group(3), 3, cap=27)) == 27
+    monkeypatch.setenv("BARL1_SIZE_CAP", "27")
+    assert len(tuple_basis(cyclic_group(3), 3)) == 27
+    monkeypatch.setenv("BARL1_SIZE_CAP", "26")
     with pytest.raises(SizeCapError):
-        tuple_basis(cyclic_group(3), 3, cap=26)
+        tuple_basis(cyclic_group(3), 3)
 
 
 @pytest.mark.parametrize("name", sorted(finite_backends()))
@@ -215,14 +217,16 @@ def test_boundary_matrix_rows_are_the_tuple_basis(name):
         assert list(boundary_matrix(G, k).rows) == tuple_basis(G, k - 1)
 
 
-def test_boundary_matrix_is_shared_and_capped_on_every_call():
+def test_boundary_matrix_is_shared_and_capped_on_every_call(monkeypatch):
     G3 = cyclic_group(3)
     d = boundary_matrix(G3, 3)
     assert boundary_matrix(cyclic_group(3), 3) is d
-    with pytest.raises(SizeCapError):
-        boundary_matrix(G3, 3, cap=7)
-    with pytest.raises(SizeCapError):
-        boundary_matrix(cyclic_group(3), 3, cap=26)
+    for cap in ("7", "26"):
+        monkeypatch.setenv("BARL1_SIZE_CAP", cap)
+        with pytest.raises(SizeCapError):
+            boundary_matrix(G3, 3)
+    monkeypatch.setenv("BARL1_SIZE_CAP", "27")
+    assert boundary_matrix(G3, 3) is d
 
 
 def test_boundary_matrix_composes_to_zero():
@@ -265,9 +269,10 @@ def test_betti_finite_groups_vanish():
     assert betti(cyclic_group(1), 1) == 0
 
 
-def test_betti_size_cap():
+def test_betti_size_cap(monkeypatch):
+    monkeypatch.setenv("BARL1_SIZE_CAP", "100")
     with pytest.raises(SizeCapError):
-        betti(cyclic_group(10), 3, cap=100)
+        betti(cyclic_group(10), 3)
     with pytest.raises(SizeCapError):
         boundary_matrix(FreeGroup(1), 2)
 

@@ -250,33 +250,71 @@ def test_input_error_paths(tmp_path, z3file, capsys):
 def test_size_cap_flag_and_env(z3file, capsys, monkeypatch):
     assert run(["homology", "--group", z3file, "--degree", "2",
                 "--cap", "2"]) == 2
-    assert "input error" in capsys.readouterr().err
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
     monkeypatch.setenv("BARL1_SIZE_CAP", "2")
     assert run(["homology", "--group", z3file, "--degree", "2"]) == 2
+    assert "input error: basis size 27 exceeds the size cap 2" in (
+        capsys.readouterr().err)
     monkeypatch.setenv("BARL1_SIZE_CAP", "not-a-number")
     assert run(["homology", "--group", z3file, "--degree", "1"]) == 2
-    capsys.readouterr()
+    assert "BARL1_SIZE_CAP must be an integer" in capsys.readouterr().err
 
 
 def test_size_cap_below_one_is_an_input_error(z2file, capsys, monkeypatch):
     homology = ["homology", "--group", z2file, "--degree", "3"]
     assert run(homology) == 0
     for cap in ("0", "-5"):
-        assert run(homology + ["--cap", cap]) == 2
+        monkeypatch.setenv("BARL1_SIZE_CAP", cap)
+        assert run(homology) == 2
         assert "at least 1" in capsys.readouterr().err
-    monkeypatch.setenv("BARL1_SIZE_CAP", "0")
-    assert run(homology) == 2
-    assert "at least 1" in capsys.readouterr().err
 
 
-def test_cap_is_offered_only_where_it_is_read(z2file, capsys):
-    assert run(["tower", "--degree", "2", "--cap", "5"]) == 2
-    assert run(["boundary", "--group", z2file, "--chain", z2file,
-                "--cap", "5"]) == 2
-    assert "unrecognized arguments: --cap" in capsys.readouterr().err
-    assert run(["homology", "--group", z2file, "--degree", "1",
-                "--cap", "5"]) == 0
-    capsys.readouterr()
+def test_no_subcommand_offers_cap(tmp_path, z2file, capsys):
+    f = jfile(tmp_path, "f.json", {"degree": 1, "terms": []})
+    cfg = jfile(tmp_path, "cfg.json", {"group": group_to_spec(G2)})
+    for argv in (["group", "check", z2file],
+                 ["boundary", "--group", z2file, "--chain", f],
+                 ["homology", "--group", z2file, "--degree", "1"],
+                 ["fill", "--group", z2file, "--chain", f],
+                 ["kappa", "--group", z2file, "--degree", "1"],
+                 ["cross", "--group-a", z2file, "--group-b", z2file,
+                  "--chain-a", f, "--chain-b", f],
+                 ["cup", "--group", z2file, "--cochain-a", f,
+                  "--cochain-b", f],
+                 ["pair", "--group-a", z2file, "--group-b", z2file,
+                  "--cochain-a", f, "--cochain-b", f, "--chain-a", f,
+                  "--chain-b", f],
+                 ["mitosis", "verify", f],
+                 ["mitosis", "build-abelian", "--group", z2file],
+                 ["pipeline", "--config", cfg],
+                 ["tower", "--degree", "2"],
+                 ["verify", f]):
+        assert run(argv + ["--cap", "5"]) == 2, argv
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+def test_verify_obeys_the_size_cap(tmp_path, z2file, capsys, monkeypatch):
+    # re-listing the circuits of a Z/2 degree-2 kappa record enumerates
+    # the 8 tuples of degree 3
+    out = str(tmp_path / "kappa.json")
+    assert run(["kappa", "--group", z2file, "--degree", "2", "--out", out]) == 0
+    monkeypatch.setenv("BARL1_SIZE_CAP", "5")
+    assert run(["verify", out]) == 2
+    assert "input error: basis size 8 exceeds the size cap 5" in (
+        capsys.readouterr().err)
+    monkeypatch.setenv("BARL1_SIZE_CAP", "8")
+    assert run(["verify", out]) == 0
+    assert "verified: ok" in capsys.readouterr().out
+
+
+def test_cup_command(tmp_path, z2file, capsys):
+    f = jfile(tmp_path, "f.json",
+              {"degree": 1, "terms": [{"coeff": "1", "tuple": ["1"]}]})
+    assert run(["cup", "--group", z2file, "--cochain-a", f,
+                "--cochain-b", f, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["degree"] == 2
+    assert record["terms"] == [{"coeff": "-1", "tuple": ["1", "1"]}]
 
 
 def test_mitosis_build_checks_before_it_writes(tmp_path, z2file, capsys,

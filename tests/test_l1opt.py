@@ -452,16 +452,17 @@ def test_is_boundary_free_group_agrees_with_fill_min(monkeypatch):
     assert verdicts == [fills(z) for z in cases]
 
 
-def test_is_boundary_past_support_cap():
+def test_is_boundary_past_support_cap(monkeypatch):
     # the full support over S3 in degree 3 has 216 tuples; is_boundary
-    # builds no LP, so only tuple_basis meets the cap
+    # builds no LP, so it answers under a cap that tuple_basis meets
     rng = random.Random(43)
     z = boundary(random_chain(S3, 3, rng))
     assert not z.is_zero()
+    monkeypatch.setenv("BARL1_SIZE_CAP", "100")
     assert is_boundary(z)
     assert not is_boundary(z + Chain.single(S3, (S3.identity(), S3.identity())))
     with pytest.raises(SizeCapError):
-        tuple_basis(S3, 3, cap=100)
+        tuple_basis(S3, 3)
 
 
 def test_fill_min_free_group_ball():
