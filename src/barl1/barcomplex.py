@@ -1,6 +1,6 @@
 """Bar chain complex of a group with exact rational coefficients.
 
-Degree k chains are finitely supported Fraction combinations of
+Degree k chains are finitely supported rational combinations of
 k-tuples of group elements; the empty tuple spans degree 0.  The
 boundary is
 
@@ -9,7 +9,9 @@ boundary is
                    + (-1)^k (g_1,...,g_{k-1})
 
 so d_1 = 0 identically and |d_k| <= k+1 in the l1 operator norm.
-No floats anywhere.
+Coefficients and cochain values are exact, by linalg.exact's one rule:
+ints stay ints, other rationals are Fractions, and floats and bools
+are rejected.
 
 Chain and products.TensorChain share SparseChain: a dict of nonzero
 coefficients with its space and degree, and the arithmetic on it.
@@ -17,6 +19,12 @@ Every producer of either (boundary, push_chain, the products, theta)
 builds its dict with sum_terms, the one rule for adding chain terms,
 and wraps it with the unchecked constructor SparseChain._of; the
 public constructors validate keys and coefficients first.
+
+A Cochain is one thing, a rule from degree-tuples to exact values.  A
+table given to its constructor is validated as a Chain, keys down to
+group membership, and read with 0 off its support.  coboundary is the
+rule f o d over tuple_boundary and kronecker evaluates pointwise, so no
+cochain operation enumerates a basis or reads the size cap.
 
 Over a finite group the degree-k basis is tuple_basis(G, k): the
 k-tuples of G.elements() in itertools.product order.  boundary_over is
@@ -73,11 +81,6 @@ def check_size(n, k) -> None:
                            "(BARL1_SIZE_CAP)" % (n ** k, cap))
 
 
-def _as_fraction(x) -> Fraction:
-    """x as a Fraction, by linalg.exact's rule: a float is rejected."""
-    return Fraction(linalg.exact(x))
-
-
 def basis_tuple(G, tup, degree) -> tuple:
     """tup as a tuple of `degree` elements of G, else ValueError; every
     key of a validating chain or cochain constructor passes here."""
@@ -113,12 +116,12 @@ def sum_terms(terms) -> dict:
 
 
 class SparseChain:
-    """A finitely supported map from basis keys to nonzero Fractions in
+    """A finitely supported map from basis keys to nonzero exact values in
     one degree, over a space: a group for Chain, a pair of groups for
     TensorChain.  Holds the arithmetic the two share.
 
     The constructor validates every key, down to the group membership
-    of each entry, and rejects float coefficients;
+    of each entry, and rejects float and bool coefficients;
     producers whose keys are valid by construction sum their terms with
     sum_terms and wrap the dict with _of, which checks nothing.
     """
@@ -132,7 +135,7 @@ class SparseChain:
         self.degree = degree
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
         key = self._key
-        self.coeffs = sum_terms((key(k), _as_fraction(r)) for k, r in items)
+        self.coeffs = sum_terms((key(k), linalg.exact(r)) for k, r in items)
 
     def _key(self, key):
         """key as a basis key of this chain's degree, or ValueError."""
@@ -140,7 +143,7 @@ class SparseChain:
 
     @classmethod
     def _of(cls, space, degree, coeffs):
-        """The chain with coeffs, a dict of nonzero Fractions whose keys
+        """The chain with coeffs, a dict of nonzero exact values whose keys
         are valid for space and degree; nothing is checked."""
         out = object.__new__(cls)
         out.space = space
@@ -177,7 +180,7 @@ class SparseChain:
         return self + (-other)
 
     def scale(self, r):
-        r = _as_fraction(r)
+        r = linalg.exact(r)
         return self._like({k: v * r for k, v in self.coeffs.items()} if r else {})
 
     def __rmul__(self, r):
@@ -189,7 +192,7 @@ class SparseChain:
 
 
 class Chain(SparseChain):
-    """Finitely supported map from k-tuples to Fraction."""
+    """Finitely supported map from k-tuples to exact rationals."""
 
     __slots__ = ()
 
@@ -207,9 +210,6 @@ class Chain(SparseChain):
     def terms(self):
         """(tuple, coefficient) pairs in the order of the tuples."""
         return sorted(self.coeffs.items())
-
-    def support(self):
-        return list(self.coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -259,75 +259,46 @@ def is_cycle(c: Chain) -> bool:
 
 
 class Cochain:
-    """Rational cochain: a finitely supported table or a lazy rule.
+    """Rational cochain: a rule fn from degree-tuples to exact values.
 
-    Table cochains treat missing tuples as 0, which over a finite group
-    is the full table.  Lazy cochains only promise pointwise
-    evaluation, which is all the Kronecker pairing needs.
+    A table given instead is checked as a chain's coefficients are
+    (Chain(group, degree, table)) and read with 0 off its support,
+    which over a finite group is the full table.  The Kronecker pairing
+    and every product only evaluate a cochain pointwise, so nothing
+    enumerates its domain.
     """
 
-    __slots__ = ("group", "degree", "table", "fn", "name")
+    __slots__ = ("group", "degree", "fn", "name")
 
     def __init__(self, group, degree, table=None, fn=None, name="cochain"):
         if degree < 0:
             raise ValueError("cochain degree must be >= 0")
         if (table is None) == (fn is None):
             raise ValueError("give exactly one of table, fn")
+        if table is not None:
+            coeffs = Chain(group, degree, table).coeffs
+            fn = lambda tup: coeffs.get(tup, 0)
         self.group = group
         self.degree = degree
         self.fn = fn
         self.name = name
-        if table is not None:
-            clean = {}
-            for tup, r in (table.items() if isinstance(table, dict) else table):
-                tup = basis_tuple(group, tup, degree)
-                r = _as_fraction(r)
-                if r != 0:
-                    clean[tup] = r
-            self.table = clean
-        else:
-            self.table = None
 
-    def value(self, tup) -> Fraction:
+    def value(self, tup):
         tup = tuple(tup)
         if len(tup) != self.degree:
             raise ValueError("tuple %r has wrong length for degree %d"
                              % (tup, self.degree))
-        if self.table is not None:
-            return self.table.get(tup, Fraction(0))
-        return _as_fraction(self.fn(tup))
+        return linalg.exact(self.fn(tup))
 
     __call__ = value
 
-    def materialize(self) -> "Cochain":
-        """This cochain as a table over tuple_basis, which refuses an
-        infinite group or a basis past the size cap."""
-        if self.table is not None:
-            return self
-        table = {}
-        for tup in tuple_basis(self.group, self.degree):
-            v = _as_fraction(self.fn(tup))
-            if v != 0:
-                table[tup] = v
-        return Cochain(self.group, self.degree, table=table, name=self.name)
-
 
 def coboundary(f: Cochain) -> Cochain:
-    """Adjoint of the boundary: (df)(t) = f(boundary of t)."""
+    """Adjoint of the boundary: (df)(t) = f(dt), evaluated on demand."""
     G = f.group
-    k = f.degree
-
-    def fn(tup, _f=f, _G=G):
-        total = Fraction(0)
-        for face, sign in tuple_boundary(_G, tup):
-            total += sign * _f.value(face)
-        return total
-
-    out = Cochain(G, k + 1, fn=fn, name="d(%s)" % f.name)
-    try:
-        return out.materialize()
-    except SizeCapError:
-        return out  # infinite or past the cap: stays lazy
+    return Cochain(G, f.degree + 1, name="d(%s)" % f.name,
+                   fn=lambda tup: sum(sign * f.value(face)
+                                      for face, sign in tuple_boundary(G, tup)))
 
 
 def kronecker(f: Cochain, c: Chain) -> Fraction:

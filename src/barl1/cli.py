@@ -21,7 +21,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__, fileio, l1opt, mitosis
-from .barcomplex import SizeCapError, betti, boundary, l1_norm, random_chain
+from .barcomplex import (SizeCapError, betti, boundary, l1_norm, random_chain,
+                         tuple_basis)
 from .groups import (GroupAxiomError, HomomorphismError, build_group,
                      build_hom, check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted
@@ -137,13 +138,13 @@ def _cmd_cup(args) -> int:
     f = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_a))
     g = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_b))
     h = cup(f, g)
-    table = h.materialize().table
     lines = ["degree: %d + %d -> %d" % (f.degree, g.degree, h.degree)]
     terms = []
-    for t in sorted(table):
-        if table[t]:
-            lines.append("%s * %s" % (_frac(table[t]), list(t)))
-            terms.append({"coeff": _frac(table[t]),
+    for t in sorted(tuple_basis(G, h.degree)):
+        v = h.value(t)
+        if v:
+            lines.append("%s * %s" % (_frac(v), list(t)))
+            terms.append({"coeff": _frac(v),
                           "tuple": [fileio.encode_element(G, x) for x in t]})
     _emit(args, {"command": "cup", "version": __version__,
                  "degree": h.degree, "terms": terms}, lines)

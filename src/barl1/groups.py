@@ -34,8 +34,9 @@ enumeration; elements() and element_index raise GroupAxiomError.
 Membership is checked once, where an element enters: contains is exact
 on every backend (a permutation must lie in the generated group), and
 check_member, the one method that raises on a non-member, is called by
-fileio.decode_element, the validating chain and cochain constructors
-(barcomplex.basis_tuple), Homomorphism.apply, verify_hom (on each image),
+fileio.decode_element, the validating chain constructors
+(barcomplex.basis_tuple), and so the cochain constructor, which checks
+a table as a chain, Homomorphism.apply, verify_hom (on each image),
 conjugation, mitosis.theta (its conjugator) and verify_mitosis (s and
 d).  Everything after that trusts its elements: arithmetic (mul, inv,
 element_index, act), a homomorphism's fn, and chains built with
@@ -127,9 +128,6 @@ class GroupOracle:
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         h = getattr(self, "_hash", None)

@@ -30,14 +30,16 @@ Each fill re-solves from one optimal tableau of [D | -D] (Lemke's dual
 simplex, 1954): reduced costs do not depend on the rhs, so an optimal
 basis for one rhs is dual feasible for every other.  Over a finite
 group that start is solved once per shared matrix, for the boundary of
-its first column, and kept in a memo of MATRIX_MEMO entries like the
-matrices themselves; a word ball is built for one z, so there z is its
-own start.  z, scaled to integers, enters the start's frame through
-the artificial columns.  A row phase 1 found redundant
-holds a left null vector of D, so a nonzero image there means z is no
-boundary on D (Infeasible); otherwise the dual simplex runs on the same
-row kernel, leaving by the smallest basic index among negative rhs and
-entering by the least reduced-cost ratio, ties to the smallest column.
+its first column, and kept in a memo of MATRIX_MEMO entries keyed like
+the matrices themselves, on (G, degree), so an evicted matrix is freed
+and its rebuilt copy finds the same start; a word ball is built for
+one z, so there z is its own start.  z, scaled to integers, enters the
+start's frame through the artificial columns.  A row phase 1 found
+redundant holds a left null vector of D, so a nonzero image there means
+z is no boundary on D (Infeasible); otherwise the dual simplex runs on
+the same row kernel, leaving by the smallest basic index among negative
+rhs and entering by the least reduced-cost ratio, ties to the smallest
+column.
 Every fill starts from the same basis, so its certificate depends on
 (G, q, z) alone, never on the order of the calls.
 
@@ -354,10 +356,12 @@ def _start(d, rhs):
 
 
 @functools.lru_cache(maxsize=MATRIX_MEMO)
-def _full_start(d):
-    """The one start tableau of a finite group's shared matrix d, for the
-    boundary of its first column, so that every fill over d re-solves
-    from the same basis."""
+def _full_start(G, k):
+    """The one start tableau of boundary_matrix(G, k), for the boundary
+    of its first column, so that every fill over it re-solves from the
+    same basis.  Keyed like the matrix memo, it holds no matrix, and a
+    rebuilt equal matrix finds its start here."""
+    d = boundary_matrix(G, k)
     return _start(d, [row.get(0, 0) for row in d.entries])
 
 
@@ -365,12 +369,12 @@ def _solve_fill(z: Chain, d):
     """An l1-minimal filling of z over the columns of the boundary
     matrix d, or None when there is none.  A term of z on no row of d
     has no filling there, so it needs no LP.  Otherwise z is re-solved
-    from a start tableau t (module docstring): _full_start(d) over a
+    from a start tableau t (module docstring): _full_start over a
     finite group, else z's own."""
     if any(tup not in d.rows for tup in z.coeffs):
         return None
     b = {d.rows[tup]: r for tup, r in z.coeffs.items()}
-    t = (_full_start(d) if d.group.is_finite()
+    t = (_full_start(d.group, d.degree) if d.group.is_finite()
          else _start(d, [b.get(i, 0) for i in range(len(d.rows))]))
     if t is None:
         return None
@@ -489,7 +493,7 @@ def _image_basis(G, q):
 
 def _row_chain(G, q, rows, x):
     """The degree-q chain with coefficient x[i] on the i-th of rows."""
-    return Chain._of(G, q, sum_terms((t, Fraction(v)) for t, v in zip(rows, x)))
+    return Chain._of(G, q, sum_terms(zip(rows, x)))
 
 
 def _circuit(vrows, R):

@@ -17,7 +17,10 @@ from math import gcd, lcm
 def exact(v):
     """v as an exact number: ints and Fractions as they are, anything
     else through Fraction, except a float, which is rejected, as its
-    binary value is seldom the number meant."""
+    binary value is seldom the number meant, and a bool, which is a
+    flag and not a number."""
+    if isinstance(v, bool):
+        raise TypeError("bool %r rejected; use 0 or 1" % (v,))
     if isinstance(v, (int, Fraction)):
         return v
     if isinstance(v, float):

@@ -453,7 +453,7 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
 def e_bound(q, kappa) -> Fraction:
     """Operator bound for the lift E at section norm kappa (a float
     raises TypeError, by linalg.exact)."""
-    k = Fraction(linalg.exact(kappa))
+    k = linalg.exact(kappa)
     n = q + 1
     return k + 2 * n * k ** 2 * (1 + n * k + n * n * k ** 2)
 
@@ -484,8 +484,7 @@ def tower(q_max, xi=None) -> list[TowerRow]:
     with ambient sizes n_0 = 1, n_q = 3 n_{q-1} + 1.  xi lists xi_0 (not
     read) to xi_{q_max} (a float raises TypeError); None means every
     xi_q is 0."""
-    xis = [Fraction(linalg.exact(v))
-           for v in ([0] * (q_max + 1) if xi is None else xi)]
+    xis = [linalg.exact(v) for v in ([0] * (q_max + 1) if xi is None else xi)]
     if len(xis) != q_max + 1:
         raise ValueError("tower to degree %d needs %d xi values, got %d"
                          % (q_max, q_max + 1, len(xis)))

@@ -2,8 +2,8 @@
 their cochain counterparts.
 
 TensorChain holds elements of C_*(G) (x) C_*(H) as a sparse map from
-(tuple over G, tuple over H) pairs to Fraction; mixed bidegrees of one
-total degree are allowed.  It shares its arithmetic with Chain
+(tuple over G, tuple over H) pairs to exact rationals; mixed
+bidegrees of one total degree are allowed.  It shares its arithmetic with Chain
 (barcomplex.SparseChain), and every producer here sums its terms with
 barcomplex.sum_terms.  The tensor differential carries the Koszul sign
 on the second factor:
@@ -16,7 +16,8 @@ and the sign is the shuffle inversion parity; cross_tensor extends it
 linearly over all bidegrees in the same loop.  aw splits a tuple over
 G x H into front G-parts and back H-parts.  Both are chain maps and
 aw o cross is the identity after killing tuples that contain the
-identity (normalize).
+identity (normalize).  cup is the pullback of cross_cochain along the
+diagonal, so it takes its sign (-1)^{pq} from there.
 
 Products build their own G x H as DirectProduct((G, H)).  Oracles
 compare by structure, so it equals any copy a caller built.
@@ -206,16 +207,13 @@ def cross_cochain(f: Cochain, g: Cochain) -> Cochain:
 
 
 def cup(f: Cochain, g: Cochain) -> Cochain:
-    """Diagonal pullback of cross_cochain; same group, degrees add."""
+    """The pullback of cross_cochain(f, g) along the diagonal
+    t -> tuple(zip(t, t)); same group, degrees add."""
     if f.group != g.group:
         raise ValueError("cup needs cochains over one group")
-    p, q = f.degree, g.degree
-    sign = -1 if (p * q) % 2 else 1
-
-    def fn(tup, _f=f, _g=g, _p=p, _sign=sign):
-        return _sign * _f.value(tup[:_p]) * _g.value(tup[_p:])
-
-    return Cochain(f.group, p + q, fn=fn, name="%s cup %s" % (f.name, g.name))
+    fg = cross_cochain(f, g)
+    return Cochain(f.group, fg.degree, name="%s cup %s" % (f.name, g.name),
+                   fn=lambda tup: fg.value(tuple(zip(tup, tup))))
 
 
 @dataclass

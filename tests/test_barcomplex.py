@@ -111,25 +111,24 @@ def test_push_chain_collision_combining():
     assert push_chain(trivial, c).is_zero()
 
 
+def test_bool_coefficients_rejected():
+    # True is an int to Python, but no chain coefficient
+    G = cyclic_group(2)
+    with pytest.raises(TypeError, match="bool"):
+        Chain(G, 1, {(0,): True})
+    with pytest.raises(TypeError, match="bool"):
+        Chain.single(G, (1,)).scale(False)
+    with pytest.raises(TypeError, match="bool"):
+        Cochain(G, 0, table={(): True})
+    assert type(Chain(G, 1, {(0,): 2}).coeffs[(0,)]) is int
+
+
 def test_cochain_table_or_fn_exclusive():
     G = cyclic_group(2)
     with pytest.raises(ValueError):
         Cochain(G, 1)
     with pytest.raises(ValueError):
         Cochain(G, 1, table={}, fn=lambda t: 0)
-
-
-def test_cochain_materialize():
-    G = cyclic_group(2)
-    f = Cochain(G, 1, fn=lambda t: Fraction(t[0]))
-    tab = f.materialize()
-    assert tab.value((0,)) == 0 and tab.value((1,)) == 1
-    assert tab.table == {(1,): 1}
-    assert tab.materialize() is tab
-    F = FreeGroup(1)
-    lazy = Cochain(F, 1, fn=lambda t: Fraction(sum(t[0])))
-    with pytest.raises(SizeCapError, match="finite group"):
-        lazy.materialize()
 
 
 def test_coboundary_squares_to_zero():
@@ -164,7 +163,7 @@ def test_kronecker_bilinear_and_bounded():
     a = random_chain(G, 2, rng)
     b = random_chain(G, 2, rng)
     assert kronecker(f, a + b) == kronecker(f, a) + kronecker(f, b)
-    sup = max((abs(f.value(t)) for t in a.support()), default=0)
+    sup = max((abs(f.value(t)) for t in a.coeffs), default=0)
     assert abs(kronecker(f, a)) <= sup * l1_norm(a)
 
 

@@ -1,8 +1,10 @@
 import copy
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,15 @@ def test_lp_rejects_floats():
             lp_solve(prob)
     assert lp_solve(LpProblem(((1, 1),), ("1/2",), (1, 2))).objective == \
         Fraction(1, 2)
+
+
+def test_lp_rejects_bools():
+    for prob in (LpProblem(((1, True),), (1,), (1, 2)),
+                 LpProblem(({0: True},), (1,), (1, 2)),
+                 LpProblem(((1, 1),), (True,), (1, 2)),
+                 LpProblem(((1, 1),), (1,), (1, True))):
+        with pytest.raises(TypeError, match="bool"):
+            lp_solve(prob)
 
 
 def test_lp_mapping_rows():
@@ -343,7 +354,7 @@ def test_engine_rejects_a_non_boundary_by_a_redundant_row(monkeypatch):
     # (1, 1) over Z/2 is no cycle; a row phase 1 found redundant sees
     # that, so the dual simplex never runs
     calls = record_calls(monkeypatch, l1opt, "_dual_optimize")
-    assert l1opt._full_start(boundary_matrix(G2, 3)).redundant
+    assert l1opt._full_start(G2, 3).redundant
     with pytest.raises(Infeasible):
         fill_min(Chain.single(G2, (1, 1)))
     assert calls == []
@@ -359,6 +370,21 @@ def test_engine_memo_is_bounded():
         G = cyclic_group(n)
         assert fill_min(boundary(Chain.single(G, (1, 1)))).ratio <= 1
     assert l1opt._full_start.cache_info().currsize == barcomplex.MATRIX_MEMO
+
+
+def test_engine_start_outlives_its_matrix(monkeypatch):
+    # the start memo is keyed like the matrix memo, on (G, degree): it
+    # keeps no evicted matrix alive, and the rebuilt one finds its start
+    z = boundary(Chain.single(G2, (1, 1)))
+    first = fill_min(z)
+    old = weakref.ref(boundary_matrix(G2, 2))
+    for n in range(3, 4 + barcomplex.MATRIX_MEMO):
+        boundary_matrix(cyclic_group(n), 1)
+    gc.collect()
+    assert old() is None
+    calls = record_calls(monkeypatch, l1opt, "lp_solve")
+    assert fill_min(z).c == first.c
+    assert calls == []
 
 
 def test_is_boundary_basics():
