@@ -6,7 +6,9 @@ permutations as comma-separated image strings, free-group words as
 "x1*x2^-1" (or "e"), product and semidirect elements as nested arrays.
 Certificates embed a full group record so they re-verify standalone.
 decode_element is where elements read from a file enter the program,
-so it checks their membership; encode_element trusts its argument.
+so it checks their membership; chain and cochain records leave that
+check to the Chain constructor, so each element is checked once.
+encode_element trusts its argument.
 Words and syllables are decoded literally, so an element has one
 spelling: a word that is not reduced is rejected, not reduced.
 """
@@ -78,14 +80,21 @@ def encode_element(G, a):
 
 
 def decode_element(G, obj):
+    a = _read_element(G, obj)
+    G.check_member(a)
+    return a
+
+
+def _read_element(G, obj):
+    """obj decoded as an element of G's canonical form, a malformed
+    encoding raised as FileFormatError; membership is left to the
+    caller."""
     try:
-        a = _decode_element(G, obj)
+        return _decode_element(G, obj)
     except (FileFormatError, GroupAxiomError):
         raise
     except (TypeError, ValueError, KeyError, IndexError) as exc:
         raise FileFormatError("bad element %r: %s" % (obj, exc)) from None
-    G.check_member(a)
-    return a
 
 
 def _decode_element(G, obj):
@@ -133,12 +142,14 @@ def chain_to_records(c: Chain) -> list:
 
 
 def chain_from_records(G, degree, records) -> Chain:
+    """The chain of the records, repeated tuples summed; the Chain
+    constructor checks the membership of each decoded element."""
     coeffs = []
     for rec in records:
         if not isinstance(rec, dict) or "coeff" not in rec or "tuple" not in rec:
             raise FileFormatError(
                 "chain record must be {'coeff': 'p/q', 'tuple': [...]}")
-        tup = tuple(decode_element(G, x) for x in rec["tuple"])
+        tup = tuple(_read_element(G, x) for x in rec["tuple"])
         if len(tup) != degree:
             raise FileFormatError(
                 "tuple %r has length %d, expected %d"
@@ -159,17 +170,14 @@ def chain_from_dict(G, d) -> Chain:
 
 
 def cochain_from_dict(G, d) -> Cochain:
+    """The cochain whose values are the chain_from_records of its terms,
+    read with 0 off their support."""
     if not isinstance(d, dict) or "degree" not in d:
         raise FileFormatError("cochain file needs a 'degree' field")
-    degree = parse_int(d["degree"], "degree")
-    table = {}
-    for rec in d.get("terms", []):
-        tup = tuple(decode_element(G, x) for x in rec["tuple"])
-        if len(tup) != degree:
-            raise FileFormatError("cochain tuple of length %d, expected %d"
-                                  % (len(tup), degree))
-        table[tup] = parse_fraction(rec["coeff"])
-    return Cochain(G, degree, table=table, name=d.get("name", "f"))
+    c = chain_from_records(G, parse_int(d["degree"], "degree"),
+                           d.get("terms", []))
+    return Cochain(G, c.degree, fn=lambda tup: c.coeffs.get(tup, 0),
+                   name=d.get("name", "f"))
 
 
 def load_json(path):

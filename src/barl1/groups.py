@@ -27,16 +27,30 @@ permutations and free-product words sorted, direct and semidirect
 pairs in itertools.product order of their factors.  GroupOracle turns
 that list into one element -> position dict, built on first use, and
 everything else reads it: elements() (a fresh list), element_index,
-PermutationGroup.contains and order, SemidirectProduct.act, and so
-the tuple bases of barcomplex.tuple_basis.  An infinite group has no
-enumeration; elements() and element_index raise GroupAxiomError.
+SemidirectProduct.act, and so the tuple bases of
+barcomplex.tuple_basis.  An infinite group has no enumeration;
+elements() and element_index raise GroupAxiomError.
+
+A permutation group is not walked to decide membership or order.  It
+keeps a base and strong generating set, built once by deterministic
+Schreier-Sims: contains sifts a permutation down its stabilizer chain
+to the identity, one composition per base point, and order is the
+product of the basic orbit lengths.  Only PermutationGroup._element_list
+reads generated, the breadth-first walk.  A finite group also has a
+faithful permutation image, permutation_image (the left-regular action
+on elements(), the element itself for a permutation group, and the
+holomorph action on base indices for a semidirect product), so the
+order of the subgroup that some elements generate is one Schreier-Sims
+away; verify_mitosis decides generation so.
 
 Membership is checked once, where an element enters: contains is exact
 on every backend (a permutation must lie in the generated group), and
 check_member, the one method that raises on a non-member, is called by
-fileio.decode_element, the validating chain constructors
-(barcomplex.basis_tuple), and so the cochain constructor, which checks
-a table as a chain, Homomorphism.apply, verify_hom (on each image),
+fileio.decode_element (fileio reads the elements of chain and cochain
+records unchecked, and the chain constructor checks each one), the
+validating chain constructors (barcomplex.basis_tuple), and so the
+cochain constructor, which checks a table as a chain,
+Homomorphism.apply, verify_hom (on each image),
 conjugation, mitosis.theta (its conjugator) and verify_mitosis (s and
 d).  Everything after that trusts its elements: arithmetic (mul, inv,
 element_index, act), a homomorphism's fn, and chains built with
@@ -53,6 +67,7 @@ is reproducible from the group alone.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 
@@ -110,6 +125,14 @@ class GroupOracle:
 
     def element_index(self, a) -> int:
         return self._positions()[a]
+
+    def permutation_image(self, a):
+        """a as a permutation tuple under a faithful action of this
+        finite group, with the image of a product the composite (p*q
+        = p o q) of the images; by default the left-regular action on
+        elements()."""
+        pos = self._positions()
+        return tuple(pos[self.mul(a, x)] for x in pos)
 
     def sample(self, rng):
         """A random element, for sampled law checks and property tests."""
@@ -237,7 +260,12 @@ class FiniteTableGroup(GroupOracle):
 
 
 class PermutationGroup(GroupOracle):
-    """Subgroup of S_degree generated by image tuples."""
+    """Subgroup of S_degree generated by image tuples.
+
+    Membership and order read a base and strong generating set, built
+    once on first use by _schreier_sims; only _element_list walks the
+    group.
+    """
 
     backend = "perm"
 
@@ -259,20 +287,35 @@ class PermutationGroup(GroupOracle):
         return tuple(a[b[i]] for i in range(self.degree))
 
     def inv(self, a):
-        out = [0] * self.degree
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
+        return _perm_inverse(a)
 
     def _element_list(self):
         """The generated group in sorted order."""
         return sorted(generated(self, self.generators))
 
+    def _stabilizer_chain(self):
+        """The stabilizer chain of _schreier_sims, built once."""
+        levels = getattr(self, "_chain", None)
+        if levels is None:
+            levels = self._chain = _schreier_sims(self.degree, self.generators)
+        return levels
+
     def contains(self, a):
-        return isinstance(a, tuple) and a in self._positions()
+        """a is a tuple of `degree` ints forming a permutation that
+        sifts down the stabilizer chain to the identity."""
+        n = self.degree
+        if not (isinstance(a, tuple) and len(a) == n
+                and all(type(x) is int for x in a)
+                and sorted(a) == list(range(n))):
+            return False
+        return _sift(self._stabilizer_chain(), a)[0] == tuple(range(n))
 
     def order(self):
-        return len(self._positions())
+        """The product of the basic orbit lengths."""
+        return math.prod(len(to_b) for _, to_b in self._stabilizer_chain())
+
+    def permutation_image(self, a):
+        return a
 
     def sample(self, rng):
         els = self.elements()
@@ -284,6 +327,95 @@ class PermutationGroup(GroupOracle):
 
     def _key(self):
         return (self.degree, tuple(sorted(self.generators)))
+
+
+def _schreier_sims(degree, generators) -> list:
+    """A base and strong generating set of the permutation group the
+    generators generate, by deterministic Schreier-Sims (Sims 1970;
+    Seress, Permutation Group Algorithms, 2003, section 4.2).
+
+    Returns the stabilizer chain as a list of levels (b, to_b), one per
+    base point b, where to_b maps each point x of the basic orbit to an
+    element v of the stabilizer of the earlier base points with
+    v[x] = b: an inverse coset representative, so a sift costs one
+    composition per level.  The order is the product of the orbit
+    lengths.
+    """
+    e = tuple(range(degree))
+    levels = []  # (b_i, to_b_i), as returned
+    strong = []  # strong[i]: the strong generators that fix b_0..b_{i-1}
+    reps = []    # reps[i]: x -> u with u[b_i] = x, the inverses of to_b_i
+
+    def add(h, first, last):
+        """h, which fixes b_0..b_{last-1}, as a strong generator of
+        levels first..last, a new base point when last is new."""
+        if last == len(levels):
+            levels.append((next(x for x in e if h[x] != x), None))
+            strong.append([])
+            reps.append(None)
+        for i in range(first, last + 1):
+            strong[i].append(h)
+            b = levels[i][0]
+            rep = {b: e}
+            queue = [b]
+            for x in queue:
+                for s in strong[i]:
+                    y = s[x]
+                    if y not in rep:
+                        rep[y] = tuple([s[z] for z in rep[x]])
+                        queue.append(y)
+            reps[i] = rep
+            levels[i] = (b, {x: _perm_inverse(u) for x, u in rep.items()})
+
+    def first_failure(i):
+        """The residue and stop level of the first Schreier generator
+        of level i that does not sift through the levels below it."""
+        b, rep = levels[i][0], reps[i]
+        for u in rep.values():
+            for s in strong[i]:
+                g = tuple([s[z] for z in u])
+                if g != rep[g[b]]:  # else the Schreier generator is e
+                    h, j = _sift(levels, g, i)
+                    if h != e:
+                        return h, j
+        return None, None
+
+    for g in generators:
+        h, j = _sift(levels, g)
+        if h != e:
+            add(h, 0, j)
+    i = len(levels) - 1
+    while i >= 0:
+        h, j = first_failure(i)
+        if h is None:
+            i -= 1
+        else:
+            add(h, i + 1, j)
+            i = j
+    return levels
+
+
+def _sift(levels, g, start=0):
+    """g sifted down levels[start:] of a stabilizer chain: the residue,
+    and the index of the level whose orbit misses its image of the base
+    point (len(levels) when none does).  g is in the group exactly when
+    the residue is the identity."""
+    for i in range(start, len(levels)):
+        b, to_b = levels[i]
+        x = g[b]
+        if x != b:  # else the representative is the identity
+            v = to_b.get(x)
+            if v is None:
+                return g, i
+            g = tuple([v[y] for y in g])
+    return g, len(levels)
+
+
+def _perm_inverse(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
 
 
 class FreeGroup(GroupOracle):
@@ -555,6 +687,14 @@ class SemidirectProduct(GroupOracle):
 
     def _element_list(self):
         return list(itertools.product(self._base_els, self.action.elements()))
+
+    def permutation_image(self, a):
+        """The holomorph action x -> b h(x) of a = (b, h) on base
+        indices: faithful, since b h(e) = b, and a homomorphism, since
+        every acting element is an automorphism."""
+        b, h = a
+        base, els = self.base, self._base_els
+        return tuple(base.element_index(base.mul(b, els[y])) for y in h)
 
     def sample(self, rng):
         return (self.base.sample(rng), self.action.sample(rng))

@@ -23,7 +23,10 @@ in the function that builds it, and callers trust it.
 verify_mitosis checks that the injection is a homomorphism (verify_hom)
 and the axioms on every element when source and ambient are finite,
 else on 20 source elements drawn from random.Random(0) without the
-generation check.  mu_hom runs it, once per PipelineConfig, and so does
+generation check.  Generation (1) is decided without walking M: the
+images of i(G), s and d under a faithful permutation image of M
+(M.permutation_image) generate a permutation group whose order, by
+Schreier-Sims, is |M| exactly when they generate M.  mu_hom runs it, once per PipelineConfig, and so does
 `barl1 mitosis build-abelian` before it writes; mitosis_of_finite_abelian
 does not.  Maps into G x G build that product themselves.
 """
@@ -40,8 +43,8 @@ from .barcomplex import (Chain, boundary, l1_norm, push_chain, random_chain,
                          sum_terms)
 from .groups import (DirectProduct, Homomorphism, HomomorphismError,
                      PermutationGroup, SemidirectProduct, build_hom,
-                     compose_homs, conjugation, diagonal_hom, generated,
-                     is_abelian, pair_hom, verify_hom)
+                     compose_homs, conjugation, diagonal_hom, is_abelian,
+                     pair_hom, verify_hom)
 from .products import (TensorChain, aw, cross_tensor, tensor_boundary,
                        tensor_elementary, tensor_first_boundary,
                        tensor_second_boundary, push_tensor, xi_fill)
@@ -97,7 +100,9 @@ class MitosisReport:
 def verify_mitosis(data: MitosisData) -> MitosisReport:
     """Check that the injection is a homomorphism (by verify_hom's case
     rule) and the three axioms; exhaustive when source and ambient are
-    finite, else on 20 sampled elements (generation skipped)."""
+    finite, else on 20 sampled elements (generation skipped).
+    Generation compares |M| with the order of the permutation group
+    that the faithful images of i(G), s and d generate."""
     G, M, i = data.source, data.ambient, data.inj
     s, d = data.s, data.d
     M.check_member(s)
@@ -145,8 +150,9 @@ def verify_mitosis(data: MitosisData) -> MitosisReport:
 
     generation = None
     if exhaustive:
-        reached = generated(M, [i(g) for g in els] + [s, d])
-        generation = len(reached) == M.order()
+        images = [M.permutation_image(x) for x in [i(g) for g in els] + [s, d]]
+        generation = (PermutationGroup(len(images[0]), images).order()
+                      == M.order())
 
     ok = (homomorphism and injective and split and commuting
           and generation is not False)

@@ -18,13 +18,13 @@ from barl1.fileio import (FileFormatError, chain_from_dict,
                           pipeline_cert_from_dict, pipeline_cert_to_dict,
                           tower_to_dict, verify_certificate_dict)
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
-                          GroupAxiomError, cyclic_group, group_to_spec,
-                          symmetric_group_perm)
+                          GroupAxiomError, GroupOracle, PermutationGroup,
+                          cyclic_group, group_to_spec, symmetric_group_perm)
 from barl1.l1opt import FillCertificate, fill_min, ubc_kappa_exact
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline, tower, verify_mitosis)
 from barl1.groups import identity_hom
-from helpers import random_chain
+from helpers import random_chain, record_calls
 
 G2 = cyclic_group(2)
 G3 = cyclic_group(3)
@@ -103,6 +103,40 @@ def test_cochain_from_dict():
     f = cochain_from_dict(G2, d)
     assert f.value((1,)) == Fraction(3, 2)
     assert f.value((0,)) == 0
+
+
+def test_cochain_sums_a_repeated_tuple_as_the_chain_reader_does():
+    terms = [{"tuple": ["1"], "coeff": "1"}, {"tuple": ["1"], "coeff": "2"}]
+    assert chain_from_records(G2, 1, terms).coeffs == {(1,): 3}
+    assert cochain_from_dict(G2, {"degree": 1, "terms": terms}).value((1,)) == 3
+
+
+def test_cochain_record_without_coeff_is_a_schema_error():
+    with pytest.raises(FileFormatError, match="record"):
+        cochain_from_dict(G2, {"degree": 1, "terms": [{"tuple": ["1"]}]})
+
+
+def test_records_check_each_decoded_element_once(monkeypatch, tmp_path):
+    M = mitosis_of_finite_abelian(G2).ambient
+    e = encode_element(M, M.identity())
+    terms = [{"coeff": "1", "tuple": [e, e]}]
+    calls = record_calls(monkeypatch, GroupOracle, "check_member")
+    chain_from_records(M, 2, terms)
+    assert calls == [M, M]
+    del calls[:]
+    cochain_from_dict(M, {"degree": 2, "terms": terms})
+    assert calls == [M, M]
+    # a non-member is still refused by that one check
+    H = PermutationGroup(3, [(1, 0, 2)])
+    bad = {"degree": 1, "terms": [{"coeff": "1", "tuple": ["0,2,1"]}]}
+    with pytest.raises(GroupAxiomError):
+        chain_from_dict(H, bad)
+    with pytest.raises(GroupAxiomError):
+        cochain_from_dict(H, bad)
+    group, chain = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    dump_json(group_to_spec(H), group)
+    dump_json(bad, chain)
+    assert run(["boundary", "--group", group, "--chain", chain]) == 1
 
 
 def test_group_file_round_trip(tmp_path):

@@ -1,9 +1,13 @@
+import ast
+import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from barl1 import groups
+from barl1.fileio import decode_element
 from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           FreeProduct, GroupAxiomError, Homomorphism,
                           HomomorphismError, PermutationGroup,
@@ -13,6 +17,9 @@ from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           identity_hom, is_abelian, pair_hom,
                           symmetric_group_perm, verify_hom)
 from helpers import finite_backends
+
+PACKAGE = sorted((Path(__file__).resolve().parent.parent
+                  / "src" / "barl1").glob("*.py"))
 
 
 def test_cyclic_group_table():
@@ -68,6 +75,47 @@ def test_permutation_contains_vs_membership():
     assert G.order() == 2
     assert not G.contains((0, 1, 3, 2))  # right shape, not in the subgroup
     assert G.contains((1, 0, 2, 3))
+    S4 = symmetric_group_perm(4)
+    for bad in [(1, 0, 2), (1, 0, 2, 3, 4), (0, 0, 1, 2), (1, 0, 2, 3.0),
+                (1, 0, 2, "3"), (True, False, 2, 3), [1, 0, 2, 3]]:
+        assert not S4.contains(bad), bad
+
+
+def test_order_and_membership_match_enumeration():
+    rng = random.Random(0)
+    groups_ = [symmetric_group_perm(1), PermutationGroup(4, []),
+               PermutationGroup(3, [(0, 1, 2)])]
+    for n in (4, 5):
+        for _ in range(12):
+            gens = [tuple(rng.sample(range(n), n))
+                    for _ in range(rng.randint(1, 3))]
+            groups_.append(PermutationGroup(n, gens))
+    for G in groups_:
+        members = groups.generated(G, G.generators)
+        assert G.order() == len(members), G.generators
+        for p in itertools.permutations(range(G.degree)):
+            assert G.contains(p) == (p in members), (G.generators, p)
+
+
+@pytest.mark.parametrize("name", sorted(finite_backends()))
+def test_permutation_image_is_a_faithful_action(name):
+    G = finite_backends()[name]
+    els = G.elements()
+    image = {a: G.permutation_image(a) for a in els}
+    assert len(set(image.values())) == len(els)
+    S = symmetric_group_perm(len(image[G.identity()]))
+    assert image[G.identity()] == S.identity()
+    for a, b in itertools.product(els, repeat=2):
+        assert image[G.mul(a, b)] == S.mul(image[a], image[b])
+
+
+def test_large_symmetric_group_is_decided_without_enumeration():
+    G = symmetric_group_perm(10)
+    swap = (1, 0) + tuple(range(2, 10))
+    assert decode_element(G, ",".join(map(str, swap))) == swap
+    assert G.contains(swap) and not G.contains(swap[:9])
+    assert G.order() == 3628800
+    assert not hasattr(G, "_pos")
 
 
 def test_cross_backend_isomorphism_s3():
@@ -319,3 +367,30 @@ def test_permutation_group_walks_its_generators_once(monkeypatch):
     assert G.order() == 24
     assert G.element_index(G.elements()[5]) == 5
     assert walks == [G]
+
+
+def readers(name):
+    """The qualified name (module.Class.function) of the innermost
+    definition around each read of `name` in the package."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, owner + "." + child.name)
+                continue
+            read = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if read == name and isinstance(child.ctx, ast.Load):
+                out.append(owner)
+            visit(child, owner)
+
+    for path in PACKAGE:
+        visit(ast.parse(path.read_text()), path.stem)
+    return out
+
+
+def test_only_the_element_list_walks_a_group():
+    """generated walks every element of a group; only
+    PermutationGroup._element_list may read it, so no check walks one."""
+    assert readers("generated") == ["groups.PermutationGroup._element_list"]

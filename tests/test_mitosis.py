@@ -7,7 +7,9 @@ import pytest
 
 from barl1 import l1opt, mitosis
 from barl1.barcomplex import Chain, boundary, l1_norm, push_chain
-from barl1.groups import (DirectProduct, FreeGroup, build_hom, compose_homs,
+from barl1.fileio import mitosis_to_dict, verify_certificate_dict
+from barl1.groups import (DirectProduct, FreeGroup, Homomorphism,
+                          PermutationGroup, build_hom, compose_homs,
                           conjugation, cyclic_group, identity_hom,
                           symmetric_group_perm)
 from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
@@ -35,11 +37,32 @@ def test_builder_ambient_orders():
              (cyclic_group(4), 1536), (DirectProduct((G2, G2)), 96)]
     for G, order in cases:
         data = mitosis_of_finite_abelian(G)
-        assert data.ambient.order() == order
+        M = data.ambient
+        assert M.order() == order
+        # the holomorph image of M's own generators, the base elements
+        # and the generators of the acting group, has M's order
+        a0 = M.action.identity()
+        gens = ([(b, a0) for b in M.base.elements()]
+                + [(M.base.identity(), a) for a in M.action.generators])
+        images = [M.permutation_image(x) for x in gens]
+        assert PermutationGroup(M.base.order(), images).order() == order
         rep = verify_mitosis(data)
         assert rep.ok and rep.mode == "exhaustive"
         assert rep.generation is True
         assert rep.failed_axioms() == []
+
+
+def test_generation_fails_on_a_proper_subgroup_of_a_direct_ambient():
+    """M x Z/2 with every datum in M x {0}: each axiom but generation
+    holds, and the left-regular image of the direct product decides it."""
+    data = mitosis_of_finite_abelian(G2)
+    A = DirectProduct((data.ambient, G2))
+    inj = Homomorphism(G2, A, lambda g: (data.inj.fn(g), 0), name="inj x 0")
+    wide = MitosisData(G2, A, inj, (data.s, 0), (data.d, 0))
+    assert verify_mitosis(wide).failed_axioms() == [
+        "generation of the ambient group"]
+    assert verify_certificate_dict(mitosis_to_dict(wide)) == [
+        "axiom failed: generation of the ambient group"]
 
 
 def test_config_checks_its_mitosis_once(monkeypatch):
