@@ -232,8 +232,11 @@ def fill_cert_to_dict(cert: l1opt.FillCertificate) -> dict:
             "method": cert.method}
 
 
-def fill_cert_from_dict(d) -> l1opt.FillCertificate:
-    G = _read_group(d["group"], "field 'group'")
+def fill_cert_from_dict(d, G=None) -> l1opt.FillCertificate:
+    """The fill record d, over G when given (the group its `group`
+    field records), else over the group built from that field."""
+    if G is None:
+        G = _read_group(d["group"], "field 'group'")
     degree = parse_int(d["degree"], "degree")
     z = chain_from_records(G, degree, d["z"])
     c = chain_from_records(G, degree + 1, d["c"])
@@ -365,7 +368,11 @@ def verify_certificate_dict(d) -> list[str]:
         G = _read_group(d["group"], "field 'group'")
         q = parse_int(d["degree"], "degree")
         cone = q >= 1 and G.is_finite()
-        vertices = [fill_cert_from_dict(sub) for sub in d.get("vertices", [])]
+        # a vertex that records the record's group is read over G, so
+        # the group is built once; any other is read over its own
+        vertices = [fill_cert_from_dict(
+                        sub, G if sub["group"] == d["group"] else None)
+                    for sub in d.get("vertices", [])]
         for i, cert in enumerate(vertices):
             failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
             if cone and cert.ratio > 1:

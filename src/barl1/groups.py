@@ -35,8 +35,9 @@ A permutation group is not walked to decide membership or order.  It
 keeps a base and strong generating set, built once by deterministic
 Schreier-Sims: contains sifts a permutation down its stabilizer chain
 to the identity, one composition per base point, and order is the
-product of the basic orbit lengths.  Only PermutationGroup._element_list
-reads generated, the breadth-first walk.  A finite group also has a
+product of the basic orbit lengths.  sample multiplies one random
+coset representative per level, and the element list is the sorted set
+of all such products, so no group is walked.  A finite group also has a
 faithful permutation image, permutation_image (the left-regular action
 on elements(), the element itself for a permutation group, and the
 holomorph action on base indices for a semidirect product), so the
@@ -262,9 +263,9 @@ class FiniteTableGroup(GroupOracle):
 class PermutationGroup(GroupOracle):
     """Subgroup of S_degree generated by image tuples.
 
-    Membership and order read a base and strong generating set, built
-    once on first use by _schreier_sims; only _element_list walks the
-    group.
+    Membership, order, sampling and the element list read a base and
+    strong generating set, built once on first use by _schreier_sims;
+    nothing walks the group.
     """
 
     backend = "perm"
@@ -290,8 +291,13 @@ class PermutationGroup(GroupOracle):
         return _perm_inverse(a)
 
     def _element_list(self):
-        """The generated group in sorted order."""
-        return sorted(generated(self, self.generators))
+        """The group in sorted order: every product of one inverse coset
+        representative per level of the stabilizer chain, last level
+        leftmost."""
+        els = [self.identity()]
+        for _, to_b in self._stabilizer_chain():
+            els = [tuple([v[x] for x in a]) for a in els for v in to_b.values()]
+        return sorted(els)
 
     def _stabilizer_chain(self):
         """The stabilizer chain of _schreier_sims, built once."""
@@ -318,8 +324,15 @@ class PermutationGroup(GroupOracle):
         return a
 
     def sample(self, rng):
-        els = self.elements()
-        return els[rng.randrange(len(els))]
+        """A uniform element, as _element_list's product with one
+        representative per level drawn uniformly: each element of the
+        group is one such product, so none is listed."""
+        a = self.identity()
+        for _, to_b in self._stabilizer_chain():
+            reps = list(to_b.values())
+            v = reps[rng.randrange(len(reps))]
+            a = tuple([v[x] for x in a])
+        return a
 
     def describe(self):
         return "permutation group on %d points, %d generators" % (
@@ -726,23 +739,6 @@ def is_abelian(G, witness=False):
             if G.mul(a, b) != G.mul(b, a):
                 return (False, (a, b)) if witness else False
     return (True, None) if witness else True
-
-
-def generated(G, gens) -> set:
-    """The subgroup of the finite group G generated by gens, by
-    breadth-first search from the identity."""
-    seen = {G.identity()}
-    frontier = [G.identity()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
 
 
 def _cases(G, k, samples):

@@ -1,20 +1,20 @@
 """Exact rational linear programming and l1-minimal fillings.
 
-The solver is a two-phase simplex with Bland's rule (smallest eligible
-variable index enters; ratio ties leave by smallest basis index), so
-runs terminate and are deterministic.  Its tableau is sparse and
-fraction-free: each row is a dict from column to nonzero integer
-numerator, over one positive denominator that the row shares with its
-rhs.  That denominator is the row's entry in its basic column, and an
-updated row is divided by the gcd of its entries.  A pivot updates only
-the rows holding the entering column, and only at the pivot row's
-nonzeros.  Every decision (entering column, ratio test, artificial
-drive-out, redundant rows set aside) is made on exact values, so the
-pivots and the outputs are those of a dense Fraction tableau.  The row
-kernel is linalg's (int_row / eliminate / pivot), and the dual comes
-from linalg.solve_square on the final basis.  The artificial column of
-each given row stays in the tableau through phase 2 without entering,
-so the optimal tableau carries B^-1, and lp_solve returns it.
+lp_solve is a plain two-phase primal simplex with Bland's rule
+(smallest eligible variable index enters; ratio ties leave by smallest
+basis index), so runs terminate and are deterministic.  Its tableau is
+sparse and fraction-free: each row is a dict from column to nonzero
+integer numerator, over one positive denominator that the row shares
+with its rhs.  That denominator is the row's entry in its basic column,
+and an updated row is divided by the gcd of its entries.  A pivot
+updates only the rows holding the entering column, and only at the
+pivot row's nonzeros.  Every decision (entering column, ratio test,
+artificial drive-out, redundant rows dropped) is made on exact values,
+so the pivots and the outputs are those of a dense Fraction tableau.
+The row kernel is linalg's (int_row / eliminate / pivot), and the dual
+comes from linalg.solve_square on the final basis.  No fill calls it;
+it is the general LP and the reference the fill kernel is tested
+against.
 
 A filling of a boundary z of degree q is a chain c of degree q+1 with
 dc = z; fill_min minimizes the l1 norm by splitting c = u - w with
@@ -26,22 +26,12 @@ group it is built on word balls whose radius doubles from START_RADIUS
 while it stays within MAX_RADIUS.  D's row labels place z, and its
 columns are listed elements, so c needs no check.
 
-Each fill re-solves from one optimal tableau of [D | -D] (Lemke's dual
-simplex, 1954): reduced costs do not depend on the rhs, so an optimal
-basis for one rhs is dual feasible for every other.  Over a finite
-group that start is solved once per shared matrix, for the boundary of
-its first column, and kept in a memo of MATRIX_MEMO entries keyed like
-the matrices themselves, on (G, degree), so an evicted matrix is freed
-and its rebuilt copy finds the same start; a word ball is built for
-one z, so there z is its own start.  z, scaled to integers, enters the
-start's frame through the artificial columns.  A row phase 1 found
-redundant holds a left null vector of D, so a nonzero image there means
-z is no boundary on D (Infeasible); otherwise the dual simplex runs on
-the same row kernel, leaving by the smallest basic index among negative
-rhs and entering by the least reduced-cost ratio, ties to the smallest
-column.
-Every fill starts from the same basis, so its certificate depends on
-(G, q, z) alone, never on the order of the calls.
+Every fill, over a finite group or a word ball, is one run of
+_l1_simplex on the same row kernel: Lemke's (1954) dual simplex from
+the artificial basis, which the all-ones l1 objective makes dual
+feasible (y = 0, every reduced cost 1).  So no start is solved and
+nothing is kept between fills, and a certificate depends on (G, q, z)
+alone, never on the order of the calls.
 
 is_boundary runs no LP; it answers from homology.  Over a finite group
 a cycle of degree >= 1 is a boundary, as H_q(G; Q) = 0 (transfer).  A
@@ -61,7 +51,6 @@ degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -69,7 +58,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import linalg
-from .barcomplex import (Chain, MATRIX_MEMO, SizeCapError, boundary,
+from .barcomplex import (Chain, SizeCapError, boundary,
                          boundary_matrix, boundary_over, check_size, is_cycle,
                          l1_norm, sum_terms)
 from .groups import FreeGroup
@@ -84,6 +73,7 @@ class SupportExhausted(Exception):
     filling of it."""
 
 
+_ONE = -1  # the cost row's key of the constant 1, its scale
 START_RADIUS = 3  # the first word ball a free-group filling is sought on
 MAX_RADIUS = 12  # radius past which the doubling word balls stop
 
@@ -120,25 +110,6 @@ class LpResult:
     x: list | None = None
     objective: Fraction | None = None
     dual: list | None = None
-    # the final tableau of an optimal solve, which a fill engine resumes
-    tableau: _Tableau | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
-class _Tableau:
-    """lp_solve's optimal tableau over n columns, less its rhs: its rows
-    with the artificial column n + i of each given row i kept as the
-    record of B^-1, the basis, the reduced-cost row, the sign int_row
-    gave each given row, and the rows phase 1 found redundant (artificial
-    entries only).  A fill start is shared by every fill, so it is never
-    mutated."""
-
-    n: int
-    rows: list
-    basis: list
-    cost: dict
-    signs: list
-    redundant: list
 
 
 def _price_out(cost, rows, rhs, basis):
@@ -149,14 +120,12 @@ def _price_out(cost, rows, rhs, basis):
     return cost
 
 
-def _optimize(rows, rhs, cost, basis, n):
-    """Primal simplex by Bland's rule over the columns j < n; the status
-    and the final reduced-cost row."""
+def _optimize(rows, rhs, cost, basis):
+    """Primal simplex by Bland's rule; the status."""
     while True:
-        enter = min((j for j, v in cost.items() if v < 0 and j < n),
-                    default=None)
+        enter = min((j for j, v in cost.items() if v < 0), default=None)
         if enter is None:
-            return "optimal", cost
+            return "optimal"
         # ratio test: rhs[i] / rows[i][enter] needs no denominator, as
         # a row and its rhs share one; compare by cross-multiplying
         leave = None
@@ -170,35 +139,9 @@ def _optimize(rows, rhs, cost, basis, n):
                 if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave, lb, la = i, rhs[i], a
         if leave is None:
-            return "unbounded", cost
+            return "unbounded"
         linalg.pivot(rows, rhs, basis, leave, enter)
         cost, _ = linalg.eliminate(cost, 0, rows[leave], rhs[leave], enter)
-
-
-def _dual_optimize(rows, rhs, cost, basis):
-    """Dual simplex from a basis whose reduced costs are all >= 0: the
-    row of smallest basic index among those with negative rhs leaves,
-    and the column of least ratio cost[j] / -row[j] over the row's
-    negative entries enters, ties to the smallest column.  False when a
-    leaving row has no negative entry, so that no x >= 0 solves it."""
-    while True:
-        leave = min((i for i, b in enumerate(rhs) if b < 0),
-                    key=basis.__getitem__, default=None)
-        if leave is None:
-            return True
-        enter = None
-        for j, a in rows[leave].items():
-            if a < 0:
-                # cost[j] / -a against ec / -ea, cross-multiplied
-                cj = cost.get(j, 0)
-                if enter is None or cj * ea > ec * a or (
-                        cj * ea == ec * a and j < enter):
-                    enter, ec, ea = j, cj, a
-        if enter is None:
-            return False
-        linalg.pivot(rows, rhs, basis, leave, enter)
-        if enter in cost:
-            cost, _ = linalg.eliminate(cost, 0, rows[leave], rhs[leave], enter)
 
 
 def lp_solve(prob: LpProblem) -> LpResult:
@@ -213,39 +156,36 @@ def lp_solve(prob: LpProblem) -> LpResult:
     # phase 1: artificial basis, minimize its total.  Artificial i is
     # column n + i; its entry in row i is the row's denominator.
     given = [r if isinstance(r, dict) else dict(enumerate(r)) for r in prob.rows]
-    rows, rhs, signs = [], [], []
+    rows, rhs = [], []
     for i, (r, b) in enumerate(zip(given, prob.rhs)):
         row, bi, den = linalg.int_row(r, b)
         row[n + i] = den
         rows.append(row)
         rhs.append(bi)
-        signs.append(-1 if linalg.exact(b) < 0 else 1)
     basis = [n + i for i in range(m)]
     cost = _price_out({n + i: 1 for i in range(m)}, rows, rhs, basis)
-    _optimize(rows, rhs, cost, basis, n + m)
+    _optimize(rows, rhs, cost, basis)
     if any(rhs[i] > 0 for i in range(m) if basis[i] >= n):
         return LpResult("infeasible")
 
     # drive leftover artificial basics out; a row left with no original
-    # column is redundant and is set aside
-    rowmap, redundant = list(range(m)), []
+    # column is redundant and is dropped
+    rowmap = list(range(m))
     i = 0
     while i < len(rows):
         if basis[i] >= n:
             piv = min((j for j in rows[i] if j < n), default=None)
             if piv is None:
-                redundant.append(rows.pop(i))
-                del rhs[i], basis[i], rowmap[i]
+                del rows[i], rhs[i], basis[i], rowmap[i]
                 continue
             linalg.pivot(rows, rhs, basis, i, piv)
         i += 1
 
-    # phase 2 on the original columns; the artificial ones stay in the
-    # rows as the record of B^-1 but never enter
+    # phase 2 on the original columns alone
+    rows = [{j: v for j, v in row.items() if j < n} for row in rows]
     cost, _, _ = linalg.int_row(c, 0)
-    status, cost = _optimize(rows, rhs, _price_out(cost, rows, rhs, basis),
-                             basis, n)
-    if status == "unbounded":
+    if _optimize(rows, rhs, _price_out(cost, rows, rhs, basis),
+                 basis) == "unbounded":
         return LpResult("unbounded")
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
@@ -262,8 +202,7 @@ def lp_solve(prob: LpProblem) -> LpResult:
         if y is not None:
             for i, yi in zip(rowmap, y):
                 dual[i] = yi
-    return LpResult("optimal", x, objective, dual,
-                    _Tableau(n, rows, basis, cost, signs, redundant))
+    return LpResult("optimal", x, objective, dual)
 
 
 @dataclass
@@ -345,60 +284,114 @@ def _supports(G, degree):
         radius *= 2
 
 
-def _start(d, rhs):
-    """The optimal tableau of the l1 program [D | -D] x = rhs, x >= 0 of
-    the boundary matrix d (column j is u_j, column S + j is w_j), or None
-    when it is infeasible."""
+def _l1_simplex(d, b):
+    """The optimal basic solution of the l1 program [D | -D] x = b,
+    x >= 0, min sum(x), for D the boundary matrix d (column j is u_j,
+    column S + j is w_j) and b a list of integers, one per row of d:
+    (rows, rhs, basis), where row i is the u half of its tableau row,
+    over the positive denominator of its basic column (rows[i][j] for a
+    basic u_j, -rows[i][j] for a basic w_j) shared with rhs[i].  None
+    when no x >= 0 solves the system.
+
+    Lemke's dual simplex from the artificial basis, artificial i being
+    column 2S + i: y = 0 there, so every reduced cost is 1 and the basis
+    is dual feasible from the start.  An artificial is fixed at 0, so it
+    leaves and never enters.  The tableau stores only the u half of
+    B^-1 [D | -D], as the w half is its negative; the cost row holds
+    the reduced costs of the u_j over its scale sigma (its entry at
+    _ONE, which no tableau row holds), and w_j's is 2 sigma - cost(u_j).
+    The artificial columns are not stored either: updated like the
+    others, the final cost row would hold -y in them, the LP dual.
+
+    One fixed pivot rule.  The leaving row is a basic artificial with a
+    nonzero value, the one of largest row index, while there is one;
+    else the basic structural column of smallest index with a negative
+    value.  A positive artificial leaves as a negative one of its
+    negated row.  The entering column has the least ratio of reduced
+    cost to |entry| over the leaving row's entries of the sign of its
+    value, one of u_j and w_j for each nonzero row[j], ties to the
+    smallest column (u_j = j, then w_j = S + j).  A leaving row with no
+    nonzero entry is a left null vector of D that b does not annihilate,
+    so b is not in D's column space; it can only be an artificial's, as
+    a basic column has a nonzero entry in its own row.
+
+    It terminates.  An artificial that leaves never returns, so there
+    are at most len(b) artificial pivots.  Between two of them, and
+    after the last, every basic artificial stays at 0 and every pivot
+    is a dual simplex pivot by Bland's rule (smallest leaving index,
+    least ratio with ties to the smallest index), which does not cycle
+    (Bland 1977, applied to the dual).
+    """
     S = len(d.cols)
-    a = tuple({**row, **{S + j: -v for j, v in row.items()}}
-              for row in d.entries)
-    return lp_solve(LpProblem(a, tuple(rhs), (1,) * (2 * S))).tableau
-
-
-@functools.lru_cache(maxsize=MATRIX_MEMO)
-def _full_start(G, k):
-    """The one start tableau of boundary_matrix(G, k), for the boundary
-    of its first column, so that every fill over it re-solves from the
-    same basis.  Keyed like the matrix memo, it holds no matrix, and a
-    rebuilt equal matrix finds its start here."""
-    d = boundary_matrix(G, k)
-    return _start(d, [row.get(0, 0) for row in d.entries])
+    rows = [dict(row) for row in d.entries]
+    rhs = list(b)
+    basis = [2 * S + i for i in range(len(rows))]
+    cost = dict.fromkeys(range(S), 1)
+    cost[_ONE] = 1
+    while True:
+        r = max((i for i, v in enumerate(rhs) if v and basis[i] >= 2 * S),
+                default=None)
+        if r is None:
+            r = min((i for i, v in enumerate(rhs) if v < 0),
+                    key=basis.__getitem__, default=None)
+            if r is None:
+                return rows, rhs, basis
+        # each entry a of the row gives one candidate, the one of u_j
+        # (entry a) and w_j (entry -a) whose entry has the sign of rhs[r]
+        enter = None
+        for j, a in rows[r].items():
+            if (a > 0) == (rhs[r] > 0):
+                k, rc = j, cost.get(j, 0)
+            else:
+                k, rc = S + j, 2 * cost[_ONE] - cost.get(j, 0)
+            a = abs(a)
+            if enter is None or rc * ea < ec * a or (
+                    rc * ea == ec * a and k < enter):
+                enter, ec, ea = k, rc, a
+        if enter is None:
+            return None
+        # the entering column's value rhs[r] / row[j] is positive, so
+        # the pivot row's rhs ends positive
+        if rhs[r] < 0:
+            rows[r] = {j: -v for j, v in rows[r].items()}
+            rhs[r] = -rhs[r]
+        j = enter % S
+        prow, pb = rows[r], rhs[r]
+        if enter >= S:
+            # w_j's column is -row: eliminate by the row of positive entry
+            prow, pb = {c: -v for c, v in prow.items()}, -pb
+        for i, row in enumerate(rows):
+            if i != r and j in row:
+                rows[i], rhs[i] = linalg.eliminate(row, rhs[i], prow, pb, j)
+        if enter < S:
+            if j in cost:
+                cost, _ = linalg.eliminate(cost, 0, prow, 0, j)
+        elif ec:
+            # cost -= ec / (-row[j]) * row, as u_j's column is -prow
+            cost, _ = linalg.eliminate({**cost, j: -ec}, 0, prow, 0, j)
+            cost[j] = 2 * cost[_ONE]
+        basis[r] = enter
 
 
 def _solve_fill(z: Chain, d):
     """An l1-minimal filling of z over the columns of the boundary
-    matrix d, or None when there is none.  A term of z on no row of d
-    has no filling there, so it needs no LP.  Otherwise z is re-solved
-    from a start tableau t (module docstring): _full_start over a
-    finite group, else z's own."""
+    matrix d by _l1_simplex, or None when there is none.  A term of z
+    on no row of d has no filling there, so it needs no LP."""
     if any(tup not in d.rows for tup in z.coeffs):
         return None
-    b = {d.rows[tup]: r for tup, r in z.coeffs.items()}
-    t = (_full_start(d.group, d.degree) if d.group.is_finite()
-         else _start(d, [b.get(i, 0) for i in range(len(d.rows))]))
-    if t is None:
+    scale = lcm(*(r.denominator for r in z.coeffs.values()))
+    b = [0] * len(d.rows)
+    for tup, r in z.coeffs.items():
+        b[d.rows[tup]] = int(r * scale)
+    solved = _l1_simplex(d, b)
+    if solved is None:
         return None
-    # z scaled to integers, in t's frame through the artificial columns
-    scale = lcm(*(r.denominator for r in b.values()))
-    art = {t.n + i: t.signs[i] * int(r * scale) for i, r in b.items()}
-
-    def image(row):
-        return sum(row.get(j, 0) * v for j, v in art.items())
-
-    if any(map(image, t.redundant)):
-        return None
-    rhs = [image(row) for row in t.rows]
-    # the copies drop the artificial columns, which never enter
-    rows = [{j: v for j, v in row.items() if j < t.n} for row in t.rows]
-    cost = {j: v for j, v in t.cost.items() if j < t.n}
-    basis = list(t.basis)
-    if not _dual_optimize(rows, rhs, cost, basis):
-        return None
+    rows, rhs, basis = solved
     S = len(d.cols)
+    # c_j = u_j - w_j = rhs / rows[i][j] either way, over the scale of b
     return Chain._of(z.group, z.degree + 1, sum_terms(
-        (d.cols[j], Fraction(v, rows[i][j] * scale)) if j < S
-        else (d.cols[j - S], Fraction(-v, rows[i][j] * scale))
-        for i, (j, v) in enumerate(zip(basis, rhs)) if v))
+        (d.cols[k % S], Fraction(v, rows[i][k % S] * scale))
+        for i, (k, v) in enumerate(zip(basis, rhs)) if v))
 
 
 def fill_min(z: Chain) -> FillCertificate:

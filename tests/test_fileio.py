@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from barl1 import l1opt
+from barl1 import groups, l1opt
 from barl1.barcomplex import Chain, boundary, l1_norm
 from barl1.cli import run
 from barl1.fileio import (FileFormatError, chain_from_dict,
@@ -217,6 +217,23 @@ def test_kappa_certificate_verification():
         verify_certificate_dict(forged)
 
 
+def test_kappa_record_builds_its_group_once(monkeypatch):
+    # every vertex that records the record's group is read over the one
+    # group the record's own field builds; a vertex over another group
+    # is read over its own, and fails
+    S3 = symmetric_group_perm(3)
+    d = kappa_to_dict(ubc_kappa_exact(S3, 1), S3)
+    assert len(d["vertices"]) == 6
+    chains = record_calls(monkeypatch, groups, "_schreier_sims")
+    assert verify_certificate_dict(d) == []
+    assert len(chains) == 1
+    forged = copy.deepcopy(d)
+    forged["vertices"][0] = fill_cert_to_dict(
+        fill_min(boundary(Chain.single(G3, (1, 1)))))
+    assert "1 vertices over another group or degree" in \
+        verify_certificate_dict(forged)
+
+
 def test_kappa_rejects_dropped_vertices():
     # Z/3 in degree 2 peaks at 1/2 on 13 of its 21 circuits; without
     # them the other 8 would certify kappa = 3/8
@@ -409,7 +426,7 @@ def test_record_bytes_pinned():
                for k, v in records.items()}
     assert digests == {
         "pipeline":
-            "4ae28b7e33c9a32c5bea221a32f8a9efc13e743c5267c21bdc8cee708b45b758",
+            "b39254224d064a6b7152315b2ccf2dd0d1f1de12f5383ece7f623714beddbd72",
         "kappa":
             "3e4ae6aebdc3f3822a7a899352959b1e4473b6278626187f5e797faf8bd12962",
         "mitosis":

@@ -1,8 +1,6 @@
-import ast
 import itertools
 import random
 import re
-from pathlib import Path
 
 import pytest
 
@@ -16,11 +14,7 @@ from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           cyclic_group, diagonal_hom, group_to_spec,
                           identity_hom, is_abelian, pair_hom,
                           symmetric_group_perm, verify_hom)
-from helpers import finite_backends
-
-PACKAGE = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "barl1").glob("*.py"))
-
+from helpers import finite_backends, record_calls
 
 def test_cyclic_group_table():
     G = cyclic_group(4)
@@ -91,8 +85,16 @@ def test_order_and_membership_match_enumeration():
                     for _ in range(rng.randint(1, 3))]
             groups_.append(PermutationGroup(n, gens))
     for G in groups_:
-        members = groups.generated(G, G.generators)
+        # the breadth-first walk over the generators
+        members = {G.identity()}
+        walk = [G.identity()]
+        for a in walk:
+            for b in (G.mul(a, g) for g in G.generators):
+                if b not in members:
+                    members.add(b)
+                    walk.append(b)
         assert G.order() == len(members), G.generators
+        assert G.elements() == sorted(members)
         for p in itertools.permutations(range(G.degree)):
             assert G.contains(p) == (p in members), (G.generators, p)
 
@@ -354,43 +356,18 @@ def test_element_index_runs_along_elements(name):
     assert len(G.elements()) == G.order()
 
 
-def test_permutation_group_walks_its_generators_once(monkeypatch):
-    walks = []
-
-    def counting(G, gens, _orig=groups.generated):
-        walks.append(G)
-        return _orig(G, gens)
-
-    monkeypatch.setattr(groups, "generated", counting)
+def test_permutation_group_builds_one_chain(monkeypatch):
+    # membership, order, the element list and sampling all read the one
+    # stabilizer chain; sampling lists no element
+    chains = record_calls(monkeypatch, groups, "_schreier_sims")
     G = symmetric_group_perm(4)
     assert G.contains((1, 0, 2, 3)) and not G.contains((0, 0, 1, 2))
     assert G.order() == 24
     assert G.element_index(G.elements()[5]) == 5
-    assert walks == [G]
-
-
-def readers(name):
-    """The qualified name (module.Class.function) of the innermost
-    definition around each read of `name` in the package."""
-    out = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, owner + "." + child.name)
-                continue
-            read = (child.id if isinstance(child, ast.Name) else
-                    child.attr if isinstance(child, ast.Attribute) else None)
-            if read == name and isinstance(child.ctx, ast.Load):
-                out.append(owner)
-            visit(child, owner)
-
-    for path in PACKAGE:
-        visit(ast.parse(path.read_text()), path.stem)
-    return out
-
-
-def test_only_the_element_list_walks_a_group():
-    """generated walks every element of a group; only
-    PermutationGroup._element_list may read it, so no check walks one."""
-    assert readers("generated") == ["groups.PermutationGroup._element_list"]
+    rng = random.Random(3)
+    assert {G.sample(rng) for _ in range(300)} == set(G.elements())
+    assert len(chains) == 1
+    S8 = symmetric_group_perm(8)
+    assert check_axioms(S8) == {"mode": "sampled", "checked_triples": 300,
+                                "order": 40320}
+    assert not hasattr(S8, "_pos") and len(chains) == 2

@@ -1,10 +1,8 @@
 import copy
-import gc
 import hashlib
 import json
 import random
 import time
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -331,8 +329,8 @@ def _xi_targets(n, seed):
 
 
 def test_engine_fills_are_cold_optima():
-    # every fill re-solved from the shared start basis has the l1 norm
-    # of lp_solve's optimum of the same program from an artificial basis
+    # every fill of the dual kernel has the l1 norm of lp_solve's
+    # two-phase primal optimum of the same program
     targets = _xi_targets(12, 71)
     targets += [cert.z for cert in ubc_kappa_exact(G3, 2).certificates]
     assert len(targets) == 12 + 21
@@ -343,48 +341,41 @@ def test_engine_fills_are_cold_optima():
 
 def test_engine_certificates_do_not_depend_on_call_order():
     (z,) = _xi_targets(1, 73)
-    l1opt._full_start.cache_clear()
     first = dump_json(fill_cert_to_dict(fill_min(z)))
     for other in _xi_targets(20, 79):
         fill_min(other)
     assert dump_json(fill_cert_to_dict(fill_min(z))) == first
 
 
-def test_engine_rejects_a_non_boundary_by_a_redundant_row(monkeypatch):
-    # (1, 1) over Z/2 is no cycle; a row phase 1 found redundant sees
-    # that, so the dual simplex never runs
-    calls = record_calls(monkeypatch, l1opt, "_dual_optimize")
-    assert l1opt._full_start(G2, 3).redundant
+def test_no_fill_calls_lp_solve(monkeypatch):
+    # every fill, finite or free, is one run of the l1 kernel; lp_solve
+    # is only the reference the tests compare against
+    calls = record_calls(monkeypatch, l1opt, "lp_solve")
+    kernel = record_calls(monkeypatch, l1opt, "_l1_simplex")
+    fill_min(boundary(Chain.single(G2, (1, 1, 1))))
+    fill_min(boundary(Chain.single(FreeGroup(1), ((1,), (1,)))))
     with pytest.raises(Infeasible):
         fill_min(Chain.single(G2, (1, 1)))
-    assert calls == []
-    fill_min(boundary(Chain.single(G2, (1, 1, 1))))
-    assert len(calls) == 1
+    assert calls == [] and len(kernel) == 3
 
 
-def test_engine_memo_is_bounded():
-    # one start per shared matrix, dropped least recently used, as the
-    # matrices themselves are
-    l1opt._full_start.cache_clear()
-    for n in range(2, barcomplex.MATRIX_MEMO + 4):
-        G = cyclic_group(n)
-        assert fill_min(boundary(Chain.single(G, (1, 1)))).ratio <= 1
-    assert l1opt._full_start.cache_info().currsize == barcomplex.MATRIX_MEMO
+def test_fill_min_free_group_rank_two_commutator():
+    # d(x1, x2) = (x2) - (x1 x2) + (x1) is filled by (x1, x2) itself on
+    # the radius-3 ball, 2809 tuples
+    F2 = FreeGroup(2)
+    cert = fill_min(boundary(Chain.single(F2, ((1,), (2,)))))
+    assert cert.ratio == Fraction(1, 3)
+    assert cert.support == {"kind": "ball", "radius": 3, "size": 2809}
 
 
-def test_engine_start_outlives_its_matrix(monkeypatch):
-    # the start memo is keyed like the matrix memo, on (G, degree): it
-    # keeps no evicted matrix alive, and the rebuilt one finds its start
-    z = boundary(Chain.single(G2, (1, 1)))
-    first = fill_min(z)
-    old = weakref.ref(boundary_matrix(G2, 2))
-    for n in range(3, 4 + barcomplex.MATRIX_MEMO):
-        boundary_matrix(cyclic_group(n), 1)
-    gc.collect()
-    assert old() is None
-    calls = record_calls(monkeypatch, l1opt, "lp_solve")
-    assert fill_min(z).c == first.c
-    assert calls == []
+def test_z3_degree_two_pipeline_certificate():
+    # its xi fill is over the 81 x 729 matrix of (Z/3 x Z/3, 3)
+    h = identity_hom(G3)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G3))
+    z = boundary(Chain(G3, 3, {(2, 0, 1): 1, (1, 2, 0): -1}))
+    cert = primitive_pipeline(z, cfg)
+    assert (cert.kappa, cert.xi_ratio, cert.bound) == (1, 2, 1190)
+    assert cert.verify() == []
 
 
 def test_is_boundary_basics():
@@ -542,9 +533,7 @@ def test_free_group_target_off_the_support_runs_no_lp(monkeypatch):
     F = FreeGroup(1)
     x5 = (1,) * 5
     z = boundary(Chain.single(F, (x5, x5)))
-    calls = []
-    monkeypatch.setattr(l1opt, "lp_solve",
-                        lambda prob: calls.append(prob) or lp_solve(prob))
+    calls = record_calls(monkeypatch, l1opt, "_l1_simplex")
     monkeypatch.setattr(l1opt, "MAX_RADIUS", 3)
     with pytest.raises(SupportExhausted, match="radius 3"):
         fill_min(z)
