@@ -42,7 +42,10 @@ weighted exponent sums of its words all vanish.
 
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
-linear algebra alone for the checker in fileio.  Past its subset budget
+linear algebra alone for the checker in fileio: one depth-first walk
+over the row subsets of a basis of im d that shares the elimination of
+each prefix, cuts the subtree of a dependent prefix and skips a subset
+whose circuit it has found already.  Past its subset budget
 ENUM_BUDGET kappa is bracketed by SAMPLES sampled circuits below and by
 1 above: over a finite group the averaged cone s(z) = (-1)^(q+1)/|G|
 sum_k sum_t z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every
@@ -489,6 +492,14 @@ def _row_chain(G, q, rows, x):
     return Chain._of(G, q, sum_terms(zip(rows, x)))
 
 
+def _image_line(vrows, y):
+    """x = V y for V = vrows, as integers with gcd 1 and first nonzero
+    entry positive."""
+    x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
+    g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
+    return tuple(v // g for v in x)
+
+
 def _circuit(vrows, R):
     """The elementary vector x = V y of the column space of the N x d
     matrix V = vrows (rank d) that vanishes on the d-1 rows R, with y
@@ -496,32 +507,71 @@ def _circuit(vrows, R):
     positive; None when the rows R have rank below d-1.  Any x' = V y'
     with support inside that of x has y' in the same kernel, so x is
     elementary; conversely the zero set of an elementary vector holds
-    such an R (Rockafellar 1969)."""
+    such an R (Rockafellar 1969).  The sampled bracket of
+    ubc_kappa_exact draws its R at random; _circuits walks them all."""
     y = linalg.null_vector([vrows[i] for i in R], len(vrows[0]))
-    if y is None:
-        return None
-    x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
-    g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
-    return tuple(v // g for v in x)
+    return None if y is None else _image_line(vrows, y)
 
 
 def _circuits(vrows):
     """Every _circuit of vrows, scaled to |x|_1 = 1 and sorted; None
-    when the C(N, d-1) row subsets exceed ENUM_BUDGET."""
+    when the C(N, d-1) row subsets exceed ENUM_BUDGET.
+
+    One depth-first walk over the row subsets in lexicographic order,
+    on an explicit stack, as its depth d-1 can pass the recursion limit.
+    It keeps the Gauss-Jordan-reduced rows of the current prefix, so a
+    new row is reduced only against them.  A row that reduces to zero
+    cuts its subtree, where every subset has rank below d-1.  A leaf
+    whose rows lie in the zero set of a circuit already found is
+    skipped, as its kernel line gives that circuit; any other leaf gives
+    the circuit of its kernel line.
+    """
     N, d = len(vrows), len(vrows[0])
     if d == 0:
         return []
     if comb(N, d - 1) > ENUM_BUDGET:
         return None
-    seen = {_circuit(vrows, R) for R in itertools.combinations(range(N), d - 1)}
-    seen.discard(None)
-    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
+    ints = [linalg.int_row(row, 0)[0] for row in vrows]
+    zeros = {}  # circuit -> bitmask of the rows where it vanishes
+    # a frame: the prefix's reduced rows, their pivot columns, the
+    # prefix as a bitmask, and the next row to add to it
+    stack = [([], [], 0, 0)]
+    while stack:
+        rows, cols, mask, i = stack.pop()
+        k = len(rows)
+        if k == d - 1:
+            x = _image_line(vrows, linalg.kernel_line(rows, cols, d))
+            zeros[x] = sum(1 << j for j, v in enumerate(x) if not v)
+            continue
+        if N - i < d - 1 - k:
+            continue  # too few rows left to fill the subset
+        stack.append((rows, cols, mask, i + 1))
+        grown = mask | 1 << i
+        if k == d - 2 and any(grown & z == grown for z in zeros.values()):
+            continue  # a leaf whose circuit is known
+        # eliminate may update its first row in place, and the frames
+        # below share the prefix rows, so every row it updates is a copy
+        row = dict(ints[i])
+        for prow, c in zip(rows, cols):
+            if c in row:
+                row, _ = linalg.eliminate(row, 0, prow, 0, c)
+        if not row:
+            continue  # a dependent prefix: its subtree has no circuit
+        c = min(row)
+        rows = [dict(prow) if c in prow else prow for prow in rows] + [row]
+        cols = cols + [None]
+        linalg.pivot(rows, [0] * (k + 1), cols, k, c)
+        stack.append((rows, cols, grown, i + 1))
+    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x)
+                  for x in zeros)
 
 
 def circuits(G, q):
-    """The vertices of {z in im d_{q+1} : |z|_1 <= 1} as degree-q chains,
-    in the order ubc_kappa_exact fills them; None past ENUM_BUDGET.
-    Linear algebra only, so a checker can list them without an LP."""
+    """The circuits of im d_{q+1} as degree-q chains of l1 norm 1, one
+    per antipodal pair of vertices +-z of {z in im d_{q+1} : |z|_1 <= 1}
+    (the one whose first nonzero coefficient is positive), in the order
+    ubc_kappa_exact fills them; None past ENUM_BUDGET.  Linear algebra
+    only, so a checker can list them without an LP."""
     rows, vrows = _image_basis(G, q)
     verts = _circuits(vrows)
     return None if verts is None else [_row_chain(G, q, rows, x) for x in verts]
@@ -531,11 +581,13 @@ def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
     """kappa(G, q), the largest l1-minimal filling ratio of a degree-q
     boundary.
 
-    The minimal filling norm is convex on {z in im d : |z|_1 <= 1}, so
-    it peaks at a vertex, and the vertices are the circuits of im d
-    scaled to |z|_1 = 1.  With d = rank d_{q+1} over N degree-q tuples,
-    the C(N, d-1) row subsets of the pivot columns of d give them, one
-    kernel line each, and each is filled exactly (strategy "circuits").
+    The minimal filling norm is convex on {z in im d : |z|_1 <= 1} and
+    even, so it peaks at a vertex, and the vertices are the circuits of
+    im d scaled to |z|_1 = 1, in antipodal pairs.  With d = rank d_{q+1}
+    over N degree-q tuples, the rank d-1 subsets among the C(N, d-1) row
+    subsets of the pivot columns of d give them, by the walk of
+    _circuits, and one of each pair is filled exactly (strategy
+    "circuits").
     Past ENUM_BUDGET subsets the lower bound is the best ratio over the
     circuits of SAMPLES random row subsets (repeats skipped) and the
     upper bound is 1, the averaged cone's (module docstring): exact

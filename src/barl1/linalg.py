@@ -147,9 +147,13 @@ def null_vector(a, ncols):
     None when its rank is lower, so that the kernel is no line."""
     rows = [int_row(values, 0)[0] for values in a]
     cols = _reduce_square(rows, [0] * len(rows), ncols)
-    if cols is None:
-        return None
-    # after Gauss-Jordan row r reads p * y[c] + f * y[free] = 0
+    return None if cols is None else kernel_line(rows, cols, ncols)
+
+
+def kernel_line(rows, cols, ncols):
+    """Integer y spanning the kernel of ncols - 1 Gauss-Jordan-reduced
+    integer rows, rows[r] pivoting on column cols[r]."""
+    # row r reads p * y[c] + f * y[free] = 0
     free = min(set(range(ncols)).difference(cols))
     scale = lcm(*(rows[r][c] for r, c in enumerate(cols)))
     y = [0] * ncols

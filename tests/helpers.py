@@ -7,6 +7,7 @@ from barl1 import barcomplex
 from barl1.barcomplex import Chain, Cochain, boundary, coboundary
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct, cyclic_group,
                           symmetric_group_perm)
+from barl1.l1opt import _circuit
 from barl1.linalg import solve_square
 from barl1.mitosis import mitosis_of_finite_abelian
 
@@ -166,3 +167,13 @@ def rank_int(rows, ncols=None) -> int:
         if rank == m:
             break
     return rank
+
+
+def circuits_by_subsets(vrows):
+    """The oracle for l1opt._circuits: the _circuit of every (d-1)-row
+    subset of the N x d matrix vrows, each eliminated from scratch,
+    scaled to |x|_1 = 1 and sorted."""
+    N, d = len(vrows), len(vrows[0])
+    seen = {_circuit(vrows, R) for R in itertools.combinations(range(N), d - 1)}
+    seen.discard(None)
+    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
