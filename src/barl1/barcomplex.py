@@ -322,7 +322,8 @@ def push_chain(h, c: Chain) -> Chain:
 class BoundaryMatrix:
     """Sparse integer matrix of d_k on the k-tuples cols, one row per
     face in the order the faces first occur.  boundary_matrix shares it
-    between callers, so it is never mutated."""
+    between callers, so it is never mutated; linalg.gauss_jordan, which
+    gives its rank and reads no dense copy, updates copies of its rows."""
 
     group: GroupOracle
     degree: int
@@ -330,12 +331,8 @@ class BoundaryMatrix:
     cols: tuple  # k-tuples
     entries: tuple  # per row, {column: nonzero int}
 
-    def dense_rows(self):
-        return [[row.get(j, 0) for j in range(len(self.cols))]
-                for row in self.entries]
-
     def rank(self) -> int:
-        return len(linalg.rref(self.dense_rows())[1])
+        return len(linalg.gauss_jordan(self.entries)[0])
 
 
 def tuple_basis(G, k) -> list:

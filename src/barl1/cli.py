@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import __version__, fileio, l1opt, mitosis
 from .barcomplex import (SizeCapError, betti, boundary, l1_norm, random_chain,
                          tuple_basis)
-from .groups import (GroupAxiomError, HomomorphismError, build_group,
-                     build_hom, check_axioms, identity_hom)
+from .groups import (GroupAxiomError, HomomorphismError, build_hom,
+                     check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted
 from .mitosis import MitosisError, PipelineError
 from .products import cross_chain, cup, pair_compat_check
@@ -211,20 +211,14 @@ def _load_pipeline_config(path):
     def group_of(v):
         if isinstance(v, str):
             return fileio.load_group(os.path.join(base, v))
-        return build_group(v)
+        return fileio.read_group(v, "pipeline config")
 
     if "group" in raw:
         H = Hp = K = G = group_of(raw["group"])
     else:
-        try:
-            H = group_of(raw["groups"]["H"])
-            Hp = group_of(raw["groups"]["H'"])
-            K = group_of(raw["groups"]["K"])
-            G = group_of(raw["groups"]["G"])
-        except KeyError as exc:
-            raise fileio.FileFormatError(
-                "pipeline config needs groups H, H', K, G (or a single "
-                "'group'): missing %s" % exc) from None
+        groups = fileio.required(raw, "groups")
+        H, Hp, K, G = (group_of(fileio.required(groups, name))
+                       for name in ("H", "H'", "K", "G"))
 
     homs = raw.get("homs", "identity")
     if homs == "identity":
@@ -235,17 +229,13 @@ def _load_pipeline_config(path):
         phi_prime = identity_hom(Hp)
         psi = identity_hom(K)
     else:
-        def hom_of(rec, S, T, name):
-            table = {fileio.decode_element(S, a): fileio.decode_element(T, b)
-                     for a, b in rec}
-            if len(table) != S.order():
-                raise fileio.FileFormatError(
-                    "hom %s must list every source element" % name)
+        def hom_of(name, S, T):
+            table = fileio.read_table(homs, name, S, T)
             return build_hom(S, T, fn=table.__getitem__, name=name)
 
-        phi = hom_of(homs["phi"], H, Hp, "phi")
-        phi_prime = hom_of(homs["phi'"], Hp, K, "phi'")
-        psi = hom_of(homs["psi"], K, G, "psi")
+        phi = hom_of("phi", H, Hp)
+        phi_prime = hom_of("phi'", Hp, K)
+        psi = hom_of("psi", K, G)
 
     data = mitosis.mitosis_of_finite_abelian(G)
     cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data)

@@ -51,6 +51,17 @@ def parse_int(v, field) -> int:
     raise FileFormatError("%s must be an integer, got %r" % (field, v))
 
 
+def required(record, name):
+    """The field `name` of a record, which must be an object holding
+    it; else FileFormatError naming the field."""
+    if not isinstance(record, dict):
+        raise FileFormatError("expected a record with field %r, got %r"
+                              % (name, record))
+    if name not in record:
+        raise FileFormatError("record has no field %r" % (name,))
+    return record[name]
+
+
 def format_fraction(fr) -> str:
     fr = Fraction(fr)
     if fr.denominator == 1:
@@ -146,15 +157,11 @@ def chain_from_records(G, degree, records) -> Chain:
     constructor checks the membership of each decoded element."""
     coeffs = []
     for rec in records:
-        if not isinstance(rec, dict) or "coeff" not in rec or "tuple" not in rec:
-            raise FileFormatError(
-                "chain record must be {'coeff': 'p/q', 'tuple': [...]}")
-        tup = tuple(_read_element(G, x) for x in rec["tuple"])
+        tup = tuple(_read_element(G, x) for x in required(rec, "tuple"))
         if len(tup) != degree:
-            raise FileFormatError(
-                "tuple %r has length %d, expected %d"
-                % (rec["tuple"], len(tup), degree))
-        coeffs.append((tup, parse_fraction(rec["coeff"])))
+            raise FileFormatError("tuple %r has length %d, expected %d"
+                                  % (rec["tuple"], len(tup), degree))
+        coeffs.append((tup, parse_fraction(required(rec, "coeff"))))
     return Chain(G, degree, coeffs)
 
 
@@ -163,18 +170,14 @@ def chain_to_dict(c: Chain) -> dict:
 
 
 def chain_from_dict(G, d) -> Chain:
-    if not isinstance(d, dict) or "degree" not in d:
-        raise FileFormatError("chain file needs a 'degree' field")
-    degree = parse_int(d["degree"], "degree")
+    degree = parse_int(required(d, "degree"), "degree")
     return chain_from_records(G, degree, d.get("terms", []))
 
 
 def cochain_from_dict(G, d) -> Cochain:
     """The cochain whose values are the chain_from_records of its terms,
     read with 0 off their support."""
-    if not isinstance(d, dict) or "degree" not in d:
-        raise FileFormatError("cochain file needs a 'degree' field")
-    c = chain_from_records(G, parse_int(d["degree"], "degree"),
+    c = chain_from_records(G, parse_int(required(d, "degree"), "degree"),
                            d.get("terms", []))
     return Cochain(G, c.degree, fn=lambda tup: c.coeffs.get(tup, 0),
                    name=d.get("name", "f"))
@@ -198,7 +201,7 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def _read_group(spec, where):
+def read_group(spec, where):
     """build_group of the group record read from `where` (a file or a
     record field), a schema error raised as FileFormatError."""
     try:
@@ -210,7 +213,7 @@ def _read_group(spec, where):
 
 
 def load_group(path):
-    return _read_group(load_json(path), path)
+    return read_group(load_json(path), path)
 
 
 def load_chain(path, G) -> Chain:
@@ -236,11 +239,11 @@ def fill_cert_from_dict(d, G=None) -> l1opt.FillCertificate:
     """The fill record d, over G when given (the group its `group`
     field records), else over the group built from that field."""
     if G is None:
-        G = _read_group(d["group"], "field 'group'")
-    degree = parse_int(d["degree"], "degree")
-    z = chain_from_records(G, degree, d["z"])
-    c = chain_from_records(G, degree + 1, d["c"])
-    return l1opt.FillCertificate(z, c, parse_fraction(d["ratio"]),
+        G = read_group(required(d, "group"), "field 'group'")
+    degree = parse_int(required(d, "degree"), "degree")
+    z = chain_from_records(G, degree, required(d, "z"))
+    c = chain_from_records(G, degree + 1, required(d, "c"))
+    return l1opt.FillCertificate(z, c, parse_fraction(required(d, "ratio")),
                                  d.get("support"), d.get("method"))
 
 
@@ -271,18 +274,18 @@ def pipeline_cert_to_dict(cert: mitosis.PipelineCertificate) -> dict:
 
 
 def pipeline_cert_from_dict(d) -> mitosis.PipelineCertificate:
-    H = _read_group(d["source_group"], "field 'source_group'")
-    M = _read_group(d["ambient_group"], "field 'ambient_group'")
-    q = parse_int(d["degree"], "degree")
+    H = read_group(required(d, "source_group"), "field 'source_group'")
+    M = read_group(required(d, "ambient_group"), "field 'ambient_group'")
+    q = parse_int(required(d, "degree"), "degree")
     return mitosis.PipelineCertificate(
-        z=chain_from_records(H, q, d["z"]),
-        target=chain_from_records(M, q, d["target"]),
-        primitive=chain_from_records(M, q + 1, d["primitive"]),
+        z=chain_from_records(H, q, required(d, "z")),
+        target=chain_from_records(M, q, required(d, "target")),
+        primitive=chain_from_records(M, q + 1, required(d, "primitive")),
         degree=q,
-        ratio=parse_fraction(d["ratio"]),
-        kappa=parse_fraction(d["kappa"]),
-        xi_ratio=parse_fraction(d["xi"]),
-        bound=parse_fraction(d["bound"]))
+        ratio=parse_fraction(required(d, "ratio")),
+        kappa=parse_fraction(required(d, "kappa")),
+        xi_ratio=parse_fraction(required(d, "xi")),
+        bound=parse_fraction(required(d, "bound")))
 
 
 def tower_to_dict(rows) -> dict:
@@ -313,16 +316,27 @@ def mitosis_to_dict(data: mitosis.MitosisData) -> dict:
 
 
 def mitosis_from_dict(d) -> mitosis.MitosisData:
-    G = _read_group(d["source"], "field 'source'")
-    M = _read_group(d["ambient"], "field 'ambient'")
-    table = {decode_element(G, src): decode_element(M, img)
-             for src, img in d["injection"]}
-    if len(table) != G.order():
-        raise FileFormatError("injection table does not cover the source group")
+    G = read_group(required(d, "source"), "field 'source'")
+    M = read_group(required(d, "ambient"), "field 'ambient'")
+    table = read_table(d, "injection", G, M)
     inj = Homomorphism(G, M, table.__getitem__, name="inj")
     return mitosis.MitosisData(G, M, inj,
-                               decode_element(M, d["s"]),
-                               decode_element(M, d["d"]))
+                               decode_element(M, required(d, "s")),
+                               decode_element(M, required(d, "d")))
+
+
+def read_table(record, name, S, T) -> dict:
+    """The map S -> T that the field `name` of a record lists as
+    [source, image] pairs, one for each element of S."""
+    pairs = required(record, name)
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise FileFormatError("field %r must list [source, image] pairs"
+                              % (name,))
+    table = {decode_element(S, a): decode_element(T, b) for a, b in pairs}
+    if len(table) != S.order():
+        raise FileFormatError("field %r misses a source element" % (name,))
+    return table
 
 
 def _vertex_set_failures(expected, G, q, zs) -> list[str]:
@@ -365,19 +379,20 @@ def verify_certificate_dict(d) -> list[str]:
         # proves: kappa for vertex-enumeration, else the cone bound 1 of a
         # finite group in degree >= 1, above which no fill is minimal
         failures = []
-        G = _read_group(d["group"], "field 'group'")
-        q = parse_int(d["degree"], "degree")
+        G = read_group(required(d, "group"), "field 'group'")
+        q = parse_int(required(d, "degree"), "degree")
         cone = q >= 1 and G.is_finite()
         # a vertex that records the record's group is read over G, so
         # the group is built once; any other is read over its own
         vertices = [fill_cert_from_dict(
-                        sub, G if sub["group"] == d["group"] else None)
+                        sub, G if required(sub, "group") == d["group"]
+                        else None)
                     for sub in d.get("vertices", [])]
         for i, cert in enumerate(vertices):
             failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
             if cone and cert.ratio > 1:
                 failures.append("vertex %d: ratio above the cone bound 1" % i)
-        lower = parse_fraction(d["lower"])
+        lower = parse_fraction(required(d, "lower"))
         upper = None if d.get("upper") is None else parse_fraction(d["upper"])
         kappa = None if d.get("kappa") is None else parse_fraction(d["kappa"])
         method = d.get("method")
@@ -409,6 +424,9 @@ def verify_certificate_dict(d) -> list[str]:
         # whole, so no field is trusted; an integer field must be one,
         # as true == 1 and 1.0 == 1 would compare equal
         rows = d.get("rows", [])
+        if not isinstance(rows, list) or not all(
+                isinstance(r, dict) for r in rows):
+            raise FileFormatError("tower rows must be a list of objects")
         for r in rows:
             for k in ("degree", "size", "theta", "aw", "shuffle"):
                 if k in r:

@@ -42,14 +42,15 @@ weighted exponent sums of its words all vanish.
 
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
-linear algebra alone for the checker in fileio: one depth-first walk
-over the row subsets of a basis of im d that shares the elimination of
-each prefix, cuts the subtree of a dependent prefix and skips a subset
-whose circuit it has found already.  Past its subset budget
-ENUM_BUDGET kappa is bracketed by SAMPLES sampled circuits below and by
-1 above: over a finite group the averaged cone s(z) = (-1)^(q+1)/|G|
-sum_k sum_t z_t (t, k) has ds(z) = z and |s(z)|_1 = |z|_1 for every
-degree-q cycle z, q >= 1 (Brown, Cohomology of Groups, I.5).
+linear algebra alone for the checker in fileio: on the pivot columns of
+the sparse d, one depth-first walk over the row subsets adds each row to
+its prefix by linalg.add_row, cuts the subtree of a dependent prefix and
+skips a subset whose circuit it has found already.  Past its subset
+budget ENUM_BUDGET kappa is bracketed by SAMPLES sampled circuits, each
+reduced by the same step, below and by 1 above: over a finite group the
+averaged cone s(z) = (-1)^(q+1)/|G| sum_k sum_t z_t (t, k) has
+ds(z) = z and |s(z)|_1 = |z|_1 for every degree-q cycle z, q >= 1
+(Brown, Cohomology of Groups, I.5).
 """
 
 from __future__ import annotations
@@ -482,9 +483,8 @@ def _image_basis(G, q):
     """The row labels of boundary_matrix(G, q+1), N degree-q tuples, and
     the N x d integer matrix of its pivot columns, a basis of im d."""
     d = boundary_matrix(G, q + 1)
-    dense = d.dense_rows()
-    _, pivots = linalg.rref(dense)
-    return d.rows, [[row[j] for j in pivots] for row in dense]
+    pivots = sorted(set(linalg.gauss_jordan(d.entries)[1]) - {None})
+    return d.rows, [[row.get(j, 0) for j in pivots] for row in d.entries]
 
 
 def _row_chain(G, q, rows, x):
@@ -492,25 +492,20 @@ def _row_chain(G, q, rows, x):
     return Chain._of(G, q, sum_terms(zip(rows, x)))
 
 
-def _image_line(vrows, y):
-    """x = V y for V = vrows, as integers with gcd 1 and first nonzero
-    entry positive."""
+def _circuit(vrows, rows, cols):
+    """The elementary vector x = V y of the column space of the N x d
+    matrix V = vrows (rank d) that vanishes on d-1 of its rows, with y
+    the kernel line of those rows, Gauss-Jordan-reduced to (rows, cols)
+    by linalg.add_row, as integers with gcd 1 and first nonzero entry
+    positive.  Any x' = V y' with support inside that of x has y' in the
+    same kernel, so x is elementary; conversely the zero set of an
+    elementary vector holds d-1 rows of rank d-1 (Rockafellar 1969).
+    _circuits walks every such row subset; the sampled bracket of
+    ubc_kappa_exact draws them at random."""
+    y = linalg.kernel_line(rows, cols, len(vrows[0]))
     x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
     g = gcd(*x) if next(v for v in x if v) > 0 else -gcd(*x)
     return tuple(v // g for v in x)
-
-
-def _circuit(vrows, R):
-    """The elementary vector x = V y of the column space of the N x d
-    matrix V = vrows (rank d) that vanishes on the d-1 rows R, with y
-    their kernel line, as integers with gcd 1 and first nonzero entry
-    positive; None when the rows R have rank below d-1.  Any x' = V y'
-    with support inside that of x has y' in the same kernel, so x is
-    elementary; conversely the zero set of an elementary vector holds
-    such an R (Rockafellar 1969).  The sampled bracket of
-    ubc_kappa_exact draws its R at random; _circuits walks them all."""
-    y = linalg.null_vector([vrows[i] for i in R], len(vrows[0]))
-    return None if y is None else _image_line(vrows, y)
 
 
 def _circuits(vrows):
@@ -519,12 +514,12 @@ def _circuits(vrows):
 
     One depth-first walk over the row subsets in lexicographic order,
     on an explicit stack, as its depth d-1 can pass the recursion limit.
-    It keeps the Gauss-Jordan-reduced rows of the current prefix, so a
-    new row is reduced only against them.  A row that reduces to zero
-    cuts its subtree, where every subset has rank below d-1.  A leaf
-    whose rows lie in the zero set of a circuit already found is
-    skipped, as its kernel line gives that circuit; any other leaf gives
-    the circuit of its kernel line.
+    Each frame keeps the Gauss-Jordan-reduced rows of its prefix, and
+    linalg.add_row reduces a new row against them alone.  A row that
+    reduces to zero cuts its subtree, where every subset has rank below
+    d-1.  A leaf whose rows lie in the zero set of a circuit already
+    found is skipped, as its kernel line gives that circuit; any other
+    leaf gives the circuit of its kernel line.
     """
     N, d = len(vrows), len(vrows[0])
     if d == 0:
@@ -540,7 +535,7 @@ def _circuits(vrows):
         rows, cols, mask, i = stack.pop()
         k = len(rows)
         if k == d - 1:
-            x = _image_line(vrows, linalg.kernel_line(rows, cols, d))
+            x = _circuit(vrows, rows, cols)
             zeros[x] = sum(1 << j for j, v in enumerate(x) if not v)
             continue
         if N - i < d - 1 - k:
@@ -549,19 +544,9 @@ def _circuits(vrows):
         grown = mask | 1 << i
         if k == d - 2 and any(grown & z == grown for z in zeros.values()):
             continue  # a leaf whose circuit is known
-        # eliminate may update its first row in place, and the frames
-        # below share the prefix rows, so every row it updates is a copy
-        row = dict(ints[i])
-        for prow, c in zip(rows, cols):
-            if c in row:
-                row, _ = linalg.eliminate(row, 0, prow, 0, c)
-        if not row:
-            continue  # a dependent prefix: its subtree has no circuit
-        c = min(row)
-        rows = [dict(prow) if c in prow else prow for prow in rows] + [row]
-        cols = cols + [None]
-        linalg.pivot(rows, [0] * (k + 1), cols, k, c)
-        stack.append((rows, cols, grown, i + 1))
+        prefix = linalg.add_row(rows, cols, ints[i])
+        if prefix is not None:  # else a dependent prefix, with no circuit
+            stack.append((*prefix, grown, i + 1))
     return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x)
                   for x in zeros)
 
@@ -613,7 +598,10 @@ def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
     certs = []
     seen = set()
     for _ in range(SAMPLES):
-        x = _circuit(vrows, rng.sample(range(len(vrows)), d - 1))
+        red, cols = linalg.gauss_jordan(
+            linalg.int_row(vrows[i], 0)[0]
+            for i in rng.sample(range(len(vrows)), d - 1))
+        x = None if None in cols else _circuit(vrows, red, cols)
         if x is None or x in seen:
             continue
         seen.add(x)

@@ -1,11 +1,12 @@
 """Small exact linear algebra kernel: RREF, square solves, kernels.
 
-Matrices are lists of row lists.  RREF (and so every rank: the rank is
-the number of RREF pivots), square solves and kernel lines share the
-sparse integer-row Gauss-Jordan kernel (int_row / eliminate / pivot)
-that the simplex in l1opt runs on: each row is a dict of nonzero integer
-entries whose rhs is scaled with it, and every updated row is divided by
-its gcd.
+Rows are dicts of nonzero integer entries (int_row), and every updated
+row is divided by its gcd.  Every reduction runs through one step,
+add_row, which reduces a new row against the Gauss-Jordan-reduced rows
+of a prefix and pivots it in; gauss_jordan folds it over a list of rows
+for rref, solve_square and the ranks and image bases of d, and the
+circuit walk of l1opt takes it row by row.  The simplex in l1opt runs
+on eliminate and pivot, with each row's rhs scaled with it.
 """
 
 from __future__ import annotations
@@ -87,67 +88,71 @@ def pivot(rows, rhs, basis, r, c):
     basis[r] = c
 
 
-def _reduce_square(rows, rhs, ncols):
-    """Gauss-Jordan on n integer rows over columns < ncols, pivoting each
-    row on its first such column; the pivot column of each row, or None
-    when the rows are dependent there."""
-    cols = [None] * len(rows)
-    for r, row in enumerate(rows):
-        c = min((j for j in row if j < ncols), default=None)
-        if c is None:
-            return None
-        pivot(rows, rhs, cols, r, c)
-    return cols
+def add_row(rows, cols, row):
+    """The Gauss-Jordan-reduced integer rows of a prefix, rows[r]
+    pivoting on column cols[r], with `row` reduced against them and
+    pivoted in on its first remaining column, as new lists (rows, cols);
+    None when row reduces to zero.  As eliminate may update its first
+    row in place, the new row and each prefix row it clears are copies,
+    so the given rows stay shared, say by the frames of a walk."""
+    row = dict(row)
+    for prow, c in zip(rows, cols):
+        if c in row:
+            row, _ = eliminate(row, 0, prow, 0, c)
+    if not row:
+        return None
+    c = min(row)
+    rows = [dict(prow) if c in prow else prow for prow in rows] + [row]
+    cols = cols + [None]
+    pivot(rows, [0] * len(rows), cols, len(rows) - 1, c)
+    return rows, cols
+
+
+def gauss_jordan(rows):
+    """Gauss-Jordan on integer rows, left as they are, by add_row: each
+    row in turn pivots on its first column left after the rows before
+    it.  Returns the reduced independent rows and the pivot column of
+    each given row, None for a row that reduced to zero."""
+    reduced, cols, pivots = [], [], []
+    for row in rows:
+        grown = add_row(reduced, cols, row)
+        if grown is not None:
+            reduced, cols = grown
+        pivots.append(None if grown is None else cols[-1])
+    return reduced, pivots
 
 
 def solve_square(a, b):
-    """Solve a x = b for square a; None when singular."""
-    rows, rhs = [], []
-    for values, bi in zip(a, b):
-        row, bi, _ = int_row(values, bi)
-        rows.append(row)
-        rhs.append(bi)
-    n = len(rows)
-    cols = _reduce_square(rows, rhs, n)
-    if cols is None:
+    """Solve a x = b for a square list of rows a; None when singular.
+    Gauss-Jordan on the rows of [a | b] leaves each as p x[c] = b', b'
+    in column n, unless a is singular and a row pivots on no column of a."""
+    n = len(a)
+    reduced, pivots = gauss_jordan(int_row([*values, bi], 0)[0]
+                                   for values, bi in zip(a, b))
+    if None in pivots or n in pivots:
         return None
     x = [None] * n
-    for r, c in enumerate(cols):
-        # row r is now rows[r][c] * x[c] = rhs[r]
-        x[c] = Fraction(rhs[r], rows[r][c])
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row.get(n, 0), row[c])
     return x
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    Each integer row pivots in turn on its first nonzero column, which
-    pivot clears from every other row.  The RREF is unique, so dividing
-    the pivot rows by their pivot entries and sorting them by pivot
-    column gives it; rows that reduced to zero follow as zero rows.
+    gauss_jordan leaves each row led by its pivot entry, cleared from
+    every other row.  The RREF is unique, so those rows over their pivot
+    entries, sorted by pivot column, give it; zero rows follow.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    ints = [int_row(values, 0)[0] for values in rows]
-    zeros = [0] * len(ints)
-    cols = [None] * len(ints)
-    for r, row in enumerate(ints):
-        if row:
-            pivot(ints, zeros, cols, r, min(row))
-    order = sorted((c, r) for r, c in enumerate(cols) if c is not None)
-    red = [[Fraction(ints[r].get(j, 0), ints[r][c]) for j in range(ncols)]
-           for c, r in order]
+    reduced, pivots = gauss_jordan(int_row(values, 0)[0] for values in rows)
+    order = sorted(zip((c for c in pivots if c is not None), reduced))
+    red = [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+           for c, row in order]
     red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(order))]
     return red, [c for c, _ in order]
-
-
-def null_vector(a, ncols):
-    """Integer y spanning the kernel of a, a matrix of ncols - 1 rows;
-    None when its rank is lower, so that the kernel is no line."""
-    rows = [int_row(values, 0)[0] for values in a]
-    cols = _reduce_square(rows, [0] * len(rows), ncols)
-    return None if cols is None else kernel_line(rows, cols, ncols)
 
 
 def kernel_line(rows, cols, ncols):

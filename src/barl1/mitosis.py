@@ -21,14 +21,15 @@ fill_min certificates.  A certificate is checked once, by its verify(),
 in the function that builds it, and callers trust it.
 
 verify_mitosis checks that the injection is a homomorphism (verify_hom)
-and the axioms on every element when source and ambient are finite,
-else on 20 source elements drawn from random.Random(0) without the
-generation check.  Generation (1) is decided without walking M: the
-images of i(G), s and d under a faithful permutation image of M
-(M.permutation_image) generate a permutation group whose order, by
-Schreier-Sims, is |M| exactly when they generate M.  mu_hom runs it, once per PipelineConfig, and so does
-`barl1 mitosis build-abelian` before it writes; mitosis_of_finite_abelian
-does not.  Maps into G x G build that product themselves.
+and the axioms on every element when source and ambient are finite, else
+on 20 source elements drawn from random.Random(0) without the generation
+check.  Generation (1) is decided without walking M: the images of i(G),
+s and d under a faithful permutation image of M (M.permutation_image)
+generate a permutation group whose order, by Schreier-Sims, is |M|
+exactly when they generate M.  mu_hom runs it, once per PipelineConfig,
+and so does `barl1 mitosis build-abelian` before it writes;
+mitosis_of_finite_abelian does not.  Maps into G x G build that product
+themselves.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from barl1 import barcomplex
 from barl1.barcomplex import Chain, Cochain, boundary, coboundary
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct, cyclic_group,
                           symmetric_group_perm)
-from barl1.l1opt import _circuit
 from barl1.linalg import solve_square
 from barl1.mitosis import mitosis_of_finite_abelian
 
@@ -135,6 +134,12 @@ def column_span_oracle(dmat):
     return in_span
 
 
+def dense_rows(dmat):
+    """The sparse boundary matrix dmat as dense integer rows."""
+    return [[row.get(j, 0) for j in range(len(dmat.cols))]
+            for row in dmat.entries]
+
+
 def rank_int(rows, ncols=None) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination:
     the reference the library's integer-row rref is checked against."""
@@ -169,11 +174,41 @@ def rank_int(rows, ncols=None) -> int:
     return rank
 
 
+def cofactor_line(R, d):
+    """The cofactor kernel line of the d-1 integer rows R of length d,
+    y_j = (-1)^j det(R without column j) up to one common sign, so 0
+    exactly when R has rank below d-1.  One fraction-free (Bareiss)
+    elimination of [R^T | I] gives all of them: by Sylvester's identity
+    the last row ends as the minors on the d-1 columns of R^T and one
+    column of I, each exact by the Bareiss divisibility property."""
+    b = [[r[j] for r in R] + [int(j == m) for m in range(d)]
+         for j in range(d)]
+    prev = 1
+    for k in range(d - 1):
+        piv = next((i for i in range(k, d) if b[i][k]), None)
+        if piv is None:
+            return [0] * d
+        b[k], b[piv] = b[piv], b[k]
+        for i in range(k + 1, d):
+            for j in range(k + 1, 2 * d - 1):
+                b[i][j] = (b[k][k] * b[i][j] - b[i][k] * b[k][j]) // prev
+        prev = b[k][k]
+    return b[d - 1][d - 1:]
+
+
 def circuits_by_subsets(vrows):
-    """The oracle for l1opt._circuits: the _circuit of every (d-1)-row
-    subset of the N x d matrix vrows, each eliminated from scratch,
-    scaled to |x|_1 = 1 and sorted."""
-    N, d = len(vrows), len(vrows[0])
-    seen = {_circuit(vrows, R) for R in itertools.combinations(range(N), d - 1)}
-    seen.discard(None)
-    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x) for x in seen)
+    """The oracle for l1opt._circuits, with no row reduction of linalg:
+    for every d-1 rows R of the N x d matrix V = vrows, y is their
+    cofactor_line, and x = V y, with first nonzero entry positive and
+    scaled to |x|_1 = 1, is a circuit, listed once and sorted."""
+    d = len(vrows[0])
+    seen = set()
+    for R in itertools.combinations(vrows, d - 1):
+        y = cofactor_line(R, d)
+        if not any(y):
+            continue
+        assert all(sum(v * w for v, w in zip(r, y)) == 0 for r in R)
+        x = [sum(v * w for v, w in zip(row, y)) for row in vrows]
+        n = sum(map(abs, x)) * (1 if next(v for v in x if v) > 0 else -1)
+        seen.add(tuple(Fraction(v, n) for v in x))
+    return sorted(seen)

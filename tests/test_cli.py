@@ -13,8 +13,8 @@ from barl1.barcomplex import Chain, boundary
 from barl1.cli import run
 from barl1.fileio import chain_to_dict, dump_json, fill_cert_to_dict, load_json
 from barl1.groups import (SemidirectProduct, build_group, cyclic_group,
-                          group_to_spec)
-from barl1.l1opt import fill_min
+                          group_to_spec, identity_hom)
+from barl1.l1opt import fill_min, ubc_kappa_exact
 from barl1.mitosis import constant_c
 
 G2 = cyclic_group(2)
@@ -441,3 +441,65 @@ def test_group_record_integers_must_be_integers(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert "input error" in captured.err and "must be an integer" in captured.err
     assert "Error(" not in captured.err  # a message, not an exception repr
+
+
+def _without(record, field):
+    return {k: v for k, v in record.items() if k != field}
+
+
+def _pipeline_record():
+    h = identity_hom(G2)
+    data = mitosis.mitosis_of_finite_abelian(G2)
+    cert = mitosis.primitive_pipeline(Chain.single(G2, (1,)),
+                                      mitosis.PipelineConfig(h, h, h, data))
+    return fileio.pipeline_cert_to_dict(cert)
+
+
+def _tower_with_a_number_row():
+    record = fileio.tower_to_dict(mitosis.tower(2, xi=[0, 1, Fraction(1, 2)]))
+    record["rows"][1] = 5
+    return record
+
+
+# a certificate record that lacks a required field, or a malformed
+# pipeline config: the command, the record, and what the message says
+MALFORMED = {
+    "fill without group": ("verify", lambda: _without(fill_cert_to_dict(
+        fill_min(boundary(Chain.single(G2, (1, 1))))), "group"),
+        "no field 'group'"),
+    "kappa without degree": ("verify", lambda: _without(
+        fileio.kappa_to_dict(ubc_kappa_exact(G2, 1), G2), "degree"),
+        "no field 'degree'"),
+    "pipeline without source_group": ("verify", lambda: _without(
+        _pipeline_record(), "source_group"), "no field 'source_group'"),
+    "mitosis without source": ("verify", lambda: _without(
+        fileio.mitosis_to_dict(mitosis.mitosis_of_finite_abelian(G2)),
+        "source"), "no field 'source'"),
+    "tower row not an object": ("verify", _tower_with_a_number_row,
+                                "tower rows must be a list of objects"),
+    "config semidirect without base": (
+        "pipeline", lambda: {"group": {"type": "semidirect"}},
+        "bad group record in pipeline config"),
+    "config elements not a list": (
+        "pipeline", lambda: {"group": {**group_to_spec(G2), "elements": 5}},
+        "bad group record in pipeline config"),
+    "config homs without phi": (
+        "pipeline", lambda: {"group": group_to_spec(G2), "homs": {}},
+        "no field 'phi'"),
+    "config hom phi not a table": (
+        "pipeline", lambda: {"group": group_to_spec(G2), "homs": {"phi": 5}},
+        "field 'phi' must list [source, image] pairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_records_and_configs_are_plain_input_errors(tmp_path, capsys,
+                                                              case):
+    command, build, message = MALFORMED[case]
+    path = jfile(tmp_path, "bad.json", build())
+    argv = (["verify", path] if command == "verify" else
+            ["pipeline", "--config", path, "--out-dir", str(tmp_path)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+    assert "Error(" not in err  # a message, not an exception repr

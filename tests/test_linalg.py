@@ -4,8 +4,8 @@ from math import lcm
 
 import pytest
 
-from barl1.linalg import (exact, int_row, null_vector, rank_factorization,
-                          rref, solve_square)
+from barl1.linalg import (exact, gauss_jordan, int_row, kernel_line,
+                          rank_factorization, rref, solve_square)
 from helpers import rank_int
 
 
@@ -62,18 +62,25 @@ def test_rref_random():
                     for j in range(n)] == row
 
 
-def test_null_vector_random():
+def test_gauss_jordan_kernel_line_random():
+    # the driver's pivots against rank_int (Bareiss), and the kernel
+    # line of its reduced rows against substitution
     rng = random.Random(19)
     lines = 0
     for _ in range(150):
         n = rng.randrange(1, 6)
         a = [[Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
               for _ in range(n)] for _ in range(n - 1)]
-        y = null_vector(a, n)
+        ints = [int_row(row, 0)[0] for row in a]
+        given = [dict(row) for row in ints]
+        rows, pivots = gauss_jordan(ints)
+        assert ints == given  # the given rows are left as they are
         if rank_int([[int(v * 2) for v in row] for row in a], n) < n - 1:
-            assert y is None
+            assert None in pivots
             continue
+        assert None not in pivots
         lines += 1
+        y = kernel_line(rows, pivots, n)
         assert any(y) and all(isinstance(v, int) for v in y)
         assert all(sum(v * w for v, w in zip(row, y)) == 0 for row in a)
     assert 0 < lines < 150
