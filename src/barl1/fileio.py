@@ -5,6 +5,8 @@ strings.  Element encoding is per backend: finite elements by name,
 permutations as comma-separated image strings, free-group words as
 "x1*x2^-1" (or "e"), product and semidirect elements as nested arrays.
 Certificates embed a full group record so they re-verify standalone.
+A fill, kappa or pipeline record is read into its class, whose
+verify() holds its rules; only a tower's rule lives here.
 decode_element is where elements read from a file enter the program,
 so it checks their membership; chain and cochain records leave that
 check to the Chain constructor, so each element is checked once.
@@ -255,8 +257,21 @@ def kappa_to_dict(res: l1opt.UbcConstant, G) -> dict:
             "lower": format_fraction(res.lower),
             "upper": None if res.upper is None else format_fraction(res.upper),
             "method": res.method,
-            "strategy": res.strategy,
             "vertices": [fill_cert_to_dict(c) for c in res.certificates]}
+
+
+def kappa_from_dict(d, G) -> l1opt.UbcConstant:
+    """The kappa record d over G, the group of its `group` field, as are
+    its vertices that record that group, so the group is built once."""
+    degree = parse_int(required(d, "degree"), "degree")
+    vertices = [fill_cert_from_dict(
+                    sub, G if required(sub, "group") == d.get("group") else None)
+                for sub in d.get("vertices", [])]
+    lower = parse_fraction(required(d, "lower"))
+    upper, kappa = (None if d.get(k) is None else parse_fraction(d[k])
+                    for k in ("upper", "kappa"))
+    return l1opt.UbcConstant(degree, kappa, lower, upper, d.get("method"),
+                             vertices)
 
 
 def pipeline_cert_to_dict(cert: mitosis.PipelineCertificate) -> dict:
@@ -339,29 +354,6 @@ def read_table(record, name, S, T) -> dict:
     return table
 
 
-def _vertex_set_failures(expected, G, q, zs) -> list[str]:
-    """A vertex-enumeration kappa record must fill every vertex of the
-    unit boundary polytope, and nothing else: its vertex boundaries zs
-    must be the circuits of im d, each once, as l1opt.circuits lists
-    them again by linear algebra alone (expected; None past its budget)."""
-    if expected is None:
-        return ["too many circuits to re-enumerate; completeness unchecked"]
-    want = {frozenset(c.coeffs.items()) for c in expected}
-    got = [frozenset(z.coeffs.items()) for z in zs
-           if z.group == G and z.degree == q]
-    failures = []
-    if len(zs) > len(got):
-        failures.append("%d vertices over another group or degree"
-                        % (len(zs) - len(got)))
-    missing = len(want.difference(got))
-    extra = len(got) - len(want.intersection(got))
-    if missing:
-        failures.append("%d circuits of im d missing from the vertices" % missing)
-    if extra:
-        failures.append("%d vertices are not distinct circuits of im d" % extra)
-    return failures
-
-
 def verify_certificate_dict(d) -> list[str]:
     """Independent re-check of any certificate record.  Uses chain
     arithmetic, linear algebra and group oracles only; no LP is run.
@@ -375,50 +367,8 @@ def verify_certificate_dict(d) -> list[str]:
     if kind == "pipeline":
         return pipeline_cert_from_dict(d).verify()
     if kind == "kappa":
-        # lower is the best vertex ratio and upper the bound the method
-        # proves: kappa for vertex-enumeration, else the cone bound 1 of a
-        # finite group in degree >= 1, above which no fill is minimal
-        failures = []
         G = read_group(required(d, "group"), "field 'group'")
-        q = parse_int(required(d, "degree"), "degree")
-        cone = q >= 1 and G.is_finite()
-        # a vertex that records the record's group is read over G, so
-        # the group is built once; any other is read over its own
-        vertices = [fill_cert_from_dict(
-                        sub, G if required(sub, "group") == d["group"]
-                        else None)
-                    for sub in d.get("vertices", [])]
-        for i, cert in enumerate(vertices):
-            failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
-            if cone and cert.ratio > 1:
-                failures.append("vertex %d: ratio above the cone bound 1" % i)
-        lower = parse_fraction(required(d, "lower"))
-        upper = None if d.get("upper") is None else parse_fraction(d["upper"])
-        kappa = None if d.get("kappa") is None else parse_fraction(d["kappa"])
-        method = d.get("method")
-        if max((c.ratio for c in vertices), default=Fraction(0)) != lower:
-            failures.append("stated lower bound is not the best stored ratio")
-        proved = None
-        if method == "vertex-enumeration":
-            proved = kappa
-        elif method in ("sampled", "cone-bound") and cone:
-            proved = Fraction(1)
-        if upper != proved:
-            failures.append("stated upper bound is not the one its method proves")
-        if kappa is not None:
-            if method not in ("vertex-enumeration", "cone-bound"):
-                failures.append("exact kappa stated for a non-exact method")
-            elif kappa != lower or kappa != upper:
-                failures.append("exact kappa does not match its witness ratio")
-        strategy = {"sampled": "cone", "cone-bound": "cone"}.get(method)
-        if method == "vertex-enumeration":
-            expected = l1opt.circuits(G, q)
-            strategy = "trivial" if expected == [] else "circuits"
-            failures.extend(_vertex_set_failures(expected, G, q,
-                                                 [c.z for c in vertices]))
-        if d.get("strategy") != strategy:
-            failures.append("strategy is not the one its method implies")
-        return failures
+        return kappa_from_dict(d, G).verify(G)
     if kind == "tower":
         # every row is recomputed from the stated xi values and compared
         # whole, so no field is trusted; an integer field must be one,

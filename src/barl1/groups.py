@@ -774,28 +774,32 @@ def check_axioms(G) -> dict:
 
 
 def build_group(spec: dict) -> GroupOracle:
-    """Build an oracle from a structured description record."""
+    """Build an oracle from a structured description record; a missing
+    required field raises ValueError naming it."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise GroupAxiomError("group record must be an object with a 'type' field")
+
+    def field(name):
+        if name not in spec:
+            raise ValueError("record has no field %r" % (name,))
+        return spec[name]
     kind = spec["type"]
     if kind == "finite":
-        if "table" not in spec:
-            raise GroupAxiomError("finite group record needs a 'table'")
-        return FiniteTableGroup(spec["table"], names=spec.get("elements"))
+        return FiniteTableGroup(field("table"), names=spec.get("elements"))
     if kind == "perm":
-        return PermutationGroup(spec.get("degree", 0), spec.get("generators", []))
+        return PermutationGroup(field("degree"), spec.get("generators", []))
     if kind == "free":
-        return FreeGroup(spec.get("rank", 0))
+        return FreeGroup(field("rank"))
     if kind == "product":
-        op = spec.get("op")
-        factors = [build_group(f) for f in spec.get("factors", [])]
+        op = field("op")
+        factors = [build_group(f) for f in field("factors")]
         if op == "direct":
             return DirectProduct(factors)
         if op == "free":
             return FreeProduct(factors)
         raise GroupAxiomError("unknown product op %r" % (op,))
     if kind == "semidirect":
-        base = build_group(spec["base"])
+        base = build_group(field("base"))
         tables = spec.get("action", [])
         action = PermutationGroup(base.order(), tables)
         return SemidirectProduct(base, action)

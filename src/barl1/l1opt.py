@@ -40,9 +40,12 @@ q >= 2, and H_1(F; Q) = F_ab (x) Q = Q^rank through exponent sums: a
 degree-1 chain over F is a boundary exactly when the coefficient-
 weighted exponent sums of its words all vanish.
 
+Certificates re-check themselves by verify(), with no LP; fill and
+pipeline ones share filling_failures.
+
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
-linear algebra alone for the checker in fileio: on the pivot columns of
+linear algebra alone for UbcConstant.verify: on the pivot columns of
 the sparse d, one depth-first walk over the row subsets adds each row to
 its prefix by linalg.add_row, cuts the subtree of a dependent prefix and
 skips a subset whose circuit it has found already.  Past its subset
@@ -209,6 +212,23 @@ def lp_solve(prob: LpProblem) -> LpResult:
     return LpResult("optimal", x, objective, dual)
 
 
+def filling_failures(c: Chain, target: Chain, z: Chain, ratio) -> list[str]:
+    """Failed checks of dc = target and ratio = |c|/|z|, or c = 0 and
+    ratio = 0 when z = 0; a fill's target is z itself."""
+    failures = []
+    if boundary(c) != target:
+        failures.append("boundary mismatch: d(c) != target")
+    nz = l1_norm(z)
+    if nz == 0:
+        if not c.is_zero():
+            failures.append("nonzero filling of z = 0")
+        if ratio != 0:
+            failures.append("ratio of the zero filling must be 0")
+    elif ratio != l1_norm(c) / nz:
+        failures.append("ratio mismatch")
+    return failures
+
+
 @dataclass
 class FillCertificate:
     """Self-contained witness that c fills z: dc = z with the stated ratio."""
@@ -221,20 +241,9 @@ class FillCertificate:
 
     def verify(self) -> list[str]:
         """Re-check with chain arithmetic only; returns failed check names."""
-        failures = []
         if self.c.degree != self.z.degree + 1:
-            failures.append("degree mismatch between primitive and boundary")
-            return failures
-        if boundary(self.c) != self.z:
-            failures.append("boundary mismatch: d(c) != z")
-        nz = l1_norm(self.z)
-        if nz == 0:
-            if not self.c.is_zero():
-                failures.append("zero boundary with nonzero primitive")
-            if self.ratio != 0:
-                failures.append("ratio of the zero filling must be 0")
-        elif self.ratio != l1_norm(self.c) / nz:
-            failures.append("ratio mismatch: |c|/|z| differs from stated ratio")
+            return ["degree mismatch between primitive and boundary"]
+        failures = filling_failures(self.c, self.z, self.z, self.ratio)
         if self.method != "simplex-bland":
             failures.append("unknown fill method %r" % (self.method,))
         if self.support != self._derived_support():
@@ -472,7 +481,58 @@ class UbcConstant:
     upper: Fraction | None
     method: str
     certificates: list = field(default_factory=list)
-    strategy: str = ""
+
+    def verify(self, G) -> list[str]:
+        """Re-check over G without an LP; returns failed check names.
+        lower is the best vertex ratio and upper the bound the method
+        proves: kappa for vertex-enumeration, else the cone bound 1 of a
+        finite group in degree >= 1, above which no fill is minimal."""
+        failures = []
+        q, certs = self.degree, self.certificates
+        cone = q >= 1 and G.is_finite()
+        for i, cert in enumerate(certs):
+            failures.extend("vertex %d: %s" % (i, f) for f in cert.verify())
+            if cone and cert.ratio > 1:
+                failures.append("vertex %d: ratio above the cone bound 1" % i)
+        if max((c.ratio for c in certs), default=Fraction(0)) != self.lower:
+            failures.append("stated lower bound is not the best stored ratio")
+        proved = None
+        if self.method == "vertex-enumeration":
+            proved = self.kappa
+        elif self.method in ("sampled", "cone-bound") and cone:
+            proved = Fraction(1)
+        if self.upper != proved:
+            failures.append("stated upper bound is not the one its method proves")
+        if self.kappa is not None:
+            if self.method not in ("vertex-enumeration", "cone-bound"):
+                failures.append("exact kappa stated for a non-exact method")
+            elif self.kappa != self.lower or self.kappa != self.upper:
+                failures.append("exact kappa does not match its witness ratio")
+        if self.method == "vertex-enumeration":
+            failures.extend(_vertex_set_failures(circuits(G, q), G, q,
+                                                 [c.z for c in certs]))
+        return failures
+
+
+def _vertex_set_failures(expected, G, q, zs) -> list[str]:
+    """Vertex boundaries zs that are not the circuits of im d, each once,
+    as circuits lists them again (expected; None past its budget)."""
+    if expected is None:
+        return ["too many circuits to re-enumerate; completeness unchecked"]
+    want = {frozenset(c.coeffs.items()) for c in expected}
+    got = [frozenset(z.coeffs.items()) for z in zs
+           if z.group == G and z.degree == q]
+    failures = []
+    if len(zs) > len(got):
+        failures.append("%d vertices over another group or degree"
+                        % (len(zs) - len(got)))
+    missing = len(want.difference(got))
+    extra = len(got) - len(want.intersection(got))
+    if missing:
+        failures.append("%d circuits of im d missing from the vertices" % missing)
+    if extra:
+        failures.append("%d vertices are not distinct circuits of im d" % extra)
+    return failures
 
 
 ENUM_BUDGET = 200_000  # (d-1)-subsets the circuit enumeration may visit
@@ -571,27 +631,21 @@ def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
     im d scaled to |z|_1 = 1, in antipodal pairs.  With d = rank d_{q+1}
     over N degree-q tuples, the rank d-1 subsets among the C(N, d-1) row
     subsets of the pivot columns of d give them, by the walk of
-    _circuits, and one of each pair is filled exactly (strategy
-    "circuits").
+    _circuits, and one of each pair is filled exactly
+    ("vertex-enumeration"; kappa = 0 with no vertex when d = 0).
     Past ENUM_BUDGET subsets the lower bound is the best ratio over the
     circuits of SAMPLES random row subsets (repeats skipped) and the
     upper bound is 1, the averaged cone's (module docstring): exact
     ("cone-bound") once the lower bound reaches 1, else the bracket
-    [lower, 1] ("sampled"), both with strategy "cone".
+    [lower, 1] ("sampled").  fill_min verifies each vertex fill.
     """
     rows, vrows = _image_basis(G, q)
-    d = len(vrows[0])
-    if d == 0:
-        # no nonzero boundaries: the polytope is empty and kappa = 0
-        return UbcConstant(q, Fraction(0), Fraction(0), Fraction(0),
-                           "vertex-enumeration", [], strategy="trivial")
-
     verts = _circuits(vrows)
     if verts is not None:
         certs = [fill_min(_row_chain(G, q, rows, x)) for x in verts]
-        kappa = max(cert.ratio for cert in certs)
+        kappa = max((cert.ratio for cert in certs), default=Fraction(0))
         return UbcConstant(q, kappa, kappa, kappa, "vertex-enumeration",
-                           certs, strategy="circuits")
+                           certs)
 
     rng = rng or random.Random(0)
     lower = Fraction(0)
@@ -600,7 +654,7 @@ def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
     for _ in range(SAMPLES):
         red, cols = linalg.gauss_jordan(
             linalg.int_row(vrows[i], 0)[0]
-            for i in rng.sample(range(len(vrows)), d - 1))
+            for i in rng.sample(range(len(vrows)), len(vrows[0]) - 1))
         x = None if None in cols else _circuit(vrows, red, cols)
         if x is None or x in seen:
             continue
@@ -609,7 +663,5 @@ def ubc_kappa_exact(G, q, rng=None) -> UbcConstant:
         certs.append(cert)
         lower = max(lower, cert.ratio)
         if lower == 1:
-            return UbcConstant(q, lower, lower, lower, "cone-bound", certs,
-                               strategy="cone")
-    return UbcConstant(q, None, lower, Fraction(1), "sampled", certs,
-                       strategy="cone")
+            return UbcConstant(q, lower, lower, lower, "cone-bound", certs)
+    return UbcConstant(q, None, lower, Fraction(1), "sampled", certs)

@@ -400,15 +400,8 @@ class PipelineCertificate:
 
     def verify(self) -> list[str]:
         """Re-check with chain arithmetic only; returns failed check names."""
-        failures = []
-        if boundary(self.primitive) != self.target:
-            failures.append("boundary mismatch: d(c') != (i o f)_* z")
-        nz = l1_norm(self.z)
-        if nz == 0:
-            if not self.primitive.is_zero():
-                failures.append("zero input with nonzero primitive")
-        elif self.ratio != l1_norm(self.primitive) / nz:
-            failures.append("ratio mismatch")
+        failures = l1opt.filling_failures(self.primitive, self.target,
+                                          self.z, self.ratio)
         if self.bound != constant_c(self.degree, self.kappa, self.xi_ratio):
             failures.append("stated bound does not match the constant formula")
         if self.ratio > self.bound:

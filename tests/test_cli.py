@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -357,6 +359,19 @@ def test_readme_library_example():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_cites_the_module_constants_it_names():
+    # every "`module.CONSTANT` (value)" in the README, across line
+    # breaks, states the value the code has
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cited = re.findall(r"`(\w+)\.([A-Z][A-Z_]*)`\s+\((\d+)\)", readme)
+    assert {(m, name) for m, name, _ in cited} >= {
+        ("l1opt", "ENUM_BUDGET"), ("l1opt", "SAMPLES"),
+        ("l1opt", "START_RADIUS"), ("l1opt", "MAX_RADIUS")}
+    for module, name, value in cited:
+        code = getattr(importlib.import_module("barl1." + module), name)
+        assert code == int(value), "%s.%s" % (module, name)
+
+
 def test_json_output_is_deterministic(z2file, capsys):
     assert run(["kappa", "--group", z2file, "--degree", "1", "--json"]) == 0
     first = capsys.readouterr().out
@@ -479,7 +494,17 @@ MALFORMED = {
                                 "tower rows must be a list of objects"),
     "config semidirect without base": (
         "pipeline", lambda: {"group": {"type": "semidirect"}},
-        "bad group record in pipeline config"),
+        "bad group record in pipeline config: record has no field 'base'"),
+    "config finite without table": (
+        "pipeline", lambda: {"group": {"type": "finite", "elements": ["e"]}},
+        "bad group record in pipeline config: record has no field 'table'"),
+    "config perm without degree": (
+        "pipeline", lambda: {"group": {"type": "perm", "generators": []}},
+        "bad group record in pipeline config: record has no field 'degree'"),
+    "config product without op": (
+        "pipeline", lambda: {"group": {"type": "product",
+                                       "factors": [group_to_spec(G2)]}},
+        "bad group record in pipeline config: record has no field 'op'"),
     "config elements not a list": (
         "pipeline", lambda: {"group": {**group_to_spec(G2), "elements": 5}},
         "bad group record in pipeline config"),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -299,6 +300,40 @@ def test_kappa_rejects_empty_vertex_list():
         "21 circuits of im d missing from the vertices"]
 
 
+KAPPA_CASES = [(G2, 1), (G2, 2), (G2, 3), (G3, 1), (G3, 2),
+               (cyclic_group(4), 1), (symmetric_group_perm(3), 1)]
+
+
+@pytest.mark.parametrize("G, q", KAPPA_CASES,
+                         ids=["Z2_q1", "Z2_q2", "Z2_q3", "Z3_q1", "Z3_q2",
+                              "Z4_q1", "S3_q1"])
+def test_kappa_verify_is_the_record_check(G, q):
+    # UbcConstant.verify is the whole kappa rule: a tampered result
+    # fails it with the list its record gets from verify_certificate_dict
+    res = ubc_kappa_exact(G, q)
+    assert res.verify(G) == [] == verify_certificate_dict(kappa_to_dict(res, G))
+    for change in ({"lower": res.lower + 1}, {"upper": None},
+                   {"upper": Fraction(2)}, {"kappa": None},
+                   {"kappa": res.kappa / 2}, {"method": "sampled"}):
+        forged = dataclasses.replace(res, **change)
+        failures = forged.verify(G)
+        assert failures != []
+        assert failures == verify_certificate_dict(kappa_to_dict(forged, G))
+
+
+def test_zero_filling_states_ratio_zero():
+    # z = 0 has the filling 0 of ratio 0; a fill and a pipeline record
+    # stating ratio 1 fail the one filling check alike
+    fill = dict(fill_cert_to_dict(fill_min(Chain.zero(G2, 1))), ratio="1")
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    pipe = pipeline_cert_to_dict(primitive_pipeline(Chain.zero(G2, 1), cfg))
+    assert pipe["ratio"] == "0" and verify_certificate_dict(pipe) == []
+    pipe["ratio"] = "1"
+    assert verify_certificate_dict(pipe) == verify_certificate_dict(fill) == [
+        "ratio of the zero filling must be 0"]
+
+
 def test_pipeline_certificate_round_trip_and_tamper():
     h = identity_hom(G2)
     cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
@@ -428,7 +463,7 @@ def test_record_bytes_pinned():
         "pipeline":
             "b39254224d064a6b7152315b2ccf2dd0d1f1de12f5383ece7f623714beddbd72",
         "kappa":
-            "3e4ae6aebdc3f3822a7a899352959b1e4473b6278626187f5e797faf8bd12962",
+            "22bb98e0ea9fdc8d51000029eefa5884b22b136251b6512bc8e5b983d1fa6513",
         "mitosis":
             "565611ca95dc6220437103d8e8a49fb2fb5d8db4be84a6ec7d524724ec3434eb",
         "free product chain":
@@ -500,13 +535,18 @@ def test_fill_over_a_free_group_states_its_word_ball():
         "support is not the one fill_min gives z"]
 
 
-def test_kappa_rejects_a_strategy_its_method_does_not_imply(tmp_path):
+def test_kappa_record_states_no_strategy(tmp_path):
+    # the method alone says how kappa was found; a `strategy` field of
+    # an older record, whatever its value, is ignored
     d = kappa_to_dict(ubc_kappa_exact(G2, 2), G2)
-    assert d["strategy"] == "circuits" and verify_certificate_dict(d) == []
-    forged = dict(d, strategy="cone")
-    assert verify_certificate_dict(forged) == [
-        "strategy is not the one its method implies"]
-    assert _rejected(forged, tmp_path)
+    assert "strategy" not in d
+    assert verify_certificate_dict(d) == []
+    for strategy in ("circuits", "cone", "trivial", None, 5):
+        older = dict(d, strategy=strategy)
+        assert verify_certificate_dict(older) == []
+        path = str(tmp_path / "older.json")
+        dump_json(older, path)
+        assert run(["verify", path]) == 0
 
 
 def _input_error(record, tmp_path):

@@ -628,21 +628,22 @@ def test_identity_listed_second():
 def test_kappa_z2_degree_one():
     res = ubc_kappa_exact(G2, 1)
     assert res.kappa == 1 and res.lower == 1 and res.upper == 1
-    assert res.method == "vertex-enumeration" and res.strategy == "circuits"
+    assert res.method == "vertex-enumeration"
     assert all(cert.verify() == [] for cert in res.certificates)
 
 
 def test_kappa_small_groups():
     assert ubc_kappa_exact(G1, 1).kappa == 1
     triv2 = ubc_kappa_exact(G1, 2)
-    assert triv2.kappa == 0 and triv2.strategy == "trivial"
+    assert triv2.kappa == 0 and triv2.method == "vertex-enumeration"
+    assert triv2.certificates == []
     assert ubc_kappa_exact(G3, 1).kappa == 1
 
 
 def test_kappa_z2_degree_two_circuits():
     res = ubc_kappa_exact(G2, 2)
     assert res.kappa == Fraction(1, 2)
-    assert res.method == "vertex-enumeration" and res.strategy == "circuits"
+    assert res.method == "vertex-enumeration"
     # the three vertices that enumerating the bases of the lifted
     # program {u - w = V y, sum u + sum w = 1} finds, in the same order
     h = Fraction(1, 2)
@@ -738,7 +739,7 @@ def test_kappa_sampled_brackets_exact(monkeypatch):
     monkeypatch.setattr(l1opt, "ENUM_BUDGET", 0)
     monkeypatch.setattr(l1opt, "SAMPLES", 30)
     res = ubc_kappa_exact(G2, 2, rng=random.Random(3))
-    assert res.method == "sampled" and res.strategy == "cone"
+    assert res.method == "sampled"
     assert res.kappa is None and res.upper == 1
     assert res.lower <= Fraction(1, 2) <= res.upper
 
@@ -748,7 +749,7 @@ def test_kappa_cone_bound_closes_the_bracket():
     # reaches the cone bound 1, so the bracket [1, 1] is exact
     res = ubc_kappa_exact(G3, 3)
     assert res.kappa == res.lower == res.upper == 1
-    assert res.method == "cone-bound" and res.strategy == "cone"
+    assert res.method == "cone-bound"
     assert max(cert.ratio for cert in res.certificates) == 1
     assert all(cert.verify() == [] for cert in res.certificates)
 
@@ -756,7 +757,7 @@ def test_kappa_cone_bound_closes_the_bracket():
 def test_kappa_sampled_circuits_below_the_cone_bound(monkeypatch):
     monkeypatch.setattr(l1opt, "SAMPLES", 10)
     res = ubc_kappa_exact(S3, 2, rng=random.Random(0))
-    assert res.method == "sampled" and res.strategy == "cone"
+    assert res.method == "sampled"
     assert res.kappa is None and res.upper == 1
     assert Fraction(1, 2) <= res.lower < 1
     zs = [frozenset(cert.z.coeffs.items()) for cert in res.certificates]
