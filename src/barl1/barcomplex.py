@@ -9,9 +9,10 @@ boundary is
                    + (-1)^k (g_1,...,g_{k-1})
 
 so d_1 = 0 identically and |d_k| <= k+1 in the l1 operator norm.
-Coefficients and cochain values are exact, by linalg.exact's one rule:
-ints stay ints, other rationals are Fractions, and floats and bools
-are rejected.
+Coefficients and cochain values are exact, by linalg's one rule:
+integral values are ints, other rationals are Fractions, and floats and
+bools are rejected.  A sum or product of Fractions can still be an
+integral Fraction, which equals and hashes like its int.
 
 Chain and products.TensorChain share SparseChain: a dict of nonzero
 coefficients with its space and degree, and the arithmetic on it.

@@ -53,6 +53,13 @@ def parse_int(v, field) -> int:
     raise FileFormatError("%s must be an integer, got %r" % (field, v))
 
 
+def parse_list(v, field) -> list:
+    """v, the record's `field`, which must be a JSON list."""
+    if isinstance(v, list):
+        return v
+    raise FileFormatError("%s must be a list, got %r" % (field, v))
+
+
 def required(record, name):
     """The field `name` of a record, which must be an object holding
     it; else FileFormatError naming the field."""
@@ -159,7 +166,8 @@ def chain_from_records(G, degree, records) -> Chain:
     constructor checks the membership of each decoded element."""
     coeffs = []
     for rec in records:
-        tup = tuple(_read_element(G, x) for x in required(rec, "tuple"))
+        tup = tuple(_read_element(G, x)
+                    for x in parse_list(required(rec, "tuple"), "tuple"))
         if len(tup) != degree:
             raise FileFormatError("tuple %r has length %d, expected %d"
                                   % (rec["tuple"], len(tup), degree))
@@ -173,14 +181,15 @@ def chain_to_dict(c: Chain) -> dict:
 
 def chain_from_dict(G, d) -> Chain:
     degree = parse_int(required(d, "degree"), "degree")
-    return chain_from_records(G, degree, d.get("terms", []))
+    return chain_from_records(G, degree,
+                              parse_list(d.get("terms", []), "terms"))
 
 
 def cochain_from_dict(G, d) -> Cochain:
     """The cochain whose values are the chain_from_records of its terms,
     read with 0 off their support."""
     c = chain_from_records(G, parse_int(required(d, "degree"), "degree"),
-                           d.get("terms", []))
+                           parse_list(d.get("terms", []), "terms"))
     return Cochain(G, c.degree, fn=lambda tup: c.coeffs.get(tup, 0),
                    name=d.get("name", "f"))
 
@@ -243,8 +252,8 @@ def fill_cert_from_dict(d, G=None) -> l1opt.FillCertificate:
     if G is None:
         G = read_group(required(d, "group"), "field 'group'")
     degree = parse_int(required(d, "degree"), "degree")
-    z = chain_from_records(G, degree, required(d, "z"))
-    c = chain_from_records(G, degree + 1, required(d, "c"))
+    z = chain_from_records(G, degree, parse_list(required(d, "z"), "z"))
+    c = chain_from_records(G, degree + 1, parse_list(required(d, "c"), "c"))
     return l1opt.FillCertificate(z, c, parse_fraction(required(d, "ratio")),
                                  d.get("support"), d.get("method"))
 
@@ -266,7 +275,7 @@ def kappa_from_dict(d, G) -> l1opt.UbcConstant:
     degree = parse_int(required(d, "degree"), "degree")
     vertices = [fill_cert_from_dict(
                     sub, G if required(sub, "group") == d.get("group") else None)
-                for sub in d.get("vertices", [])]
+                for sub in parse_list(d.get("vertices", []), "vertices")]
     lower = parse_fraction(required(d, "lower"))
     upper, kappa = (None if d.get(k) is None else parse_fraction(d[k])
                     for k in ("upper", "kappa"))
@@ -293,9 +302,11 @@ def pipeline_cert_from_dict(d) -> mitosis.PipelineCertificate:
     M = read_group(required(d, "ambient_group"), "field 'ambient_group'")
     q = parse_int(required(d, "degree"), "degree")
     return mitosis.PipelineCertificate(
-        z=chain_from_records(H, q, required(d, "z")),
-        target=chain_from_records(M, q, required(d, "target")),
-        primitive=chain_from_records(M, q + 1, required(d, "primitive")),
+        z=chain_from_records(H, q, parse_list(required(d, "z"), "z")),
+        target=chain_from_records(
+            M, q, parse_list(required(d, "target"), "target")),
+        primitive=chain_from_records(
+            M, q + 1, parse_list(required(d, "primitive"), "primitive")),
         degree=q,
         ratio=parse_fraction(required(d, "ratio")),
         kappa=parse_fraction(required(d, "kappa")),

@@ -27,9 +27,13 @@ permutations and free-product words sorted, direct and semidirect
 pairs in itertools.product order of their factors.  GroupOracle turns
 that list into one element -> position dict, built on first use, and
 everything else reads it: elements() (a fresh list), element_index,
-SemidirectProduct.act, and so the tuple bases of
-barcomplex.tuple_basis.  An infinite group has no enumeration;
-elements() and element_index raise GroupAxiomError.
+and so the tuple bases of barcomplex.tuple_basis.  An infinite group
+has no enumeration; elements() and element_index raise GroupAxiomError.
+
+A semidirect product M = B x| A reads the law of B from one table of
+|B|^2 base positions, built once.  M itself is never tabulated: its
+|M|^2 entries (2.4M for the mitosis ambient of Z/4) would cost more
+than the multiplies they save.
 
 A permutation group is not walked to decide membership or order.  It
 keeps a base and strong generating set, built once by deterministic
@@ -54,7 +58,7 @@ cochain constructor, which checks a table as a chain,
 Homomorphism.apply, verify_hom (on each image),
 conjugation, mitosis.theta (its conjugator) and verify_mitosis (s and
 d).  Everything after that trusts its elements: arithmetic (mul, inv,
-element_index, act), a homomorphism's fn, and chains built with
+element_index), a homomorphism's fn, and chains built with
 SparseChain._of, among them l1opt's fillings over the tuples of
 elements() or ball().  On a non-member their result is unspecified.
 
@@ -285,7 +289,7 @@ class PermutationGroup(GroupOracle):
         return tuple(range(self.degree))
 
     def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.degree))
+        return tuple([a[i] for i in b])
 
     def inv(self, a):
         return _perm_inverse(a)
@@ -643,6 +647,11 @@ class SemidirectProduct(GroupOracle):
     each acting element permutes the base and must respect its law.
     Only the generators are checked, the closure then consists of
     automorphisms automatically.
+
+    The base law is read once, into _table: _table[i][j] is the index
+    of base[i] base[j] over base.elements().  Every method reads the
+    base law from it, so a multiply is list lookups and one composite
+    in the action; M itself is never tabulated.
     """
 
     backend = "semidirect"
@@ -658,25 +667,22 @@ class SemidirectProduct(GroupOracle):
                 % (action.degree, base.order()))
         self.base = base
         self.action = action
-        self._base_els = base.elements()
+        els = self._base_els = base.elements()
+        pos = self._base_pos = base._positions()
+        self._table = [[pos[base.mul(x, y)] for y in els] for x in els]
         for g in action.generators:
             self._check_automorphism(g)
 
     def _check_automorphism(self, perm):
-        els = self._base_els
-        n = len(els)
-        for i in range(n):
-            for j in range(n):
-                lhs = perm[self.base.element_index(self.base.mul(els[i], els[j]))]
-                rhs = self.base.element_index(
-                    self.base.mul(els[perm[i]], els[perm[j]]))
-                if lhs != rhs:
+        table = self._table
+        for i, row in enumerate(table):
+            prow = table[perm[i]]
+            for j, k in enumerate(row):
+                if perm[k] != prow[perm[j]]:
+                    els = self._base_els
                     raise GroupAxiomError(
                         "action table is not an automorphism: fails on (%r, %r)"
                         % (els[i], els[j]))
-
-    def act(self, h, b):
-        return self._base_els[h[self.base.element_index(b)]]
 
     def identity(self):
         return (self.base.identity(), self.action.identity())
@@ -684,12 +690,18 @@ class SemidirectProduct(GroupOracle):
     def mul(self, a, b):
         b1, h1 = a
         b2, h2 = b
-        return (self.base.mul(b1, self.act(h1, b2)), self.action.mul(h1, h2))
+        pos = self._base_pos
+        return (self._base_els[self._table[pos[b1]][h1[pos[b2]]]],
+                self.action.mul(h1, h2))
 
     def inv(self, a):
+        """(b, h)^-1 = (h^-1(b^-1), h^-1), b^-1 the column where b's
+        row of the table meets the identity."""
         b, h = a
         hi = self.action.inv(h)
-        return (self.act(hi, self.base.inv(b)), hi)
+        pos = self._base_pos
+        bi = self._table[pos[b]].index(pos[self.base.identity()])
+        return (self._base_els[hi[bi]], hi)
 
     def contains(self, a):
         return (isinstance(a, tuple) and len(a) == 2
@@ -706,8 +718,8 @@ class SemidirectProduct(GroupOracle):
         indices: faithful, since b h(e) = b, and a homomorphism, since
         every acting element is an automorphism."""
         b, h = a
-        base, els = self.base, self._base_els
-        return tuple(base.element_index(base.mul(b, els[y])) for y in h)
+        row = self._table[self._base_pos[b]]
+        return tuple([row[y] for y in h])
 
     def sample(self, rng):
         return (self.base.sample(rng), self.action.sample(rng))

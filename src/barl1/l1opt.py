@@ -158,7 +158,7 @@ def lp_solve(prob: LpProblem) -> LpResult:
     if m == 0:
         if any(v < 0 for v in c):
             return LpResult("unbounded")
-        return LpResult("optimal", [Fraction(0)] * n, Fraction(0), [])
+        return LpResult("optimal", [0] * n, Fraction(0), [])
 
     # phase 1: artificial basis, minimize its total.  Artificial i is
     # column n + i; its entry in row i is the row's denominator.
@@ -194,15 +194,15 @@ def lp_solve(prob: LpProblem) -> LpResult:
     if _optimize(rows, rhs, _price_out(cost, rows, rhs, basis),
                  basis) == "unbounded":
         return LpResult("unbounded")
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bi in enumerate(basis):
         # a basic column is a unit column scaled by the row's denominator
-        x[bi] = Fraction(rhs[i], rows[i][bi])
+        x[bi] = linalg.quotient(rhs[i], rows[i][bi])
     objective = sum((c[bi] * x[bi] for bi in basis), Fraction(0))
 
     # dual vector from the final basis, solved on the caller's own rows
     # (so in the caller's sign frame), padded with 0 on dropped rows
-    dual = [Fraction(0)] * m
+    dual = [0] * m
     if basis:
         bt = [[given[i].get(bk, 0) for i in rowmap] for bk in basis]
         y = linalg.solve_square(bt, [c[bk] for bk in basis])
@@ -403,7 +403,7 @@ def _solve_fill(z: Chain, d):
     S = len(d.cols)
     # c_j = u_j - w_j = rhs / rows[i][j] either way, over the scale of b
     return Chain._of(z.group, z.degree + 1, sum_terms(
-        (d.cols[k % S], Fraction(v, rows[i][k % S] * scale))
+        (d.cols[k % S], linalg.quotient(v, rows[i][k % S] * scale))
         for i, (k, v) in enumerate(zip(basis, rhs)) if v))
 
 
@@ -607,7 +607,7 @@ def _circuits(vrows):
         prefix = linalg.add_row(rows, cols, ints[i])
         if prefix is not None:  # else a dependent prefix, with no circuit
             stack.append((*prefix, grown, i + 1))
-    return sorted(tuple(Fraction(v, sum(map(abs, x))) for v in x)
+    return sorted(tuple(linalg.quotient(v, sum(map(abs, x))) for v in x)
                   for x in zeros)
 
 

@@ -7,6 +7,14 @@ of a prefix and pivots it in; gauss_jordan folds it over a list of rows
 for rref, solve_square and the ranks and image bases of d, and the
 circuit walk of l1opt takes it row by row.  The simplex in l1opt runs
 on eliminate and pivot, with each row's rhs scaled with it.
+
+One exact-number rule: an integral value is an int, any other
+rational a Fraction, and floats and bools are refused.  exact applies
+it to a value read from outside, and every division in a producer (a
+fill, an RREF, a solve, a circuit) goes through quotient, so none of
+them builds an integral Fraction.  Norms, pairings and ratios
+(barcomplex.l1_norm, kronecker) stay Fractions, so that dividing two
+of them never gives a float.
 """
 
 from __future__ import annotations
@@ -16,17 +24,28 @@ from math import gcd, lcm
 
 
 def exact(v):
-    """v as an exact number: ints and Fractions as they are, anything
-    else through Fraction, except a float, which is rejected, as its
-    binary value is seldom the number meant, and a bool, which is a
-    flag and not a number."""
+    """v as an exact number, by the module's one rule: an integral
+    value is an int, so a Fraction whose denominator is 1 becomes its
+    numerator, and any other rational a Fraction.  Anything but an int
+    or a Fraction goes through Fraction, except a float, which is
+    rejected, as its binary value is seldom the number meant, and a
+    bool, which is a flag and not a number."""
     if isinstance(v, bool):
         raise TypeError("bool %r rejected; use 0 or 1" % (v,))
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return v
     if isinstance(v, float):
         raise TypeError("float %r rejected; use Fraction" % (v,))
-    return Fraction(v)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def quotient(n, d):
+    """n / d for ints n and d != 0 by exact's rule: an int when d
+    divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def int_row(values, b):
@@ -133,7 +152,7 @@ def solve_square(a, b):
         return None
     x = [None] * n
     for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row.get(n, 0), row[c])
+        x[c] = quotient(row.get(n, 0), row[c])
     return x
 
 
@@ -149,9 +168,9 @@ def rref(rows):
     ncols = len(rows[0])
     reduced, pivots = gauss_jordan(int_row(values, 0)[0] for values in rows)
     order = sorted(zip((c for c in pivots if c is not None), reduced))
-    red = [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+    red = [[quotient(row.get(j, 0), row[c]) for j in range(ncols)]
            for c, row in order]
-    red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(order))]
+    red += [[0] * ncols for _ in range(len(rows) - len(order))]
     return red, [c for c, _ in order]
 
 
@@ -177,5 +196,5 @@ def rank_factorization(rows):
     the nonzero rows of rref(W) (inside the row space).
     """
     red, pivots = rref(rows)
-    return [([Fraction(r[col]) for r in rows], red[i])
+    return [([exact(r[col]) for r in rows], red[i])
             for i, col in enumerate(pivots)]

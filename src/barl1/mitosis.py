@@ -276,7 +276,7 @@ def _boundary_factors(t: TensorChain, what):
         cols = sorted({b for _, b in block})
         row_pos = {a: i for i, a in enumerate(rows)}
         col_pos = {b: j for j, b in enumerate(cols)}
-        w = [[Fraction(0)] * len(cols) for _ in rows]
+        w = [[0] * len(cols) for _ in rows]
         for (a, b), v in block.items():
             w[row_pos[a]][col_pos[b]] = v
         for colvec, rowvec in linalg.rank_factorization(w):

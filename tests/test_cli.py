@@ -462,6 +462,20 @@ def _without(record, field):
     return {k: v for k, v in record.items() if k != field}
 
 
+def _with(record, **fields):
+    return {**record, **fields}
+
+
+def _fill_record():
+    return fill_cert_to_dict(fill_min(boundary(Chain.single(G2, (1, 1)))))
+
+
+def _fill_with_a_number_tuple():
+    record = _fill_record()
+    record["z"][0]["tuple"] = 5
+    return record
+
+
 def _pipeline_record():
     h = identity_hom(G2)
     data = mitosis.mitosis_of_finite_abelian(G2)
@@ -479,9 +493,23 @@ def _tower_with_a_number_row():
 # a certificate record that lacks a required field, or a malformed
 # pipeline config: the command, the record, and what the message says
 MALFORMED = {
-    "fill without group": ("verify", lambda: _without(fill_cert_to_dict(
-        fill_min(boundary(Chain.single(G2, (1, 1))))), "group"),
-        "no field 'group'"),
+    "fill without group": ("verify", lambda: _without(_fill_record(), "group"),
+                           "no field 'group'"),
+    "fill z not a list": ("verify", lambda: _with(_fill_record(), z=5),
+                          "z must be a list, got 5"),
+    "fill c not a list": ("verify", lambda: _with(_fill_record(), c=5),
+                          "c must be a list, got 5"),
+    "fill tuple not a list": ("verify", _fill_with_a_number_tuple,
+                              "tuple must be a list, got 5"),
+    "kappa vertices not a list": ("verify", lambda: _with(
+        fileio.kappa_to_dict(ubc_kappa_exact(G2, 1), G2), vertices=5),
+        "vertices must be a list, got 5"),
+    "pipeline z not a list": ("verify", lambda: _with(
+        _pipeline_record(), z=5), "z must be a list, got 5"),
+    "pipeline target not a list": ("verify", lambda: _with(
+        _pipeline_record(), target=5), "target must be a list, got 5"),
+    "pipeline primitive not a list": ("verify", lambda: _with(
+        _pipeline_record(), primitive=5), "primitive must be a list, got 5"),
     "kappa without degree": ("verify", lambda: _without(
         fileio.kappa_to_dict(ubc_kappa_exact(G2, 1), G2), "degree"),
         "no field 'degree'"),

@@ -14,6 +14,7 @@ from barl1.groups import (DirectProduct, FiniteTableGroup, FreeGroup,
                           cyclic_group, diagonal_hom, group_to_spec,
                           identity_hom, is_abelian, pair_hom,
                           symmetric_group_perm, verify_hom)
+from barl1.mitosis import mitosis_of_finite_abelian
 from helpers import finite_backends, record_calls
 
 def test_cyclic_group_table():
@@ -206,6 +207,42 @@ def test_semidirect_rejects_non_automorphism():
     action = PermutationGroup(3, [(1, 0, 2)])
     with pytest.raises(GroupAxiomError):
         SemidirectProduct(base, action)
+
+
+def _semidirect_cases():
+    s3 = SemidirectProduct(cyclic_group(3), PermutationGroup(3, [(0, 2, 1)]))
+    ambients = [mitosis_of_finite_abelian(G).ambient for G in
+                (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                 DirectProduct((cyclic_group(2), cyclic_group(2))))]
+    return [s3] + ambients
+
+
+@pytest.mark.parametrize("G", _semidirect_cases(),
+                         ids=["S3 model", "M(Z2)", "M(Z3)", "M(Z4)",
+                              "M(Z2 x Z2)"])
+def test_semidirect_table_keeps_the_group_law(G):
+    """mul against (b1 h1(b2), h1 o h2) from the base law itself, inv(a) a
+    = e, and permutation_image a homomorphism: on every pair when
+    |M|^2 <= 300 000, else on 2000 pairs from Random(0)."""
+    base, action = G.base, G.action
+    els = base.elements()
+
+    def reference(a, b):
+        (b1, h1), (b2, h2) = a, b
+        return (base.mul(b1, els[h1[base.element_index(b2)]]),
+                tuple(h1[h2[i]] for i in range(len(h2))))
+
+    _, pairs = groups._cases(G, 2, 2000)
+    image = {}
+    for a, b in pairs:
+        ab = G.mul(a, b)
+        assert ab == reference(a, b)
+        for x in (a, b, ab):
+            if x not in image:
+                image[x] = G.permutation_image(x)
+                assert G.mul(G.inv(x), x) == G.identity()
+        pa, pb = image[a], image[b]
+        assert image[ab] == tuple(pa[i] for i in pb)
 
 
 def test_structural_equality_across_copies():

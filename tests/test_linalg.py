@@ -4,8 +4,14 @@ from math import lcm
 
 import pytest
 
+from barl1.barcomplex import Chain, boundary, l1_norm
+from barl1.fileio import chain_from_records
+from barl1.groups import cyclic_group, identity_hom
+from barl1.l1opt import fill_min
 from barl1.linalg import (exact, gauss_jordan, int_row, kernel_line,
                           rank_factorization, rref, solve_square)
+from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
+                           primitive_pipeline)
 from helpers import rank_int
 
 
@@ -156,3 +162,35 @@ def test_exact_rejects_floats():
             int_row([1, bad], 1)
         with pytest.raises(TypeError, match="float"):
             solve_square([[1]], [bad])
+
+
+def _one_rule(values):
+    """Whether every value is an int, or a Fraction that is not one."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in values)
+
+
+def test_integral_values_are_ints():
+    assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+    with pytest.raises(TypeError, match="bool"):
+        exact(True)
+    G2 = cyclic_group(2)
+    # d(1,1) = 2(1) - (0) is filled by (1,1) itself, and the cycle
+    # ((0,1) - (1,0))/2 by a half
+    for z in [boundary(Chain.single(G2, (1, 1))),
+              Chain(G2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)})]:
+        assert _one_rule(fill_min(z).c.coeffs.values())
+    red, _ = rref([[2, 4, 1], [1, 3, Fraction(1, 2)], [3, 7, Fraction(3, 2)]])
+    assert _one_rule(v for row in red for v in row)
+    for col, row in rank_factorization([[Fraction(2), 4], [Fraction(6, 3), 4]]):
+        assert _one_rule(col) and _one_rule(row)
+    h = identity_hom(G2)
+    cfg = PipelineConfig(h, h, h, mitosis_of_finite_abelian(G2))
+    cert = primitive_pipeline(
+        boundary(Chain(G2, 3, {(1, 1, 1): 1, (1, 0, 1): 2})), cfg)
+    assert _one_rule(cert.primitive.coeffs.values())
+    assert _one_rule(cert.target.coeffs.values())
+    read = chain_from_records(G2, 1, [{"coeff": "4/2", "tuple": ["1"]}])
+    assert _one_rule(read.coeffs.values()) and read.coeffs[(1,)] == 2
+    norm = l1_norm(Chain(G2, 1, {(1,): 2, (0,): -1}))
+    assert type(norm) is Fraction and norm == 3
