@@ -182,7 +182,8 @@ class SparseChain:
 
     def scale(self, r):
         r = linalg.exact(r)
-        return self._like({k: v * r for k, v in self.coeffs.items()} if r else {})
+        return self._like({k: linalg.exact(v * r) for k, v in self.coeffs.items()}
+                          if r else {})
 
     def __rmul__(self, r):
         return self.scale(r)
@@ -222,7 +223,10 @@ class Chain(SparseChain):
 
 
 def l1_norm(c: SparseChain) -> Fraction:
-    return sum((abs(r) for r in c.coeffs.values()), Fraction(0))
+    """|c|_1 as a Fraction: the |numerators| over the lcm L of the
+    denominators, added as ints and divided by L once."""
+    L, (ints,) = linalg.common_denominator(c.coeffs)
+    return Fraction(sum(map(abs, ints.values())), L)
 
 
 def random_chain(G, degree, rng, terms, coeffs) -> Chain:

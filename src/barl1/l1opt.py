@@ -62,7 +62,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import linalg
 from .barcomplex import (Chain, SizeCapError, boundary,
@@ -216,7 +216,9 @@ def filling_failures(c: Chain, target: Chain, z: Chain, ratio) -> list[str]:
     """Failed checks of dc = target and ratio = |c|/|z|, or c = 0 and
     ratio = 0 when z = 0; a fill's target is z itself."""
     failures = []
-    if boundary(c) != target:
+    # d(Lc) = L target over the joint lcm L of the denominators, in ints
+    _, (cn, tn) = linalg.common_denominator(c.coeffs, target.coeffs)
+    if boundary(c._like(cn)) != target._like(tn):
         failures.append("boundary mismatch: d(c) != target")
     nz = l1_norm(z)
     if nz == 0:
@@ -392,10 +394,10 @@ def _solve_fill(z: Chain, d):
     on no row of d has no filling there, so it needs no LP."""
     if any(tup not in d.rows for tup in z.coeffs):
         return None
-    scale = lcm(*(r.denominator for r in z.coeffs.values()))
+    scale, (zn,) = linalg.common_denominator(z.coeffs)
     b = [0] * len(d.rows)
-    for tup, r in z.coeffs.items():
-        b[d.rows[tup]] = int(r * scale)
+    for tup, r in zn.items():
+        b[d.rows[tup]] = r
     solved = _l1_simplex(d, b)
     if solved is None:
         return None

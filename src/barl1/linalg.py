@@ -14,7 +14,9 @@ it to a value read from outside, and every division in a producer (a
 fill, an RREF, a solve, a circuit) goes through quotient, so none of
 them builds an integral Fraction.  Norms, pairings and ratios
 (barcomplex.l1_norm, kronecker) stay Fractions, so that dividing two
-of them never gives a float.
+of them never gives a float.  Norms and filling checks add ints over
+one lcm L of the denominators (common_denominator): l1_norm divides by
+L once, and a filling check compares d(Lc) with L times its target.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ def quotient(n, d):
     divides n, else a Fraction."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
+
+
+def common_denominator(*maps):
+    """(L, numerators) for dicts of exact values: L is the lcm of all
+    their denominators (an int's is 1), and numerators holds each dict
+    times L, with int values.  When L is 1 the dicts are returned as
+    they are, not copied."""
+    L = lcm(*[r.denominator for m in maps for r in m.values()])
+    if L == 1:
+        return 1, maps
+    return L, [{k: r.numerator * (L // r.denominator) for k, r in m.items()}
+               for m in maps]
 
 
 def int_row(values, b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from barl1 import barcomplex
 from barl1.barcomplex import (Chain, Cochain, SizeCapError, betti, boundary,
                               boundary_matrix, coboundary, is_cycle,
                               kronecker, l1_norm, push_chain, tuple_basis)
@@ -82,6 +83,32 @@ def test_chain_algebra():
     assert l1_norm(a) == Fraction(3, 2)
     with pytest.raises(ValueError):
         a + Chain(G, 2)
+
+
+def test_scaling_keeps_integral_values_ints():
+    G = cyclic_group(3)
+    doubled = 2 * Chain(G, 1, {(1,): Fraction(1, 2), (2,): Fraction(1, 3)})
+    assert type(doubled.coeffs[(1,)]) is int and doubled.coeffs[(1,)] == 1
+    assert doubled.coeffs[(2,)] == Fraction(2, 3)
+    halved = Chain.single(G, (1,), 4).scale(Fraction(1, 2))
+    assert halved.coeffs == {(1,): 2} and type(halved.coeffs[(1,)]) is int
+
+
+def test_l1_norm_matches_the_fraction_sum():
+    # integer numerators over one lcm give the plain sum of |r|
+    rng = random.Random(23)
+    coeffs = [1, -2, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6),
+              Fraction(-3, 4), Fraction(1, 9)]
+    chains = [Chain.zero(cyclic_group(3), 2)]
+    for G in (cyclic_group(3), symmetric_group_perm(3)):
+        for k in (1, 2, 3):
+            chains += [barcomplex.random_chain(G, k, rng, rng.randrange(1, 8),
+                                               coeffs) for _ in range(10)]
+    assert any(type(r) is int for c in chains for r in c.coeffs.values())
+    for c in chains:
+        norm = l1_norm(c)
+        assert norm == sum((abs(r) for r in c.coeffs.values()), Fraction(0))
+        assert type(norm) is Fraction
 
 
 def test_is_cycle():

@@ -315,6 +315,31 @@ def test_fill_min_solver_bug_fails_its_verify(monkeypatch):
         fill_min(boundary(Chain.single(G2, (1, 1, 1))))
 
 
+def test_filling_check_rejects_scaled_forgeries():
+    mismatch = ["boundary mismatch: d(c) != target"]
+    # a fill of a half-integral z, off by (1/7)(1,1), a denominator that
+    # no other coefficient has: the lcm must cover c as well as z
+    z = boundary(Chain(G3, 2, {(1, 2): Fraction(1, 2)}))
+    cert = fill_min(z)
+    bad = cert.c + Chain(G3, 2, {(1, 1): Fraction(1, 7)})
+    assert all(r.denominator in (1, 2) for r in list(cert.c.coeffs.values())
+               + list(z.coeffs.values()))
+    ratio = l1_norm(bad) / l1_norm(z)
+    assert l1opt.filling_failures(bad, z, z, ratio) == mismatch
+    assert l1opt.FillCertificate(z, bad, ratio, cert.support).verify() == mismatch
+    # the same labels over another group: Z/4 against Z/2 x Z/2
+    G4 = cyclic_group(4)
+    V4 = FiniteTableGroup([[i ^ j for j in range(4)] for i in range(4)],
+                          names=["0", "1", "2", "3"])
+    c = Chain(G4, 2, {(1, 2): 1, (3, 3): Fraction(-1, 3)})
+    other = Chain(V4, 1, boundary(c).coeffs)
+    ratio = l1_norm(c) / l1_norm(other)
+    assert l1opt.filling_failures(c, other, other, ratio) == mismatch
+    # c = 0 has d(c) = 0 in degree 1, not in degree 2
+    zero = Chain.zero(G3, 2)
+    assert l1opt.filling_failures(zero, zero, zero, 0) == mismatch
+
+
 def test_fill_min_non_boundary_is_infeasible():
     # (1, 1) over Z/2 is no cycle, so no filling exists over the full support
     with pytest.raises(Infeasible):
