@@ -53,10 +53,11 @@ def quotient(n, d):
 def common_denominator(*maps):
     """(L, numerators) for dicts of exact values: L is the lcm of all
     their denominators (an int's is 1), and numerators holds each dict
-    times L, with int values.  When L is 1 the dicts are returned as
-    they are, not copied."""
+    times L, with int values.  When L is 1 and every value is already
+    an int the dicts are returned as they are, not copied; an integral
+    Fraction, such as a sum 1/2 + 1/2, is still made an int."""
     L = lcm(*[r.denominator for m in maps for r in m.values()])
-    if L == 1:
+    if L == 1 and all(type(r) is int for m in maps for r in m.values()):
         return 1, maps
     return L, [{k: r.numerator * (L // r.denominator) for k, r in m.items()}
                for m in maps]
@@ -66,16 +67,15 @@ def int_row(values, b):
     """One equation values . x = b as (row, rhs, scale): values is a
     dense sequence or a {column: value} mapping, row maps column to
     nonzero integer entry, and row, rhs are the equation times scale,
-    the positive lcm of all denominators, negated when b < 0 so that the
-    rhs is nonnegative."""
+    the lcm of all denominators (common_denominator), both negated when
+    b < 0 so that the rhs is nonnegative."""
     items = values.items() if isinstance(values, dict) else enumerate(values)
-    vals = {j: exact(v) for j, v in items if v}
-    b = exact(b)
-    scale = lcm(b.denominator, *(v.denominator for v in vals.values()))
+    scale, (row, rhs) = common_denominator({j: exact(v) for j, v in items if v},
+                                           {0: exact(b)})
+    b = rhs[0]
     if b < 0:
-        scale = -scale
-    row = {j: v.numerator * (scale // v.denominator) for j, v in vals.items()}
-    return row, b.numerator * (scale // b.denominator), abs(scale)
+        row, b = {j: -v for j, v in row.items()}, -b
+    return row, b, scale
 
 
 def eliminate(row, b, prow, pb, c):

@@ -137,6 +137,17 @@ def test_fill_certificate_round_trip(tmp_path, z2file, capsys):
     assert "boundary mismatch" in captured.out + captured.err
 
 
+def test_fill_of_a_repeated_half_tuple(tmp_path, z3file, capsys):
+    # the two halves of (1) are summed on reading into a coefficient 1
+    zf = jfile(tmp_path, "z.json",
+               {"degree": 1, "terms": [{"tuple": ["1"], "coeff": "1/2"},
+                                       {"tuple": ["1"], "coeff": "1/2"}]})
+    cert = str(tmp_path / "fill.json")
+    assert run(["fill", "--group", z3file, "--chain", zf, "--out", cert]) == 0
+    assert "ratio = 1" in capsys.readouterr().out
+    assert load_json(cert) == fill_cert_to_dict(fill_min(Chain.single(G3, (1,))))
+
+
 def test_fill_infeasible_is_math_failure(tmp_path, z2file, capsys):
     # (t, e) is not a cycle, so it cannot be a boundary
     zf = jfile(tmp_path, "z.json",

@@ -340,6 +340,16 @@ def test_filling_check_rejects_scaled_forgeries():
     assert l1opt.filling_failures(zero, zero, zero, 0) == mismatch
 
 
+def test_fill_min_of_an_integral_fraction_sum():
+    # 1/2 + 1/2 sums to a Fraction whose denominator is 1; its fill is
+    # the fill of the int 1, byte for byte
+    half = Chain(G3, 1, {(1,): Fraction(1, 2)})
+    z = half + half
+    assert type(z.coeffs[(1,)]) is Fraction
+    assert (fill_cert_to_dict(fill_min(z))
+            == fill_cert_to_dict(fill_min(Chain.single(G3, (1,)))))
+
+
 def test_fill_min_non_boundary_is_infeasible():
     # (1, 1) over Z/2 is no cycle, so no filling exists over the full support
     with pytest.raises(Infeasible):

@@ -8,8 +8,8 @@ from barl1.barcomplex import Chain, boundary, l1_norm
 from barl1.fileio import chain_from_records
 from barl1.groups import cyclic_group, identity_hom
 from barl1.l1opt import fill_min
-from barl1.linalg import (exact, gauss_jordan, int_row, kernel_line,
-                          rank_factorization, rref, solve_square)
+from barl1.linalg import (common_denominator, exact, gauss_jordan, int_row,
+                          kernel_line, rank_factorization, rref, solve_square)
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline)
 from helpers import rank_int
@@ -194,3 +194,18 @@ def test_integral_values_are_ints():
     assert _one_rule(read.coeffs.values()) and read.coeffs[(1,)] == 2
     norm = l1_norm(Chain(G2, 1, {(1,): 2, (0,): -1}))
     assert type(norm) is Fraction and norm == 3
+
+
+def test_common_denominator_gives_ints():
+    ints = {1: 2, 2: -3}
+    L, (same,) = common_denominator(ints)
+    assert L == 1 and same is ints
+    # an integral Fraction, as 1/2 + 1/2 sums to, comes back an int too
+    L, (a, b) = common_denominator({1: Fraction(1, 2) + Fraction(1, 2)},
+                                   {2: Fraction(-5, 3), 3: 4})
+    assert L == 3 and a == {1: 3} and b == {2: -5, 3: 12}
+    assert all(type(v) is int for m in (a, b) for v in m.values())
+    L, (one,) = common_denominator({1: Fraction(1, 1)})
+    assert L == 1 and one == {1: 1} and type(one[1]) is int
+    assert int_row({0: Fraction(1, 2), 3: 2}, Fraction(-1, 3)) == (
+        {0: -3, 3: -12}, 2, 6)
