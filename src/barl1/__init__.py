@@ -20,8 +20,8 @@ from .products import (TensorChain, aw, cross_chain, cross_cochain,
 from .l1opt import (FillCertificate, Infeasible, LpProblem, SupportExhausted,
                     UbcConstant, fill_min, is_boundary, lp_solve,
                     ubc_kappa_exact)
-from .mitosis import (MitosisData, MitosisError, MitosisReport,
-                      PipelineCertificate, PipelineConfig, PipelineError,
-                      constant_c, dmap, e_bound, emap, mitosis_of_finite_abelian,
-                      mu_hom, primitive_pipeline, theta, theta_defect,
-                      tower, verify_mitosis)
+from .mitosis import (MitosisData, MitosisError, PipelineCertificate,
+                      PipelineConfig, PipelineError, constant_c, dmap, e_bound,
+                      emap, mitosis_of_finite_abelian, mu_hom,
+                      primitive_pipeline, theta, theta_defect, tower,
+                      verify_mitosis)

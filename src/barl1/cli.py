@@ -8,8 +8,10 @@ Every subcommand that enumerates a basis or a word ball (homology,
 fill, kappa, cup, pipeline, verify) obeys the one size cap, the
 BARL1_SIZE_CAP environment variable that barcomplex.check_size reads.
 fill and pipeline emit the certificates of fill_min and
-primitive_pipeline, which have passed their verify() there;
-`barl1 verify` re-checks a written record.
+primitive_pipeline, which have passed their verify() there, and
+`mitosis build-abelian` writes data that has passed verify_mitosis;
+`barl1 verify` re-checks a written record of any kind, and is the one
+command that checks a mitosis file.
 """
 
 from __future__ import annotations
@@ -170,30 +172,13 @@ def _cmd_pair(args) -> int:
     return 0
 
 
-def _cmd_mitosis_verify(args) -> int:
-    data = fileio.mitosis_from_dict(fileio.load_json(args.data))
-    report = mitosis.verify_mitosis(data)
-    lines = ["mode: %s" % report.mode,
-             "injective: %s" % report.injective,
-             "split relation: %s" % report.split,
-             "commuting relation: %s" % report.commuting,
-             "generation: %s" % report.generation]
-    _emit(args, {"command": "mitosis verify", "version": __version__,
-                 "mode": report.mode, "ok": report.ok,
-                 "failed": report.failed_axioms()}, lines)
-    if not report.ok:
-        raise _MathFailure("mitosis axioms failed: %s"
-                           % ", ".join(report.failed_axioms()))
-    return 0
-
-
 def _cmd_mitosis_build(args) -> int:
     G = fileio.load_group(args.group)
     data = mitosis.mitosis_of_finite_abelian(G)
-    report = mitosis.verify_mitosis(data)
-    if not report.ok:
+    failed = mitosis.verify_mitosis(data)
+    if failed:
         raise _MathFailure("built mitosis failed its axioms: %s"
-                           % ", ".join(report.failed_axioms()))
+                           % ", ".join(failed))
     record = fileio.mitosis_to_dict(data)
     lines = ["source: %s" % G.describe(),
              "ambient: %s" % data.ambient.describe(),
@@ -383,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mitosis", help="mitosis data operations")
     msub = m.add_subparsers(dest="mitosiscmd", required=True)
-    mv = msub.add_parser("verify", help="check the axioms of a data file")
-    mv.add_argument("data")
-    common(mv)
-    mv.set_defaults(func=_cmd_mitosis_verify)
     mb = msub.add_parser("build-abelian",
                          help="build the double-and-swap mitosis")
     mb.add_argument("--group", required=True)

@@ -353,13 +353,16 @@ def mitosis_from_dict(d) -> mitosis.MitosisData:
 
 def read_table(record, name, S, T) -> dict:
     """The map S -> T that the field `name` of a record lists as
-    [source, image] pairs, one for each element of S."""
+    [source, image] pairs, exactly one for each element of S."""
     pairs = required(record, name)
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs):
         raise FileFormatError("field %r must list [source, image] pairs"
                               % (name,))
     table = {decode_element(S, a): decode_element(T, b) for a, b in pairs}
+    if len(table) != len(pairs):
+        raise FileFormatError("field %r lists a source element twice"
+                              % (name,))
     if len(table) != S.order():
         raise FileFormatError("field %r misses a source element" % (name,))
     return table
@@ -406,6 +409,6 @@ def verify_certificate_dict(d) -> list[str]:
                             if r.get(k) != ex.get(k))
         return failures
     if kind == "mitosis":
-        report = mitosis.verify_mitosis(mitosis_from_dict(d))
-        return ["axiom failed: %s" % a for a in report.failed_axioms()]
+        return ["axiom failed: %s" % a
+                for a in mitosis.verify_mitosis(mitosis_from_dict(d))]
     raise FileFormatError("unknown certificate kind %r" % (kind,))

@@ -253,50 +253,56 @@ class FillCertificate:
         return failures
 
     def _derived_support(self):
-        """The support descriptor fill_min records, derived from z and
-        the group: empty for z = 0, the |G|^(q+1) tuples of a finite
-        group, else a word ball of the stated radius holding every tuple
-        of c; None when no support can match."""
+        """The support descriptor fill_min records, derived from z, c
+        and the group: empty for z = 0, the |G|^(q+1) tuples of a finite
+        group, else the first word ball of _radii that holds every tuple
+        of c (fill_min stops at the first ball that holds a filling);
+        None when no support can match."""
         G, n = self.z.group, self.z.degree + 1
         if self.z.is_zero():
             return {"kind": "empty"}
         if G.is_finite():
             return {"kind": "full", "size": G.order() ** n}
-        stated = self.support if isinstance(self.support, dict) else {}
-        radius, size = stated.get("radius"), stated.get("size")
-        if (not isinstance(G, FreeGroup) or type(radius) is not int
-                or type(size) is not int or radius < 0
-                or any(len(g) > radius for t in self.c.coeffs for g in t)):
+        if not isinstance(G, FreeGroup):
+            return None
+        longest = max((len(g) for t in self.c.coeffs for g in t), default=0)
+        radius = next((r for r in _radii() if r >= longest), None)
+        if radius is None:
             return None
         if G.rank == 1:
             ball = 2 * radius + 1
-        elif radius > size.bit_length():
-            return None  # |ball| >= 3^radius cannot have `size` elements
         else:
             ball = 1 + G.rank * ((2 * G.rank - 1) ** radius - 1) // (G.rank - 1)
         return {"kind": "ball", "radius": radius, "size": ball ** n}
+
+
+def _radii():
+    """The word-ball radii a free-group filling is sought on, in turn:
+    START_RADIUS, then doubled while it stays within MAX_RADIUS
+    (START_RADIUS itself is always tried)."""
+    radius = START_RADIUS
+    while True:
+        yield radius
+        if 2 * radius > MAX_RADIUS:
+            return
+        radius *= 2
 
 
 def _supports(G, degree):
     """The boundary matrices of degree `degree` a filling is sought
     over, in turn, as (matrix, description) pairs: boundary_matrix of a
     finite group once, else boundary_over the word balls of a free group
-    with the radius doubling from START_RADIUS while it stays within
-    MAX_RADIUS (START_RADIUS itself is always tried).  Each passes
-    check_size first, which refuses any other infinite group."""
+    with the radii of _radii.  Each passes check_size first, which
+    refuses any other infinite group."""
     if G.is_finite() or not isinstance(G, FreeGroup):
         d = boundary_matrix(G, degree)
         yield d, {"kind": "full", "size": len(d.cols)}
         return
-    radius = START_RADIUS
-    while True:
+    for radius in _radii():
         ball = G.ball(radius)
         check_size(len(ball), degree)
         d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
         yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
-        if 2 * radius > MAX_RADIUS:
-            return
-        radius *= 2
 
 
 def _l1_simplex(d, b):

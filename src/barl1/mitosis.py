@@ -20,16 +20,18 @@ fillings (emap's sections, xi_fill's xi), and those stages return their
 fill_min certificates.  A certificate is checked once, by its verify(),
 in the function that builds it, and callers trust it.
 
-verify_mitosis checks that the injection is a homomorphism (verify_hom)
-and the axioms on every element when source and ambient are finite, else
-on 20 source elements drawn from random.Random(0) without the generation
-check.  Generation (1) is decided without walking M: the images of i(G),
-s and d under a faithful permutation image of M (M.permutation_image)
-generate a permutation group whose order, by Schreier-Sims, is |M|
-exactly when they generate M.  mu_hom runs it, once per PipelineConfig,
-and so does `barl1 mitosis build-abelian` before it writes;
-mitosis_of_finite_abelian does not.  Maps into G x G build that product
-themselves.
+verify_mitosis returns the names of the axioms the data fails, as the
+other certificate checks return their failures: that the injection is a
+homomorphism (verify_hom), injectivity and (1)-(3), on every element
+when source and ambient are finite, else on 20 source elements drawn
+from random.Random(0) without the generation check.  Generation (1) is
+decided without walking M: the images of i(G), s and d under a faithful
+permutation image of M (M.permutation_image) generate a permutation
+group whose order, by Schreier-Sims, is |M| exactly when they generate
+M.  mu_hom runs it, once per PipelineConfig, `barl1 mitosis
+build-abelian` before it writes, and `barl1 verify` on a mitosis
+record; mitosis_of_finite_abelian does not.  Maps into G x G build that
+product themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .products import (TensorChain, aw, cross_tensor, tensor_boundary,
 
 
 class MitosisError(Exception):
-    """A mitosis axiom failed, or data refused on a failed report."""
+    """A mitosis axiom failed, or data refused for failing one."""
 
 
 class PipelineError(Exception):
@@ -73,92 +75,44 @@ class MitosisData:
         return M.mul(M.mul(y, x), M.inv(y))
 
 
-@dataclass
-class MitosisReport:
-    ok: bool
-    mode: str
-    homomorphism: bool
-    injective: bool
-    split: bool
-    commuting: bool
-    generation: bool | None
-
-    def failed_axioms(self) -> list[str]:
-        out = []
-        if not self.homomorphism:
-            out.append("injection is a homomorphism")
-        if not self.injective:
-            out.append("injectivity")
-        if not self.split:
-            out.append("split relation i(g)^d = i(g) i(g)^s")
-        if not self.commuting:
-            out.append("commuting relation [i(g'), i(g)^s] = 1")
-        if self.generation is False:
-            out.append("generation of the ambient group")
-        return out
-
-
-def verify_mitosis(data: MitosisData) -> MitosisReport:
-    """Check that the injection is a homomorphism (by verify_hom's case
-    rule) and the three axioms; exhaustive when source and ambient are
-    finite, else on 20 sampled elements (generation skipped).
-    Generation compares |M| with the order of the permutation group
-    that the faithful images of i(G), s and d generate."""
+def verify_mitosis(data: MitosisData) -> list[str]:
+    """The axioms the data fails, in a fixed order; empty when it is a
+    mitosis.  The injection must be a homomorphism (by verify_hom's
+    case rule) and satisfy the three axioms; exhaustive when source and
+    ambient are finite, else on 20 sampled elements (generation
+    skipped).  Generation compares |M| with the order of the
+    permutation group that the faithful images of i(G), s and d
+    generate."""
     G, M, i = data.source, data.ambient, data.inj
     s, d = data.s, data.d
     M.check_member(s)
     M.check_member(d)
+    failed = []
     try:
         verify_hom(i)
-        homomorphism = True
     except HomomorphismError:
-        homomorphism = False
+        failed.append("injection is a homomorphism")
     exhaustive = G.is_finite() and M.is_finite()
     if exhaustive:
         els = G.elements()
     else:
         rng = random.Random(0)
         els = [G.sample(rng) for _ in range(20)]
-
-    injective = True
-    seen = {}
-    for g in els:
-        img = i(g)
-        if img in seen and seen[img] != g:
-            injective = False
-            break
-        seen[img] = g
-
-    split = True
-    for g in els:
-        ig = i(g)
-        lhs = data.conj_power(ig, d)
-        rhs = M.mul(ig, data.conj_power(ig, s))
-        if lhs != rhs:
-            split = False
-            break
-
-    commuting = True
-    for g in els:
-        igs = data.conj_power(i(g), s)
-        for gp in els:
-            igp = i(gp)
-            if M.mul(igp, igs) != M.mul(igs, igp):
-                commuting = False
-                break
-        if not commuting:
-            break
-
-    generation = None
+    image = {g: i(g) for g in els}
+    if len(set(image.values())) != len(image):
+        failed.append("injectivity")
+    if any(data.conj_power(ig, d) != M.mul(ig, data.conj_power(ig, s))
+           for ig in image.values()):
+        failed.append("split relation i(g)^d = i(g) i(g)^s")
+    if any(M.mul(igp, igs) != M.mul(igs, igp)
+           for igs in (data.conj_power(ig, s) for ig in image.values())
+           for igp in image.values()):
+        failed.append("commuting relation [i(g'), i(g)^s] = 1")
     if exhaustive:
-        images = [M.permutation_image(x) for x in [i(g) for g in els] + [s, d]]
-        generation = (PermutationGroup(len(images[0]), images).order()
-                      == M.order())
-
-    ok = (homomorphism and injective and split and commuting
-          and generation is not False)
-    return MitosisReport(ok, "exhaustive" if exhaustive else "sampled",
-                         homomorphism, injective, split, commuting, generation)
+        images = [M.permutation_image(x) for x in [*image.values(), s, d]]
+        if PermutationGroup(len(images[0]), images).order() != M.order():
+            failed.append("generation of the ambient group")
+    return failed
 
 
 def mitosis_of_finite_abelian(G) -> MitosisData:
@@ -187,10 +141,9 @@ def mitosis_of_finite_abelian(G) -> MitosisData:
 def mu_hom(data: MitosisData) -> Homomorphism:
     """mu(g', g) = i(g') i(g)^s: a homomorphism G x G -> M exactly when
     the commuting axiom holds; refuses when verify_mitosis fails."""
-    report = verify_mitosis(data)
-    if not report.ok:
-        raise MitosisError("mu refused: failed axioms: %s"
-                           % ", ".join(report.failed_axioms()))
+    failed = verify_mitosis(data)
+    if failed:
+        raise MitosisError("mu refused: failed axioms: %s" % ", ".join(failed))
     G, M, i = data.source, data.ambient, data.inj
     P = DirectProduct((G, G))
 

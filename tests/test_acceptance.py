@@ -135,8 +135,7 @@ def test_criterion_5_mitosis_builders():
     for G, order in cases:
         data = mitosis_of_finite_abelian(G)
         assert data.ambient.order() == order
-        rep = verify_mitosis(data)
-        assert rep.ok and rep.mode == "exhaustive"
+        assert verify_mitosis(data) == []
         mu = mu_hom(data)
         for g in G.elements():
             assert mu((g, g)) == data.conj_power(data.inj(g), data.d)

@@ -1,8 +1,8 @@
-import dataclasses
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 
 from barl1 import barcomplex, fileio, mitosis
 from barl1.barcomplex import Chain, boundary
-from barl1.cli import run
+from barl1.cli import build_parser, run
 from barl1.fileio import chain_to_dict, dump_json, fill_cert_to_dict, load_json
 from barl1.groups import (SemidirectProduct, build_group, cyclic_group,
                           group_to_spec, identity_hom)
@@ -163,16 +163,15 @@ def test_mitosis_build_and_verify(tmp_path, z2file, capsys):
     out = capsys.readouterr().out
     assert "ambient order: 24" in out
 
-    assert run(["mitosis", "verify", mf]) == 0
-    out = capsys.readouterr().out
-    assert "split relation: True" in out
+    assert run(["verify", mf]) == 0
+    assert capsys.readouterr().out == (
+        "certificate kind: mitosis\nverified: ok\n")
 
     record = load_json(mf)
     record["d"] = record["s"]
     dump_json(record, mf)
-    assert run(["mitosis", "verify", mf]) == 1
-    captured = capsys.readouterr()
-    assert "split" in captured.out + captured.err
+    assert run(["verify", mf]) == 1
+    assert "FAILED: axiom failed: split relation" in capsys.readouterr().out
 
 
 def test_pipeline_command_writes_certificates(tmp_path, capsys):
@@ -297,7 +296,6 @@ def test_no_subcommand_offers_cap(tmp_path, z2file, capsys):
                  ["pair", "--group-a", z2file, "--group-b", z2file,
                   "--cochain-a", f, "--cochain-b", f, "--chain-a", f,
                   "--chain-b", f],
-                 ["mitosis", "verify", f],
                  ["mitosis", "build-abelian", "--group", z2file],
                  ["pipeline", "--config", cfg],
                  ["tower", "--degree", "2"],
@@ -337,7 +335,7 @@ def test_mitosis_build_checks_before_it_writes(tmp_path, z2file, capsys,
 
     def failing(data):
         calls.append(data)
-        return dataclasses.replace(verify(data), ok=False, split=False)
+        return verify(data) + ["split relation i(g)^d = i(g) i(g)^s"]
 
     monkeypatch.setattr(mitosis, "verify_mitosis", failing)
     mf = tmp_path / "mitosis.json"
@@ -368,6 +366,22 @@ def test_readme_library_example():
     block = readme.split("## Library example", 1)[1]
     code = block.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # every `barl1 ...` line of the README's CLI block names a
+    # subcommand and options the parser has
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    examples = [line for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("barl1 ")]
+    assert len(examples) >= 8
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail("README example does not parse: %s" % line)
 
 
 def test_readme_cites_the_module_constants_it_names():
@@ -501,6 +515,22 @@ def _tower_with_a_number_row():
     return record
 
 
+def _config_with_a_source_listed_twice():
+    # read keeping the last image, phi would be the identity
+    identity = [["0", "0"], ["1", "1"]]
+    return {"group": group_to_spec(G2), "degree": 1,
+            "homs": {"phi": [["1", "0"]] + identity, "phi'": identity,
+                     "psi": identity}}
+
+
+def _mitosis_with_a_source_listed_twice():
+    # read keeping the last image, the record would be the genuine one
+    record = fileio.mitosis_to_dict(mitosis.mitosis_of_finite_abelian(G3))
+    pairs = record["injection"]
+    record["injection"] = [["0", pairs[1][1]]] + pairs
+    return record
+
+
 # a certificate record that lacks a required field, or a malformed
 # pipeline config: the command, the record, and what the message says
 MALFORMED = {
@@ -553,6 +583,12 @@ MALFORMED = {
     "config hom phi not a table": (
         "pipeline", lambda: {"group": group_to_spec(G2), "homs": {"phi": 5}},
         "field 'phi' must list [source, image] pairs"),
+    "config hom phi lists a source twice": (
+        "pipeline", _config_with_a_source_listed_twice,
+        "field 'phi' lists a source element twice"),
+    "mitosis injection lists a source twice": (
+        "verify", _mitosis_with_a_source_listed_twice,
+        "field 'injection' lists a source element twice"),
 }
 
 

@@ -370,9 +370,7 @@ def test_mitosis_certificate_round_trip_and_tamper():
     data = mitosis_of_finite_abelian(G2)
     d = mitosis_to_dict(data)
     assert verify_certificate_dict(d) == []
-    back = mitosis_from_dict(d)
-    rep = verify_mitosis(back)
-    assert rep.ok and rep.mode == "exhaustive"
+    assert verify_mitosis(mitosis_from_dict(d)) == []
 
     forged = copy.deepcopy(d)
     forged["d"] = forged["s"]
@@ -387,9 +385,8 @@ def test_mitosis_record_with_a_non_homomorphic_injection(tmp_path):
     inj = d["injection"]
     assert [src for src, _ in inj[:2]] == ["0", "1"]
     inj[0][1], inj[1][1] = inj[1][1], inj[0][1]
-    rep = verify_mitosis(mitosis_from_dict(d))
-    assert not rep.homomorphism and rep.injective and rep.split
-    assert rep.failed_axioms() == ["injection is a homomorphism"]
+    assert verify_mitosis(mitosis_from_dict(d)) == [
+        "injection is a homomorphism"]
     assert verify_certificate_dict(d) == [
         "axiom failed: injection is a homomorphism"]
     path = str(tmp_path / "mitosis.json")
@@ -528,11 +525,27 @@ def test_fill_over_a_free_group_states_its_word_ball():
     F2 = FreeGroup(2)
     c = Chain.single(F2, ((1,), (2,)))
     rec = fill_cert_to_dict(FillCertificate(
-        boundary(c), c, Fraction(1, 3), {"kind": "ball", "radius": 1, "size": 25}))
+        boundary(c), c, Fraction(1, 3),
+        {"kind": "ball", "radius": 3, "size": 2809}))
     assert verify_certificate_dict(rec) == []
-    rec["support"] = {"kind": "ball", "radius": 10 ** 9, "size": 25}
+    rec["support"] = {"kind": "ball", "radius": 10 ** 9, "size": 2809}
     assert verify_certificate_dict(rec) == [
         "support is not the one fill_min gives z"]
+
+
+def test_fill_support_radius_is_one_fill_min_tries(tmp_path):
+    # fill_min tries the radii 3, 6, 12; a ball of another radius that
+    # holds c, stated with its own size, is not a support it gives
+    F2 = FreeGroup(2)
+    d = fill_cert_to_dict(fill_min(boundary(Chain.single(F2, ((1,), (2,))))))
+    assert d["support"] == {"kind": "ball", "radius": 3, "size": 2809}
+    assert verify_certificate_dict(d) == []
+    for radius, ball in ((2, 17), (4, 161), (6, 1457)):
+        forged = dict(d, support={"kind": "ball", "radius": radius,
+                                  "size": ball ** 2})
+        assert verify_certificate_dict(forged) == [
+            "support is not the one fill_min gives z"]
+        assert _rejected(forged, tmp_path)
 
 
 def test_kappa_record_states_no_strategy(tmp_path):

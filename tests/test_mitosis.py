@@ -7,11 +7,13 @@ import pytest
 
 from barl1 import l1opt, mitosis
 from barl1.barcomplex import Chain, boundary, l1_norm, push_chain
-from barl1.fileio import mitosis_to_dict, verify_certificate_dict
-from barl1.groups import (DirectProduct, FreeGroup, Homomorphism,
-                          PermutationGroup, build_hom, compose_homs,
-                          conjugation, cyclic_group, identity_hom,
-                          symmetric_group_perm)
+from barl1.cli import run
+from barl1.fileio import (dump_json, mitosis_to_dict,
+                          verify_certificate_dict)
+from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
+                          Homomorphism, PermutationGroup, build_hom,
+                          compose_homs, conjugation, cyclic_group,
+                          identity_hom, symmetric_group_perm)
 from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
                            PipelineError, check_theta_orientation, constant_c,
                            dmap, e_bound, emap, mitosis_of_finite_abelian,
@@ -46,10 +48,7 @@ def test_builder_ambient_orders():
                 + [(M.base.identity(), a) for a in M.action.generators])
         images = [M.permutation_image(x) for x in gens]
         assert PermutationGroup(M.base.order(), images).order() == order
-        rep = verify_mitosis(data)
-        assert rep.ok and rep.mode == "exhaustive"
-        assert rep.generation is True
-        assert rep.failed_axioms() == []
+        assert verify_mitosis(data) == []
 
 
 def test_generation_fails_on_a_proper_subgroup_of_a_direct_ambient():
@@ -59,10 +58,25 @@ def test_generation_fails_on_a_proper_subgroup_of_a_direct_ambient():
     A = DirectProduct((data.ambient, G2))
     inj = Homomorphism(G2, A, lambda g: (data.inj.fn(g), 0), name="inj x 0")
     wide = MitosisData(G2, A, inj, (data.s, 0), (data.d, 0))
-    assert verify_mitosis(wide).failed_axioms() == [
-        "generation of the ambient group"]
+    assert verify_mitosis(wide) == ["generation of the ambient group"]
     assert verify_certificate_dict(mitosis_to_dict(wide)) == [
         "axiom failed: generation of the ambient group"]
+
+
+def test_sampled_check_over_an_infinite_ambient(tmp_path, capsys):
+    """Z/2 -> Z/2 * Z/2 onto the first factor with s = d = e: the
+    ambient is infinite, so 20 sampled elements are checked and
+    generation is not; i(1)^e = i(1) but i(1) i(1)^e = e."""
+    M = FreeProduct((G2, G2))
+    inj = Homomorphism(G2, M, lambda g: ((0, g),) if g else (), name="inj")
+    data = MitosisData(G2, M, inj, (), ())
+    assert verify_mitosis(data) == ["split relation i(g)^d = i(g) i(g)^s"]
+    path = str(tmp_path / "mitosis.json")
+    dump_json(mitosis_to_dict(data), path)
+    assert run(["verify", path]) == 1
+    assert capsys.readouterr().out == (
+        "certificate kind: mitosis\n"
+        "FAILED: axiom failed: split relation i(g)^d = i(g) i(g)^s\n")
 
 
 def test_config_checks_its_mitosis_once(monkeypatch):
@@ -92,9 +106,7 @@ def test_mu_refuses_corrupted_data():
     data = mitosis_of_finite_abelian(G3)
     # swapping s and d breaks the split axiom as soon as g^2 != e
     bad = MitosisData(data.source, data.ambient, data.inj, data.d, data.s)
-    rep = verify_mitosis(bad)
-    assert not rep.ok
-    assert any("split" in a for a in rep.failed_axioms())
+    assert verify_mitosis(bad) == ["split relation i(g)^d = i(g) i(g)^s"]
     with pytest.raises(MitosisError, match="split"):
         mu_hom(bad)
 
