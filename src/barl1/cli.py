@@ -225,6 +225,9 @@ def _load_pipeline_config(path):
     data = mitosis.mitosis_of_finite_abelian(G)
     cfg = mitosis.PipelineConfig(phi, phi_prime, psi, data)
     degree = fileio.parse_int(raw.get("degree", 2), "pipeline degree")
+    if degree < 1:
+        raise fileio.FileFormatError(
+            "pipeline degree must be at least 1, got %d" % degree)
     samples = fileio.parse_int(raw.get("samples", 1), "pipeline samples")
     if samples < 1:
         raise fileio.FileFormatError(

@@ -156,9 +156,25 @@ def _decode_element(G, obj):
 
 
 def chain_to_records(c: Chain) -> list:
-    return [{"coeff": format_fraction(r),
-             "tuple": [encode_element(c.group, g) for g in t]}
+    """The terms of c as records, in the order of the tuples.  Each
+    distinct element is encoded once per call; every record still gets
+    lists of its own, so editing one record leaves the others alone."""
+    G = c.group
+    codes = {}
+
+    def code(g):
+        enc = codes.get(g)
+        if enc is None:
+            enc = codes[g] = encode_element(G, g)
+        return _copy_lists(enc)
+
+    return [{"coeff": format_fraction(r), "tuple": [code(g) for g in t]}
             for t, r in c.terms()]
+
+
+def _copy_lists(enc):
+    """An element encoding with every list in it copied."""
+    return [_copy_lists(x) for x in enc] if isinstance(enc, list) else enc
 
 
 def chain_from_records(G, degree, records) -> Chain:

@@ -17,8 +17,10 @@ over M with d(c') = (i o f)_* z and a certified l1 ratio.  All the
 ingredients (splitting D, lifting E, the shuffle assembly, the
 conjugation homotopy) are exact; the only searches are the l1-minimal
 fillings (emap's sections, xi_fill's xi), and those stages return their
-fill_min certificates.  A certificate is checked once, by its verify(),
-in the function that builds it, and callers trust it.
+fill_min certificates.  Each distinct search is solved once per
+PipelineConfig: a batch that meets a target again reuses its first
+certificate.  A certificate is checked once, by its verify(), in the
+function that builds it, and callers trust it.
 
 verify_mitosis returns the names of the axioms the data fails, as the
 other certificate checks return their failures: that the injection is a
@@ -250,6 +252,17 @@ class PipelineConfig:
     H_k(phi'; Q) = 0 in intermediate degrees is what makes the lifted
     blocks fillable; a violation surfaces as a failed boundary
     membership check inside emap.
+
+    A config is one batch, and it keeps the fill certificates its batch
+    has solved for as long as it lives: primitive_pipeline's xi, keyed
+    on z, and emap's sections, keyed on the pushed target.  A key is a
+    tag naming the search plus the chain's group, degree and
+    coefficients, so a target met again is not solved again.  This
+    relies on l1opt's rule that a certificate depends on (G, q, z)
+    alone, never on the order of the calls.  A stored certificate is
+    shared by every pipeline certificate that meets its target, so it is
+    read-only; a search that raises stores nothing, so it raises again
+    on the next call.
     """
 
     phi: Homomorphism
@@ -258,6 +271,7 @@ class PipelineConfig:
     mitosis: MitosisData
     _mu: Homomorphism = field(init=False, repr=False)
     _conj: object = field(init=False, repr=False)
+    _fills: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """The set-up work of every certificate, done once: mu_hom
@@ -273,6 +287,17 @@ class PipelineConfig:
         M, s, d = self.mitosis.ambient, self.mitosis.s, self.mitosis.d
         self._conj = M.mul(d, M.inv(s))
         check_theta_orientation(M, self._conj)
+        self._fills = {}
+
+    def _fill(self, tag, z: Chain, solve) -> l1opt.FillCertificate:
+        """solve(z), solved once per tag and chain in this config.  The
+        tag, not solve, names the search, as a tracer may rebind the
+        function between calls."""
+        key = (tag, z.group, z.degree, frozenset(z.coeffs.items()))
+        cert = self._fills.get(key)
+        if cert is None:
+            cert = self._fills[key] = solve(z)
+        return cert
 
     def f(self) -> Homomorphism:
         return compose_homs(self.psi, compose_homs(self.phi_prime, self.phi))
@@ -287,10 +312,10 @@ def emap(x: TensorChain, cfg: PipelineConfig):
     where f = psi o phi' o phi.
 
     The section maps S (over phi) and T (over psi) are realized per
-    instance by l1-minimal fillings, whose fill_min certificates are
-    returned in order; each block of an intermediate tensor is
-    decomposed into elementary tensors whose factors are checked to be
-    boundaries before filling.
+    instance by l1-minimal fillings, whose fill_min certificates (each
+    target solved once per cfg) are returned in order; each block of an
+    intermediate tensor is decomposed into elementary tensors whose
+    factors are checked to be boundaries before filling.
     """
     H = cfg.phi.source
     Hp = cfg.phi.target
@@ -301,7 +326,7 @@ def emap(x: TensorChain, cfg: PipelineConfig):
     certs = []
 
     def section(src_chain, hom):
-        cert = l1opt.fill_min(push_chain(hom, src_chain))
+        cert = cfg._fill("section", push_chain(hom, src_chain), l1opt.fill_min)
         certs.append(cert)
         return cert.c
 
@@ -381,7 +406,7 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
     M = cfg.mitosis.ambient
     f = cfg.f()
 
-    xi = xi_fill(z).c  # raises ValueError on a non-cycle
+    xi = cfg._fill("xi", z, xi_fill).c  # raises ValueError on a non-cycle
     e_val, sections = emap(dmap(z), cfg)
     e_prime = cross_tensor(e_val) - push_chain(pair_hom(f, f), xi)
 

@@ -3,9 +3,11 @@ names; these checks fail fast when a change renames or moves one,
 long before a full benchmark self-test would."""
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -37,6 +39,17 @@ def test_pipeline_config_keeps_its_accessors():
         assert inspect.isfunction(getattr(PipelineConfig, name, None)), name
 
 
+def _checked_records(wl, st, ks):
+    """The records of operations ks, each checked clean."""
+    records = []
+    for k in ks:
+        out = wl.op(st, k, lambda span: contextlib.nullcontext())
+        checked = wl.check(st, k, out)
+        assert checked.ok, (wl.name, k, checked.problems)
+        records.append(checked.record)
+    return records
+
+
 def test_workloads_run_and_check_clean(tmp_path):
     # set-up at seed 1, then checked operations: three of each timed
     # workload and one per corpus file of verify_corpus
@@ -44,7 +57,32 @@ def test_workloads_run_and_check_clean(tmp_path):
     for name, wl in workloads.items():
         st = wl.setup(1, str(tmp_path / name))
         ops = len(st["files"]) if name == "verify_corpus" else 3
-        for k in range(ops):
-            out = wl.op(st, k, lambda span: contextlib.nullcontext())
-            checked = wl.check(st, k, out)
-            assert checked.ok, (name, k, checked.problems)
+        _checked_records(wl, st, range(ops))
+
+
+def _digest(records):
+    """sha256 over the records' canonical JSON, as perfbench/run.py
+    digests the first operations of a workload."""
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True,
+                            separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
+def test_seed_one_digests_are_pinned(tmp_path):
+    # the digests perfbench prints at seed 1; the second pipeline pass
+    # runs the same operations on the same config, so its fills come
+    # from the config's memo
+    workloads = _load("workloads").WORKLOADS
+    wl = workloads["pipeline_z2"]
+    st = wl.setup(1, str(tmp_path / wl.name))
+    ks = range(wl.digest_ops)
+    pinned = "1a589c7fad6a01d5edd89407a2ba3897a15092359982f1d83faca3048a7290a7"
+    assert _digest(_checked_records(wl, st, ks)) == pinned
+    assert _digest(_checked_records(wl, st, ks)) == pinned
+
+    wl = workloads["kappa_table"]
+    st = wl.setup(1, str(tmp_path / wl.name))
+    assert _digest(_checked_records(wl, st, range(wl.digest_ops))) == (
+        "b52c1952fc0c911379a55f1546270315b8363c0adf72f5ef5f557ab7da5383b7")

@@ -586,6 +586,12 @@ MALFORMED = {
     "config hom phi lists a source twice": (
         "pipeline", _config_with_a_source_listed_twice,
         "field 'phi' lists a source element twice"),
+    "config degree 0": (
+        "pipeline", lambda: {"group": group_to_spec(G2), "degree": 0},
+        "pipeline degree must be at least 1, got 0"),
+    "config degree -1": (
+        "pipeline", lambda: {"group": group_to_spec(G2), "degree": -1},
+        "pipeline degree must be at least 1, got -1"),
     "mitosis injection lists a source twice": (
         "verify", _mitosis_with_a_source_listed_twice,
         "field 'injection' lists a source element twice"),

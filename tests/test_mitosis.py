@@ -8,7 +8,7 @@ import pytest
 from barl1 import l1opt, mitosis
 from barl1.barcomplex import Chain, boundary, l1_norm, push_chain
 from barl1.cli import run
-from barl1.fileio import (dump_json, mitosis_to_dict,
+from barl1.fileio import (dump_json, mitosis_to_dict, pipeline_cert_to_dict,
                           verify_certificate_dict)
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           Homomorphism, PermutationGroup, build_hom,
@@ -21,7 +21,7 @@ from barl1.mitosis import (MitosisData, MitosisError, PipelineConfig,
                            tower, verify_mitosis)
 from barl1.products import (TensorChain, push_tensor, tensor_boundary,
                             tensor_elementary)
-from helpers import random_chain, record_calls
+from helpers import random_boundary, random_chain, record_calls
 
 G2 = cyclic_group(2)
 G3 = cyclic_group(3)
@@ -257,6 +257,56 @@ def test_pipeline_verifies_each_certificate_once(monkeypatch):
     assert checks == [cert]
     # xi and at least one section: each fill checked by fill_min alone
     assert len(fills) >= 2 and len(fill_checks) == len(fills)
+
+
+def _chain_key(c):
+    return c.group, c.degree, frozenset(c.coeffs.items())
+
+
+def test_a_config_solves_each_distinct_fill_once(monkeypatch):
+    rng = random.Random(61)
+    zs = []
+    while len(zs) < 4:
+        z = random_boundary(G2, 2, rng)
+        if not z.is_zero() and z not in zs:
+            zs.append(z)
+    batch = [zs[k] for k in (0, 1, 0, 2, 1, 3, 0, 3, 2, 0)]
+    xis = record_calls(monkeypatch, mitosis, "xi_fill")
+    fills = record_calls(monkeypatch, l1opt, "fill_min")
+
+    fresh = [dump_json(pipeline_cert_to_dict(
+        primitive_pipeline(z, identity_config(G2)))) for z in batch]
+    fresh_fills = {_chain_key(t) for t in fills}
+    assert len(xis) == len(batch) and len(fills) > len(fresh_fills)
+
+    xis.clear()
+    fills.clear()
+    cfg = identity_config(G2)
+    batched = [dump_json(pipeline_cert_to_dict(primitive_pipeline(z, cfg)))
+               for z in batch]
+    assert batched == fresh
+    assert [_chain_key(z) for z in xis] == [_chain_key(z) for z in zs]
+    assert len(fills) == len(fresh_fills) == len(set(map(_chain_key, fills)))
+    assert set(map(_chain_key, fills)) == fresh_fills
+
+
+def test_a_failed_search_is_not_kept(monkeypatch):
+    cfg = identity_config(G2)
+    xis = record_calls(monkeypatch, mitosis, "xi_fill")
+    not_a_cycle = Chain.single(G2, (1, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cycle"):
+            primitive_pipeline(not_a_cycle, cfg)
+    assert len(xis) == 2
+
+
+def test_configs_do_not_share_their_fills(monkeypatch):
+    z = boundary(Chain.single(G2, (1, 1, 1)))
+    fills = record_calls(monkeypatch, l1opt, "fill_min")
+    primitive_pipeline(z, identity_config(G2))
+    first = len(fills)
+    primitive_pipeline(z, identity_config(G2))
+    assert first >= 2 and len(fills) == 2 * first
 
 
 def test_pipeline_failing_its_verify_raises(monkeypatch):
