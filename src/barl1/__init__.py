@@ -6,11 +6,10 @@ __version__ = "0.1.0"
 
 from .groups import (DirectProduct, FiniteTableGroup, FreeGroup, FreeProduct,
                      GroupAxiomError, Homomorphism, HomomorphismError,
-                     PermutationGroup, SemidirectProduct, build_group,
-                     build_hom, check_axioms, compose_homs, conjugation,
-                     cyclic_group, diagonal_hom, group_to_spec,
-                     identity_hom, is_abelian, symmetric_group_perm,
-                     verify_hom)
+                     PermutationGroup, SemidirectProduct, build_hom,
+                     check_axioms, compose_homs, conjugation, cyclic_group,
+                     diagonal_hom, identity_hom, is_abelian,
+                     symmetric_group_perm, verify_hom)
 from .barcomplex import (Chain, Cochain, DEFAULT_SIZE_CAP, SizeCapError,
                          betti, boundary, boundary_matrix, coboundary,
                          is_cycle, kronecker, l1_norm, push_chain)
@@ -25,3 +24,4 @@ from .mitosis import (MitosisData, MitosisError, PipelineCertificate,
                       emap, mitosis_of_finite_abelian, mu_hom,
                       primitive_pipeline, theta, theta_defect, tower,
                       verify_mitosis)
+from .fileio import build_group, group_to_spec

@@ -12,6 +12,11 @@ primitive_pipeline, which have passed their verify() there, and
 `mitosis build-abelian` writes data that has passed verify_mitosis;
 `barl1 verify` re-checks a written record of any kind, and is the one
 command that checks a mitosis file.
+
+run sorts errors by class: a disproved claim exits 1, and one
+input-error clause (FileFormatError, SizeCapError, OSError, any other
+ValueError) exits 2 with its message; any other exception is a bug and
+shows its traceback.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__, fileio, l1opt, mitosis
-from .barcomplex import (SizeCapError, betti, boundary, l1_norm, random_chain,
-                         tuple_basis)
+from .barcomplex import (Chain, SizeCapError, betti, boundary, l1_norm,
+                         random_chain, sum_terms, tuple_basis)
 from .groups import (GroupAxiomError, HomomorphismError, build_hom,
                      check_axioms, identity_hom)
 from .l1opt import Infeasible, SupportExhausted
@@ -140,16 +145,14 @@ def _cmd_cup(args) -> int:
     f = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_a))
     g = fileio.cochain_from_dict(G, fileio.load_json(args.cochain_b))
     h = cup(f, g)
+    values = Chain._of(G, h.degree, sum_terms(
+        (t, h.value(t)) for t in tuple_basis(G, h.degree)))
     lines = ["degree: %d + %d -> %d" % (f.degree, g.degree, h.degree)]
-    terms = []
-    for t in sorted(tuple_basis(G, h.degree)):
-        v = h.value(t)
-        if v:
-            lines.append("%s * %s" % (_frac(v), list(t)))
-            terms.append({"coeff": _frac(v),
-                          "tuple": [fileio.encode_element(G, x) for x in t]})
+    for t, v in values.terms():
+        lines.append("%s * %s" % (_frac(v), list(t)))
     _emit(args, {"command": "cup", "version": __version__,
-                 "degree": h.degree, "terms": terms}, lines)
+                 "degree": h.degree,
+                 "terms": fileio.chain_to_records(values)}, lines)
     return 0
 
 
@@ -410,11 +413,8 @@ def run(argv=None) -> int:
             SupportExhausted, GroupAxiomError, HomomorphismError) as exc:
         sys.stderr.write("mathematical failure: %s\n" % exc)
         return 1
-    except (fileio.FileFormatError, SizeCapError) as exc:
+    except (fileio.FileFormatError, SizeCapError, OSError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
-        return 2
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        sys.stderr.write("input error: %r\n" % exc)
         return 2
 
 

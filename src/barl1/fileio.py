@@ -13,6 +13,11 @@ check to the Chain constructor, so each element is checked once.
 encode_element trusts its argument.
 Words and syllables are decoded literally, so an element has one
 spelling: a word that is not reduced is rejected, not reduced.
+
+Group records are read and written here too, by build_group and its
+inverse group_to_spec.  A record that is not one (not an object, a
+missing field, an unknown `type` or product `op`) is a FileFormatError;
+a well-formed description that is not a group is a GroupAxiomError.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from fractions import Fraction
 from . import l1opt, mitosis
 from .barcomplex import Chain, Cochain
 from .groups import (DirectProduct, FiniteTableGroup, FreeGroup, FreeProduct,
-                     GroupAxiomError, Homomorphism, PermutationGroup,
-                     SemidirectProduct, build_group, group_to_spec)
+                     GroupAxiomError, GroupOracle, Homomorphism,
+                     PermutationGroup, SemidirectProduct)
 
 
 class FileFormatError(ValueError):
@@ -226,6 +231,53 @@ def dump_json(obj, path=None) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def build_group(spec) -> GroupOracle:
+    """The group of a group record, each field read by required."""
+    kind = required(spec, "type")
+    if kind == "finite":
+        return FiniteTableGroup(required(spec, "table"),
+                                names=spec.get("elements"))
+    if kind == "perm":
+        return PermutationGroup(required(spec, "degree"),
+                                spec.get("generators", []))
+    if kind == "free":
+        return FreeGroup(required(spec, "rank"))
+    if kind == "product":
+        op = required(spec, "op")
+        factors = [build_group(f) for f in required(spec, "factors")]
+        if op == "direct":
+            return DirectProduct(factors)
+        if op == "free":
+            return FreeProduct(factors)
+        raise FileFormatError("unknown product op %r" % (op,))
+    if kind == "semidirect":
+        base = build_group(required(spec, "base"))
+        return SemidirectProduct(
+            base, PermutationGroup(base.order(), spec.get("action", [])))
+    raise FileFormatError("unknown group type %r" % (kind,))
+
+
+def group_to_spec(G) -> dict:
+    """The group record of G, which build_group reads back as G; it
+    makes certificates self-contained."""
+    if isinstance(G, FiniteTableGroup):
+        return {"type": "finite", "elements": list(G.names),
+                "table": [list(r) for r in G.table]}
+    if isinstance(G, PermutationGroup):
+        return {"type": "perm", "degree": G.degree,
+                "generators": [list(g) for g in G.generators]}
+    if isinstance(G, FreeGroup):
+        return {"type": "free", "rank": G.rank}
+    if isinstance(G, (DirectProduct, FreeProduct)):
+        return {"type": "product",
+                "op": "direct" if isinstance(G, DirectProduct) else "free",
+                "factors": [group_to_spec(f) for f in G.factors]}
+    if isinstance(G, SemidirectProduct):
+        return {"type": "semidirect", "base": group_to_spec(G.base),
+                "action": [list(g) for g in G.action.generators]}
+    raise FileFormatError("no group record for %r" % (G,))
 
 
 def read_group(spec, where):

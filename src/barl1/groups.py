@@ -56,9 +56,9 @@ records unchecked, and the chain constructor checks each one), the
 validating chain constructors (barcomplex.basis_tuple), and so the
 cochain constructor, which checks a table as a chain,
 Homomorphism.apply, verify_hom (on each image),
-conjugation, mitosis.theta (its conjugator) and verify_mitosis (s and
-d).  Everything after that trusts its elements: arithmetic (mul, inv,
-element_index), a homomorphism's fn, and chains built with
+conjugation (so verify_mitosis's s and d) and mitosis.theta (its
+conjugator).  Everything after that trusts its elements: arithmetic
+(mul, inv, element_index), a homomorphism's fn, and chains built with
 SparseChain._of, among them l1opt's fillings over the tuples of
 elements() or ball().  On a non-member their result is unspecified.
 
@@ -67,6 +67,10 @@ their cases by one rule: every k-tuple of elements when |G|^k <= 300 000,
 else a fixed number of k-tuples sampled from random.Random(0), 300
 triples or 10 000 pairs.  Reports name the mode and count, so a check
 is reproducible from the group alone.
+
+This module holds no record code: fileio reads and writes group
+records (build_group, group_to_spec), and the constructors here check
+the values they are given.
 """
 
 from __future__ import annotations
@@ -783,61 +787,6 @@ def check_axioms(G) -> dict:
             raise GroupAxiomError("inverse law fails on %r" % (a,))
         count += 1
     return {"mode": mode, "checked_triples": count, "order": G.order()}
-
-
-def build_group(spec: dict) -> GroupOracle:
-    """Build an oracle from a structured description record; a missing
-    required field raises ValueError naming it."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise GroupAxiomError("group record must be an object with a 'type' field")
-
-    def field(name):
-        if name not in spec:
-            raise ValueError("record has no field %r" % (name,))
-        return spec[name]
-    kind = spec["type"]
-    if kind == "finite":
-        return FiniteTableGroup(field("table"), names=spec.get("elements"))
-    if kind == "perm":
-        return PermutationGroup(field("degree"), spec.get("generators", []))
-    if kind == "free":
-        return FreeGroup(field("rank"))
-    if kind == "product":
-        op = field("op")
-        factors = [build_group(f) for f in field("factors")]
-        if op == "direct":
-            return DirectProduct(factors)
-        if op == "free":
-            return FreeProduct(factors)
-        raise GroupAxiomError("unknown product op %r" % (op,))
-    if kind == "semidirect":
-        base = build_group(field("base"))
-        tables = spec.get("action", [])
-        action = PermutationGroup(base.order(), tables)
-        return SemidirectProduct(base, action)
-    raise GroupAxiomError("unknown group type %r" % (kind,))
-
-
-def group_to_spec(G) -> dict:
-    """Inverse of build_group, for self-contained certificates."""
-    if isinstance(G, FiniteTableGroup):
-        return {"type": "finite", "elements": list(G.names),
-                "table": [list(r) for r in G.table]}
-    if isinstance(G, PermutationGroup):
-        return {"type": "perm", "degree": G.degree,
-                "generators": [list(g) for g in G.generators]}
-    if isinstance(G, FreeGroup):
-        return {"type": "free", "rank": G.rank}
-    if isinstance(G, DirectProduct):
-        return {"type": "product", "op": "direct",
-                "factors": [group_to_spec(f) for f in G.factors]}
-    if isinstance(G, FreeProduct):
-        return {"type": "product", "op": "free",
-                "factors": [group_to_spec(f) for f in G.factors]}
-    if isinstance(G, SemidirectProduct):
-        return {"type": "semidirect", "base": group_to_spec(G.base),
-                "action": [list(g) for g in G.action.generators]}
-    raise GroupAxiomError("cannot serialize %r" % (G,))
 
 
 class Homomorphism:

@@ -41,7 +41,9 @@ degree-1 chain over F is a boundary exactly when the coefficient-
 weighted exponent sums of its words all vanish.
 
 Certificates re-check themselves by verify(), with no LP; fill and
-pipeline ones share filling_failures.
+pipeline ones share filling_failures.  FillCertificate._derived_support
+alone derives a fill's support descriptor: fill_min records it, and
+verify compares a record's descriptor with it.
 
 ubc_kappa_exact maximizes the filling ratio over the circuits
 (elementary vectors) of the boundary subspace, which circuits lists by
@@ -253,11 +255,11 @@ class FillCertificate:
         return failures
 
     def _derived_support(self):
-        """The support descriptor fill_min records, derived from z, c
-        and the group: empty for z = 0, the |G|^(q+1) tuples of a finite
-        group, else the first word ball of _radii that holds every tuple
-        of c (fill_min stops at the first ball that holds a filling);
-        None when no support can match."""
+        """The support descriptor fill_min records and verify expects,
+        derived from z, c and the group: empty for z = 0, the |G|^(q+1)
+        tuples of a finite group, else the first word ball of _radii that
+        holds every tuple of c (fill_min stops at the first ball that
+        holds a filling); None when no support can match."""
         G, n = self.z.group, self.z.degree + 1
         if self.z.is_zero():
             return {"kind": "empty"}
@@ -290,19 +292,17 @@ def _radii():
 
 def _supports(G, degree):
     """The boundary matrices of degree `degree` a filling is sought
-    over, in turn, as (matrix, description) pairs: boundary_matrix of a
-    finite group once, else boundary_over the word balls of a free group
-    with the radii of _radii.  Each passes check_size first, which
-    refuses any other infinite group."""
+    over, in turn: boundary_matrix of a finite group once, else
+    boundary_over the word balls of a free group with the radii of
+    _radii.  Each passes check_size first, which refuses any other
+    infinite group."""
     if G.is_finite() or not isinstance(G, FreeGroup):
-        d = boundary_matrix(G, degree)
-        yield d, {"kind": "full", "size": len(d.cols)}
+        yield boundary_matrix(G, degree)
         return
     for radius in _radii():
         ball = G.ball(radius)
         check_size(len(ball), degree)
-        d = boundary_over(G, degree, itertools.product(ball, repeat=degree))
-        yield d, {"kind": "ball", "radius": radius, "size": len(d.cols)}
+        yield boundary_over(G, degree, itertools.product(ball, repeat=degree))
 
 
 def _l1_simplex(d, b):
@@ -431,19 +431,19 @@ def fill_min(z: Chain) -> FillCertificate:
         raise ValueError("fillings are defined for boundaries of degree >= 1")
     G = z.group
     if z.is_zero():
-        cert = FillCertificate(z, Chain.zero(G, q + 1), Fraction(0),
-                               {"kind": "empty"})
+        cert = FillCertificate(z, Chain.zero(G, q + 1), Fraction(0))
     else:
-        for d, descr in _supports(G, q + 1):
+        for d in _supports(G, q + 1):
             c = _solve_fill(z, d)
             if c is not None:
                 break
         else:
-            if descr["kind"] == "ball" and is_boundary(z):
+            if not G.is_finite() and is_boundary(z):
                 raise SupportExhausted("no filling over word balls up to "
-                                       "radius %d" % descr["radius"])
+                                       "radius %d" % max(_radii()))
             raise Infeasible("z is not a boundary")
-        cert = FillCertificate(z, c, l1_norm(c) / l1_norm(z), descr)
+        cert = FillCertificate(z, c, l1_norm(c) / l1_norm(z))
+    cert.support = cert._derived_support()
     failures = cert.verify()
     if failures:
         raise AssertionError("solver returned a certificate that fails %s; "

@@ -22,6 +22,9 @@ PipelineConfig: a batch that meets a target again reuses its first
 certificate.  A certificate is checked once, by its verify(), in the
 function that builds it, and callers trust it.
 
+Conjugation x^y is groups.conjugation(M, y): verify_mitosis and mu_hom
+build gamma_s and gamma_d once per call, and so invert s and d once.
+
 verify_mitosis returns the names of the axioms the data fails, as the
 other certificate checks return their failures: that the injection is a
 homomorphism (verify_hom), injectivity and (1)-(3), on every element
@@ -71,11 +74,6 @@ class MitosisData:
     s: object
     d: object
 
-    def conj_power(self, x, y):
-        """x^y = y x y^{-1} in the ambient group."""
-        M = self.ambient
-        return M.mul(M.mul(y, x), M.inv(y))
-
 
 def verify_mitosis(data: MitosisData) -> list[str]:
     """The axioms the data fails, in a fixed order; empty when it is a
@@ -87,8 +85,7 @@ def verify_mitosis(data: MitosisData) -> list[str]:
     generate."""
     G, M, i = data.source, data.ambient, data.inj
     s, d = data.s, data.d
-    M.check_member(s)
-    M.check_member(d)
+    to_s, to_d = conjugation(M, s).fn, conjugation(M, d).fn
     failed = []
     try:
         verify_hom(i)
@@ -103,12 +100,10 @@ def verify_mitosis(data: MitosisData) -> list[str]:
     image = {g: i(g) for g in els}
     if len(set(image.values())) != len(image):
         failed.append("injectivity")
-    if any(data.conj_power(ig, d) != M.mul(ig, data.conj_power(ig, s))
-           for ig in image.values()):
+    if any(to_d(ig) != M.mul(ig, to_s(ig)) for ig in image.values()):
         failed.append("split relation i(g)^d = i(g) i(g)^s")
     if any(M.mul(igp, igs) != M.mul(igs, igp)
-           for igs in (data.conj_power(ig, s) for ig in image.values())
-           for igp in image.values()):
+           for igs in map(to_s, image.values()) for igp in image.values()):
         failed.append("commuting relation [i(g'), i(g)^s] = 1")
     if exhaustive:
         images = [M.permutation_image(x) for x in [*image.values(), s, d]]
@@ -149,9 +144,9 @@ def mu_hom(data: MitosisData) -> Homomorphism:
     G, M, i = data.source, data.ambient, data.inj
     P = DirectProduct((G, G))
 
-    def fn(pair, _d=data, _M=M, _i=i.fn):
+    def fn(pair, _M=M, _i=i.fn, _to_s=conjugation(M, data.s).fn):
         gp, g = pair
-        return _M.mul(_i(gp), _d.conj_power(_i(g), _d.s))
+        return _M.mul(_i(gp), _to_s(_i(g)))
 
     return build_hom(P, M, fn=fn, name="mu")
 

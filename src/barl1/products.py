@@ -55,10 +55,6 @@ class TensorChain(SparseChain):
         GA, GB = self.space
         return basis_tuple(GA, a, len(a)), basis_tuple(GB, b, len(b))
 
-    def terms(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda it: (len(it[0][0]), it[0]))
-
     def bidegrees(self):
         return sorted({(len(a), len(b)) for a, b in self.coeffs})
 

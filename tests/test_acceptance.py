@@ -12,8 +12,8 @@ from barl1.barcomplex import Chain, betti, boundary, l1_norm
 from barl1.fileio import (dump_json, fill_cert_to_dict, kappa_to_dict,
                           load_json, mitosis_to_dict, pipeline_cert_to_dict,
                           tower_to_dict, verify_certificate_dict)
-from barl1.groups import (DirectProduct, FreeGroup, cyclic_group,
-                          identity_hom, symmetric_group_perm)
+from barl1.groups import (DirectProduct, FreeGroup, conjugation,
+                          cyclic_group, identity_hom, symmetric_group_perm)
 from barl1.l1opt import fill_min, ubc_kappa_exact
 from barl1.mitosis import (PipelineConfig, constant_c, dmap, e_bound, emap,
                            mitosis_of_finite_abelian, mu_hom,
@@ -138,7 +138,8 @@ def test_criterion_5_mitosis_builders():
         assert verify_mitosis(data) == []
         mu = mu_hom(data)
         for g in G.elements():
-            assert mu((g, g)) == data.conj_power(data.inj(g), data.d)
+            assert mu((g, g)) == conjugation(data.ambient, data.d).fn(
+                data.inj(g))
     print("ACCEPTANCE 5: builders verify exhaustively (orders 24, 432, "
           "1536, 96) and mu o diag = gamma_d o i PASS", flush=True)
 

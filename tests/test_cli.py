@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -13,9 +14,9 @@ import pytest
 from barl1 import barcomplex, fileio, mitosis
 from barl1.barcomplex import Chain, boundary
 from barl1.cli import build_parser, run
-from barl1.fileio import chain_to_dict, dump_json, fill_cert_to_dict, load_json
-from barl1.groups import (SemidirectProduct, build_group, cyclic_group,
-                          group_to_spec, identity_hom)
+from barl1.fileio import (build_group, chain_to_dict, dump_json,
+                          fill_cert_to_dict, group_to_spec, load_json)
+from barl1.groups import SemidirectProduct, cyclic_group, identity_hom
 from barl1.l1opt import fill_min, ubc_kappa_exact
 from barl1.mitosis import constant_c
 
@@ -595,6 +596,13 @@ MALFORMED = {
     "mitosis injection lists a source twice": (
         "verify", _mitosis_with_a_source_listed_twice,
         "field 'injection' lists a source element twice"),
+    "config group a chain record": (
+        "pipeline", lambda: {"group": chain_to_dict(Chain.single(G2, (1,)))},
+        "bad group record in pipeline config: record has no field 'type'"),
+    "config product op unknown": (
+        "pipeline", lambda: {"group": {"type": "product", "op": "tensor",
+                                       "factors": [group_to_spec(G2)]}},
+        "bad group record in pipeline config: unknown product op 'tensor'"),
 }
 
 
@@ -609,3 +617,156 @@ def test_malformed_records_and_configs_are_plain_input_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "input error" in err and message in err
     assert "Error(" not in err  # a message, not an exception repr
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"degree": 1, "terms": []}, "record has no field 'type'"),
+    ({"type": "bogus"}, "unknown group type 'bogus'"),
+    ({"type": "product", "op": "tensor", "factors": []},
+     "unknown product op 'tensor'"),
+], ids=["chain file", "unknown type", "unknown op"])
+def test_a_malformed_group_record_is_an_input_error(tmp_path, capsys, record,
+                                                    message):
+    # not a group record at all, so no mathematical failure (exit 1)
+    assert run(["group", "check", jfile(tmp_path, "g.json", record)]) == 2
+    fill = _with(_fill_record(), group=record)
+    assert run(["verify", jfile(tmp_path, "fill.json", fill)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: bad group record in %s: %s\n"
+                   "input error: bad group record in field 'group': %s\n"
+                   % (tmp_path / "g.json", message, message))
+
+
+@pytest.fixture
+def z2_inputs(tmp_path):
+    """Paths of small Z/2 input files: the group, a = 1(1), the degree-1
+    boundary z = d(1, 1), chains of degree 0 and -1, a pipeline config
+    and the fill certificate of z."""
+    z = boundary(Chain.single(G2, (1, 1)))
+    return {"group": jfile(tmp_path, "z2.json", group_to_spec(G2)),
+            "a": jfile(tmp_path, "a.json",
+                       chain_to_dict(Chain.single(G2, (1,)))),
+            "z": jfile(tmp_path, "z.json", chain_to_dict(z)),
+            "c0": jfile(tmp_path, "c0.json",
+                        chain_to_dict(Chain.single(G2, ()))),
+            "cm": jfile(tmp_path, "cm.json", {"degree": -1, "terms": []}),
+            "cfg": jfile(tmp_path, "cfg.json", {"group": group_to_spec(G2),
+                                                "degree": 1}),
+            "cert": jfile(tmp_path, "cert.json",
+                          fill_cert_to_dict(fill_min(z)))}
+
+
+INPUT_FAULTS = {
+    "boundary of a degree-0 chain": (
+        "boundary --group {group} --chain {c0}",
+        "boundary of a degree-0 chain is undefined"),
+    "fill of a degree-0 chain": (
+        "fill --group {group} --chain {c0}",
+        "fillings are defined for boundaries of degree >= 1"),
+    "chain of degree -1": (
+        "boundary --group {group} --chain {cm}", "chain degree must be >= 0"),
+    "homology degree -1": (
+        "homology --group {group} --degree -1", "degree must be >= 0"),
+    "kappa degree -1": (
+        "kappa --group {group} --degree -1",
+        "boundary matrix defined for degree >= 1"),
+    "pair with a degree-0 chain": (
+        "pair --group-a {group} --group-b {group} --cochain-a {a} "
+        "--cochain-b {a} --chain-a {a} --chain-b {c0}",
+        "pairing degrees do not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+def test_input_faults_print_a_message(z2_inputs, capsys, case):
+    command, message = INPUT_FAULTS[case]
+    assert run(command.format(**z2_inputs).split()) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: %s\n" % message
+    assert "Error(" not in err  # a message, not an exception repr
+
+
+def test_cross_command(z2_inputs, capsys):
+    argv = ("cross --group-a {group} --group-b {group} --chain-a {a} "
+            "--chain-b {a}").format(**z2_inputs).split()
+    assert run(argv) == 0
+    assert "|a x b| = 2" in capsys.readouterr().out
+    assert run(argv + ["--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"degree": 2, "terms": [
+        {"coeff": "-1", "tuple": [["0", "1"], ["1", "0"]]},
+        {"coeff": "1", "tuple": [["1", "0"], ["0", "1"]]}]}
+
+
+def test_pair_command(z2_inputs, capsys):
+    argv = ("pair --group-a {group} --group-b {group} --cochain-a {a} "
+            "--cochain-b {a} --chain-a {a} --chain-b {a}"
+            ).format(**z2_inputs).split()
+    assert run(argv) == 0
+    assert "compatible: yes" in capsys.readouterr().out
+    assert run(argv + ["--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["lhs"], record["rhs"], record["sign"], record["ok"]) == (
+        "-1", "-1", -1, True)
+
+
+def test_pipeline_config_with_four_groups_and_hom_tables(tmp_path, capsys):
+    # identity tables between four copies of Z/2 certify what the
+    # identity homs over one group certify, byte for byte
+    identity = [["0", "0"], ["1", "1"]]
+    common = {"degree": 2, "samples": 6, "seed": 3}
+    outputs = []
+    for name, cfg in [
+            ("one", {"group": group_to_spec(G2), "homs": "identity"}),
+            ("four", {"groups": dict.fromkeys(("H", "H'", "K", "G"),
+                                              group_to_spec(G2)),
+                      "homs": dict.fromkeys(("phi", "phi'", "psi"),
+                                            identity)})]:
+        out = tmp_path / name
+        assert run(["pipeline", "--config",
+                    jfile(tmp_path, name + ".json", {**cfg, **common}),
+                    "--out-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    capsys.readouterr()
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
+
+
+# one run of every subcommand, by its path, on the files of z2_inputs
+SMOKE = {
+    "group check": "group check {group}",
+    "boundary": "boundary --group {group} --chain {a}",
+    "homology": "homology --group {group} --degree 1",
+    "fill": "fill --group {group} --chain {z}",
+    "kappa": "kappa --group {group} --degree 1",
+    "cross": "cross --group-a {group} --group-b {group} --chain-a {a} "
+             "--chain-b {a}",
+    "cup": "cup --group {group} --cochain-a {a} --cochain-b {a}",
+    "pair": "pair --group-a {group} --group-b {group} --cochain-a {a} "
+            "--cochain-b {a} --chain-a {a} --chain-b {a}",
+    "mitosis build-abelian": "mitosis build-abelian --group {group}",
+    "pipeline": "pipeline --config {cfg}",
+    "tower": "tower --degree 2",
+    "verify": "verify {cert}",
+}
+
+
+def subcommand_paths(parser, prefix=()):
+    """The space-joined paths of the subcommands a parser registers."""
+    paths = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths |= subcommand_paths(sub, prefix + (name,))
+    return paths or {" ".join(prefix)}
+
+
+def test_every_subcommand_has_a_smoke_case():
+    assert set(SMOKE) == subcommand_paths(build_parser())
+
+
+@pytest.mark.parametrize("path", sorted(SMOKE))
+def test_every_subcommand_runs(z2_inputs, capsys, path):
+    assert run(SMOKE[path].format(**z2_inputs).split()) == 0
+    assert capsys.readouterr().out
+

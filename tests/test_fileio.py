@@ -13,14 +13,15 @@ from barl1.fileio import (FileFormatError, chain_from_dict,
                           chain_from_records, chain_to_dict,
                           chain_to_records, cochain_from_dict, decode_element,
                           dump_json, encode_element, fill_cert_from_dict,
-                          fill_cert_to_dict, format_fraction, kappa_to_dict,
-                          load_chain, load_group, load_json, mitosis_from_dict,
+                          fill_cert_to_dict, format_fraction,
+                          group_to_spec, kappa_to_dict, load_chain,
+                          load_group, load_json, mitosis_from_dict,
                           mitosis_to_dict, parse_fraction,
                           pipeline_cert_from_dict, pipeline_cert_to_dict,
                           tower_to_dict, verify_certificate_dict)
 from barl1.groups import (DirectProduct, FreeGroup, FreeProduct,
                           GroupAxiomError, GroupOracle, PermutationGroup,
-                          cyclic_group, group_to_spec, symmetric_group_perm)
+                          cyclic_group, symmetric_group_perm)
 from barl1.l1opt import FillCertificate, fill_min, ubc_kappa_exact
 from barl1.mitosis import (PipelineConfig, mitosis_of_finite_abelian,
                            primitive_pipeline, tower, verify_mitosis)
@@ -153,7 +154,7 @@ def test_group_file_round_trip(tmp_path):
 def test_load_group_errors(tmp_path):
     p = tmp_path / "bad.json"
     dump_json({"type": "bogus"}, p)
-    with pytest.raises(GroupAxiomError, match="unknown group type"):
+    with pytest.raises(FileFormatError, match="unknown group type"):
         load_group(p)
     # broken Cayley table: repeated entry in a row
     q = tmp_path / "nonassoc.json"

@@ -116,7 +116,8 @@ def test_mu_on_diagonal_is_d_conjugate_of_inj():
         data = mitosis_of_finite_abelian(G)
         mu = mu_hom(data)
         for g in G.elements():
-            assert mu((g, g)) == data.conj_power(data.inj(g), data.d)
+            assert mu((g, g)) == conjugation(data.ambient, data.d).fn(
+                data.inj(g))
 
 
 def test_theta_singleton_expansion():

@@ -21,8 +21,8 @@ from barl1.barcomplex import (Chain, Cochain, SizeCapError, betti, boundary,
                               boundary_matrix, coboundary, kronecker,
                               tuple_basis)
 from barl1.cli import run
-from barl1.fileio import chain_to_dict, dump_json
-from barl1.groups import FreeGroup, cyclic_group, group_to_spec
+from barl1.fileio import chain_to_dict, dump_json, group_to_spec
+from barl1.groups import FreeGroup, cyclic_group
 from barl1.l1opt import fill_min
 from helpers import record_calls
 
