@@ -5,6 +5,11 @@ strings.  Element encoding is per backend: finite elements by name,
 permutations as comma-separated image strings, free-group words as
 "x1*x2^-1" (or "e"), product and semidirect elements as nested arrays.
 Certificates embed a full group record so they re-verify standalone.
+dump_json writes a record with sorted keys, a two-space indent and
+ASCII escapes: the bytes of json.dumps(obj, indent=2, sort_keys=True),
+laid out by _write_json, since with an indent json.dumps runs its
+pure-Python encoder, which took about a quarter of the time of
+certifying and writing a Z/2 degree-2 pipeline primitive.
 A fill, kappa or pipeline record is read into its class, whose
 verify() holds its rules; only a tower's rule lives here.
 decode_element is where elements read from a file enter the program,
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import l1opt, mitosis
 from .barcomplex import Chain, Cochain
@@ -77,6 +83,8 @@ def required(record, name):
 
 
 def format_fraction(fr) -> str:
+    if type(fr) is int:
+        return str(fr)
     fr = Fraction(fr)
     if fr.denominator == 1:
         return str(fr.numerator)
@@ -226,11 +234,58 @@ def load_json(path):
 
 
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of obj as a record file, written to path when given:
+    the bytes of json.dumps(obj, indent=2, sort_keys=True) and a final
+    newline.  Every dict key must be a str (TypeError otherwise; no
+    record or report holds another)."""
+    out = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    text = "".join(out)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def _write_json(obj, out, pad):
+    """Append to out the pieces of obj's text as json.dumps(obj,
+    indent=2, sort_keys=True) lays it out, with pad the newline and
+    indent of the line obj starts on.  Strings go through json's C
+    escaper, ints through int.__repr__, and bool, None and float
+    through json.dumps; only the layout of lists and dicts is done here.
+    json's indenting encoder is pure Python and builds closures that
+    form reference cycles on every call; this writer builds none."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError("keys must be str, not %s" % type(k).__name__)
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
 
 
 def build_group(spec) -> GroupOracle:
@@ -339,11 +394,16 @@ def kappa_to_dict(res: l1opt.UbcConstant, G) -> dict:
 
 def kappa_from_dict(d, G) -> l1opt.UbcConstant:
     """The kappa record d over G, the group of its `group` field, as are
-    its vertices that record that group, so the group is built once."""
+    its vertices that record that group, so the group is built once.
+    Each vertex must be a fill record, of kind "fill"."""
     degree = parse_int(required(d, "degree"), "degree")
-    vertices = [fill_cert_from_dict(
-                    sub, G if required(sub, "group") == d.get("group") else None)
-                for sub in parse_list(d.get("vertices", []), "vertices")]
+    vertices = []
+    for sub in parse_list(d.get("vertices", []), "vertices"):
+        if required(sub, "kind") != "fill":
+            raise FileFormatError("kappa vertex kind must be 'fill', got %r"
+                                  % (sub["kind"],))
+        vertices.append(fill_cert_from_dict(
+            sub, G if required(sub, "group") == d.get("group") else None))
     lower = parse_fraction(required(d, "lower"))
     upper, kappa = (None if d.get(k) is None else parse_fraction(d[k])
                     for k in ("upper", "kappa"))

@@ -424,20 +424,30 @@ def primitive_pipeline(z: Chain, cfg: PipelineConfig) -> PipelineCertificate:
 
 
 def e_bound(q, kappa) -> Fraction:
-    """Operator bound for the lift E at section norm kappa (a float
-    raises TypeError, by linalg.exact)."""
+    """Operator bound for the lift E at section norm kappa,
+    k + 2n k^2 (1 + n k + n^2 k^2) with n = q + 1 and k = kappa (a float
+    raises TypeError, by linalg.exact).  With k = a/b in lowest terms the
+    sum is taken in integers over the denominator b^4, and one Fraction
+    is built from it."""
     k = linalg.exact(kappa)
+    a, b = k.numerator, k.denominator
     n = q + 1
-    return k + 2 * n * k ** 2 * (1 + n * k + n * n * k ** 2)
+    return Fraction(a * b ** 3
+                    + 2 * n * a * a * (b * b + n * a * b + n * n * a * a), b ** 4)
 
 
 def constant_c(q, kappa, xi) -> Fraction:
     """Certified primitive ratio: theta term (q+1), shuffle assembly
     binom(q+1, floor((q+1)/2)) times the E bound times the D bound
-    (q+3), plus the xi contribution (a float raises TypeError)."""
-    return (Fraction(q + 1)
-            + comb(q + 1, (q + 1) // 2) * e_bound(q, kappa) * (q + 3)
-            + linalg.exact(xi))
+    (q+3), plus the xi contribution (a float raises TypeError).  The
+    three terms are summed in integers over the product of the
+    denominators of e_bound and xi, and one Fraction is built from it."""
+    e = e_bound(q, kappa)
+    x = linalg.exact(xi)
+    d, y = e.denominator, x.denominator
+    shuffle = comb(q + 1, (q + 1) // 2)
+    return Fraction(((q + 1) * d + shuffle * e.numerator * (q + 3)) * y
+                    + x.numerator * d, d * y)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from barl1.fileio import dump_json
 from barl1.mitosis import PipelineConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -86,3 +87,26 @@ def test_seed_one_digests_are_pinned(tmp_path):
     st = wl.setup(1, str(tmp_path / wl.name))
     assert _digest(_checked_records(wl, st, range(wl.digest_ops))) == (
         "b52c1952fc0c911379a55f1546270315b8363c0adf72f5ef5f557ab7da5383b7")
+
+
+def test_seed_one_written_bytes_are_pinned(tmp_path):
+    # the digests above hash canonical JSON, so they would not see a
+    # change in dump_json's layout; these hash the bytes it writes: the
+    # verify_corpus records in set-up order and the first 16 pipeline_z2
+    # records at seed 1
+    def written(records):
+        return hashlib.sha256(
+            "".join(dump_json(r) for r in records).encode()).hexdigest()
+
+    workloads = _load("workloads").WORKLOADS
+    wl = workloads["verify_corpus"]
+    corpus = wl.setup(1, str(tmp_path / wl.name))["corpus"]
+    assert len(corpus) == 20 and {r["kind"] for r in corpus} == {
+        "fill", "kappa", "pipeline", "mitosis", "tower"}
+    assert written(corpus) == (
+        "f3cb26b96bece04f2c49a1a43cf078287279bef544e4b9d3f850bd4477dafd4b")
+
+    wl = workloads["pipeline_z2"]
+    st = wl.setup(1, str(tmp_path / wl.name))
+    assert written(_checked_records(wl, st, range(16))) == (
+        "dd7c0da874ca6a97faf417b863d6af7d2ea5468d048dd6c4ac4205be994b0aa4")

@@ -502,6 +502,14 @@ def _fill_with_a_number_tuple():
     return record
 
 
+def _kappa_with_vertex(change):
+    """The ubc_kappa_exact(Z/2, 1) record with change applied to its
+    first vertex."""
+    record = fileio.kappa_to_dict(ubc_kappa_exact(G2, 1), G2)
+    change(record["vertices"][0])
+    return record
+
+
 def _pipeline_record():
     h = identity_hom(G2)
     data = mitosis.mitosis_of_finite_abelian(G2)
@@ -546,6 +554,17 @@ MALFORMED = {
     "kappa vertices not a list": ("verify", lambda: _with(
         fileio.kappa_to_dict(ubc_kappa_exact(G2, 1), G2), vertices=5),
         "vertices must be a list, got 5"),
+    "kappa vertex kind x": ("verify", lambda: _kappa_with_vertex(
+        lambda v: v.update(kind="x")),
+        "kappa vertex kind must be 'fill', got 'x'"),
+    "kappa vertex kind an object": ("verify", lambda: _kappa_with_vertex(
+        lambda v: v.update(kind={})),
+        "kappa vertex kind must be 'fill', got {}"),
+    "kappa vertex kind 1/0": ("verify", lambda: _kappa_with_vertex(
+        lambda v: v.update(kind="1/0")),
+        "kappa vertex kind must be 'fill', got '1/0'"),
+    "kappa vertex without kind": ("verify", lambda: _kappa_with_vertex(
+        lambda v: v.pop("kind")), "record has no field 'kind'"),
     "pipeline z not a list": ("verify", lambda: _with(
         _pipeline_record(), z=5), "z must be a list, got 5"),
     "pipeline target not a list": ("verify", lambda: _with(

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -184,6 +186,71 @@ def test_dump_json_deterministic(tmp_path):
     p = tmp_path / "o.json"
     dump_json(obj, p)
     assert load_json(p) == obj
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# pieces of strings json escapes: quotes, backslashes, control
+# characters, U+2028, non-ASCII and non-BMP text
+_TEXT = ['', 'a', '"', '\\', '\x00', '\x1f', '\t\n\r', '\x7f', '/', '\u2028',
+         '\u00e9', '\u4e2d', '\U0001f600', '\U00010348', '1/2']
+# "\u00e9" sorts after "z" raw but before it escaped, 'a"' before "a#"
+# raw but after it escaped
+_KEYS = ['z', 'a', 'A', 'a"', 'a#', '\u00e9', '\\', '', '\x01', 'kind']
+_SCALARS = [True, False, None, 0, -1, 2 ** 70 - 1, -(2 ** 70), -0.0, 0.5,
+            1e300, float("inf"), float("-inf"), float("nan")]
+
+
+def _json_value(rng, depth):
+    kind = rng.randrange(10 if depth else 3)
+    if kind == 0:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice(_SCALARS)
+    if kind == 2:
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 70)))
+    items = [_json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind <= 5:
+        return rng.choice((list, tuple, _List))(items)
+    keys = rng.sample(_KEYS, len(items))
+    return rng.choice((dict, _Dict))(zip(keys, items))
+
+
+def test_dump_json_gives_the_bytes_of_json_dumps():
+    rng = random.Random(1)
+    values = [[], {}, (), _List(), _Dict(), [[{}]], {"a": [()]},
+              _Dict({"b": _List([1, "x"])}), "\u2028\U0001f600"]
+    values += [_json_value(rng, 4) for _ in range(600)]
+    for v in values:
+        assert dump_json(v) == json.dumps(v, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_builds_no_reference_cycle():
+    # a writer that leaves cycles behind on every call raises the peak
+    # memory of a long batch until the collector runs
+    record = kappa_to_dict(ubc_kappa_exact(G3, 2), G3)
+    gc.collect()
+    gc.disable()
+    try:
+        dump_json(record)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])
+def test_dump_json_keys_must_be_strings(key):
+    # json.dumps would write the first four as strings; no record holds one
+    with pytest.raises(TypeError, match="keys must be str"):
+        dump_json({"a": {key: "1"}})
+    with pytest.raises(TypeError):
+        dump_json({"a": object()})
 
 
 def test_fill_certificate_round_trip_and_tamper():

@@ -351,6 +351,28 @@ def test_constants_frozen_values():
     assert constant_c(2, 2, 0) > constant_c(2, 1, 0)
 
 
+def test_constants_match_the_fraction_formula():
+    # e_bound and constant_c sum in integers; the reference is the
+    # formula in Fraction arithmetic
+    values = [0, 1, 2, -3, Fraction(1, 2), Fraction(3, 2), Fraction(-5, 7),
+              Fraction(11, 3)]
+    for q in range(6):
+        n = q + 1
+        shuffle = comb(q + 1, (q + 1) // 2)
+        for kappa in values:
+            k = Fraction(kappa)
+            e = k + 2 * n * k ** 2 * (1 + n * k + n * n * k ** 2)
+            assert e_bound(q, kappa) == e, (q, kappa)
+            for xi in values:
+                assert constant_c(q, kappa, xi) == (
+                    (q + 1) + shuffle * e * (q + 3) + Fraction(xi)), (q, kappa, xi)
+        # an integral float is rejected too, not read as its int
+        for call in (lambda: e_bound(q, 1.0), lambda: constant_c(q, 2.0, 0),
+                     lambda: constant_c(q, 0, 1.0)):
+            with pytest.raises(TypeError, match="float"):
+                call()
+
+
 def test_tower_sizes_and_recursion():
     rows = tower(3)
     assert [r.size for r in rows] == [1, 4, 13, 40]
