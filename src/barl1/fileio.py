@@ -1,9 +1,11 @@
 """File formats: groups, chains, cochains, and certificates.
 
 Everything is JSON with rationals rendered as decimal-free "p/q"
-strings.  Element encoding is per backend: finite elements by name,
-permutations as comma-separated image strings, free-group words as
-"x1*x2^-1" (or "e"), product and semidirect elements as nested arrays.
+strings; parse_fraction reads back only such a string or a JSON
+integer, never an exponent or a decimal point.  Element encoding is
+per backend: finite elements by name, permutations as comma-separated
+image strings, free-group words as "x1*x2^-1" (or "e"), product and
+semidirect elements as nested arrays.
 Certificates embed a full group record so they re-verify standalone.
 dump_json writes a record with sorted keys, a two-space indent and
 ASCII escapes: the bytes of json.dumps(obj, indent=2, sort_keys=True),
@@ -20,7 +22,8 @@ Words and syllables are decoded literally, so an element has one
 spelling: a word that is not reduced is rejected, not reduced.
 
 Group records are read and written here too, by build_group and its
-inverse group_to_spec.  A record that is not one (not an object, a
+inverse group_to_spec, and `barl1 pipeline`'s config is read by
+load_pipeline_config.  A record that is not one (not an object, a
 missing field, an unknown `type` or product `op`) is a FileFormatError;
 a well-formed description that is not a group is a GroupAxiomError.
 """
@@ -28,6 +31,7 @@ a well-formed description that is not a group is a GroupAxiomError.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -36,21 +40,31 @@ from . import l1opt, mitosis
 from .barcomplex import Chain, Cochain
 from .groups import (DirectProduct, FiniteTableGroup, FreeGroup, FreeProduct,
                      GroupAxiomError, GroupOracle, Homomorphism,
-                     PermutationGroup, SemidirectProduct)
+                     PermutationGroup, SemidirectProduct, build_hom,
+                     identity_hom)
 
 
 class FileFormatError(ValueError):
     """A file or record does not match the expected schema."""
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(s) -> Fraction:
+    """s, a JSON integer or a "p" or "p/q" string as format_fraction
+    writes it; an exponent, as in "1e9", would make Fraction build 10**9."""
     if isinstance(s, bool):
         raise FileFormatError("expected a rational, got %r" % (s,))
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        m = _RATIONAL.fullmatch(s)
+        if m is None:
+            raise FileFormatError("bad rational %r: expected 'p' or 'p/q'"
+                                  % (s,))
         try:
-            return Fraction(s)
+            return Fraction(int(m[1]), int(m[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError("bad rational %r: %s" % (s, exc)) from None
     raise FileFormatError("expected a rational 'p/q' string, got %r" % (s,))
@@ -217,8 +231,7 @@ def chain_from_dict(G, d) -> Chain:
 def cochain_from_dict(G, d) -> Cochain:
     """The cochain whose values are the chain_from_records of its terms,
     read with 0 off their support."""
-    c = chain_from_records(G, parse_int(required(d, "degree"), "degree"),
-                           parse_list(d.get("terms", []), "terms"))
+    c = chain_from_dict(G, d)
     return Cochain(G, c.degree, fn=lambda tup: c.coeffs.get(tup, 0),
                    name=d.get("name", "f"))
 
@@ -477,6 +490,52 @@ def mitosis_from_dict(d) -> mitosis.MitosisData:
     return mitosis.MitosisData(G, M, inj,
                                decode_element(M, required(d, "s")),
                                decode_element(M, required(d, "d")))
+
+
+def load_pipeline_config(path):
+    """(PipelineConfig, degree, samples, seed) of the pipeline config
+    at path: its `group`, or its `groups` H, H', K and G, each a group
+    record or a file path relative to the config; `homs`, "identity"
+    (the default) or the tables phi, phi' and psi; the mitosis of G."""
+    raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise FileFormatError("pipeline config must be an object")
+    base = os.path.dirname(os.path.abspath(path))
+
+    def group_of(v):
+        return (load_group(os.path.join(base, v)) if isinstance(v, str)
+                else read_group(v, "pipeline config"))
+
+    if "group" in raw:
+        H = Hp = K = G = group_of(raw["group"])
+    else:
+        groups = required(raw, "groups")
+        H, Hp, K, G = (group_of(required(groups, name))
+                       for name in ("H", "H'", "K", "G"))
+
+    homs = raw.get("homs", "identity")
+    if homs == "identity":
+        if not (H == Hp == K == G):
+            raise FileFormatError("identity homs need one common group")
+        phi, phi_prime, psi = (identity_hom(X) for X in (H, Hp, K))
+    else:
+        phi, phi_prime, psi = (
+            build_hom(S, T, fn=read_table(homs, name, S, T).__getitem__,
+                      name=name)
+            for name, S, T in (("phi", H, Hp), ("phi'", Hp, K), ("psi", K, G)))
+
+    cfg = mitosis.PipelineConfig(phi, phi_prime, psi,
+                                 mitosis.mitosis_of_finite_abelian(G))
+
+    def positive(name, default):
+        v = parse_int(raw.get(name, default), "pipeline " + name)
+        if v < 1:
+            raise FileFormatError("pipeline %s must be at least 1, got %d"
+                                  % (name, v))
+        return v
+
+    return (cfg, positive("degree", 2), positive("samples", 1),
+            parse_int(raw.get("seed", 0), "pipeline seed"))
 
 
 def read_table(record, name, S, T) -> dict:

@@ -421,15 +421,19 @@ def fill_min(z: Chain) -> FillCertificate:
 
     Finite groups use the full tuple support; free groups grow a
     word-ball support, doubling the radius from START_RADIUS on
-    infeasibility up to MAX_RADIUS.  When no support holds a filling,
-    is_boundary tells why: Infeasible when z is not a boundary at all,
-    SupportExhausted when it is one but the balls are too small.  A
-    failed verify() is a solver bug: AssertionError names the checks.
+    infeasibility up to MAX_RADIUS, once is_boundary has found z a
+    boundary (else Infeasible, with no ball built); SupportExhausted
+    when no ball fills it.  Over a finite group an infeasible LP is
+    Infeasible.  A failed verify() is a solver bug: AssertionError names
+    the checks.
     """
     q = z.degree
     if q < 1:
         raise ValueError("fillings are defined for boundaries of degree >= 1")
     G = z.group
+    free = isinstance(G, FreeGroup) and not G.is_finite()
+    if free and not is_boundary(z):
+        raise Infeasible("z is not a boundary")
     if z.is_zero():
         cert = FillCertificate(z, Chain.zero(G, q + 1), Fraction(0))
     else:
@@ -438,7 +442,7 @@ def fill_min(z: Chain) -> FillCertificate:
             if c is not None:
                 break
         else:
-            if not G.is_finite() and is_boundary(z):
+            if free:
                 raise SupportExhausted("no filling over word balls up to "
                                        "radius %d" % max(_radii()))
             raise Infeasible("z is not a boundary")

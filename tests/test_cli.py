@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -11,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import barl1
 from barl1 import barcomplex, fileio, mitosis
 from barl1.barcomplex import Chain, boundary
 from barl1.cli import build_parser, run
 from barl1.fileio import (build_group, chain_to_dict, dump_json,
                           fill_cert_to_dict, group_to_spec, load_json)
-from barl1.groups import SemidirectProduct, cyclic_group, identity_hom
+from barl1.groups import (FreeGroup, SemidirectProduct, cyclic_group,
+                          identity_hom)
 from barl1.l1opt import fill_min, ubc_kappa_exact
 from barl1.mitosis import constant_c
 
@@ -155,6 +158,17 @@ def test_fill_infeasible_is_math_failure(tmp_path, z2file, capsys):
                chain_to_dict(Chain.single(G2, (1, 0))))
     assert run(["fill", "--group", z2file, "--chain", zf]) == 1
     assert "mathematical failure" in capsys.readouterr().err
+
+
+def test_fill_of_a_free_group_non_boundary_is_a_math_failure(tmp_path,
+                                                              capsys):
+    # (x1) has exponent sum 1: no boundary, and no size-cap input error
+    F2 = FreeGroup(2)
+    gf = jfile(tmp_path, "f2.json", group_to_spec(F2))
+    zf = jfile(tmp_path, "z.json", chain_to_dict(Chain.single(F2, ((1,),))))
+    assert run(["fill", "--group", gf, "--chain", zf]) == 1
+    assert capsys.readouterr().err == (
+        "mathematical failure: z is not a boundary\n")
 
 
 def test_mitosis_build_and_verify(tmp_path, z2file, capsys):
@@ -789,3 +803,102 @@ def test_every_subcommand_runs(z2_inputs, capsys, path):
     assert run(SMOKE[path].format(**z2_inputs).split()) == 0
     assert capsys.readouterr().out
 
+
+JSON_OUT = {(("--json",), False, None, False, "json"),
+            (("--out",), False, None, None, "out")}
+
+
+def _required(*options, type=None):
+    return {((o,), True, type, None, o[2:].replace("-", "_"))
+            for o in options}
+
+
+# every subcommand's options, as (option strings, required, type,
+# default, dest); its help text may list them in any order
+OPTIONS = {
+    "group check": {((), True, None, None, "group")} | JSON_OUT,
+    "boundary": _required("--group", "--chain") | JSON_OUT,
+    "homology": (_required("--group") | _required("--degree", type=int)
+                 | JSON_OUT),
+    "fill": _required("--group", "--chain") | JSON_OUT,
+    "kappa": (_required("--group") | _required("--degree", type=int)
+              | {(("--seed",), False, int, 0, "seed")} | JSON_OUT),
+    "cross": (_required("--group-a", "--group-b", "--chain-a", "--chain-b")
+              | JSON_OUT),
+    "cup": _required("--group", "--cochain-a", "--cochain-b") | JSON_OUT,
+    "pair": (_required("--group-a", "--group-b", "--cochain-a", "--cochain-b",
+                       "--chain-a", "--chain-b") | JSON_OUT),
+    "mitosis build-abelian": _required("--group") | JSON_OUT,
+    "pipeline": _required("--config") | {
+        (("--out-dir",), False, None, None, "out_dir"),
+        (("--json",), False, None, False, "json")},
+    "tower": (_required("--degree", type=int)
+              | {(("--xi",), False, None, None, "xi")} | JSON_OUT),
+    "verify": {((), True, None, None, "certificate")} | JSON_OUT,
+}
+
+
+def subcommand_parser(parser, path):
+    """The parser of the subcommand with the space-joined path."""
+    for name in path.split():
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)
+                      ).choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("path", sorted(SMOKE))
+def test_every_subcommand_keeps_its_options(path):
+    parser = subcommand_parser(build_parser(), path)
+    options = {(tuple(a.option_strings), a.required, a.type, a.default,
+                a.dest) for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)}
+    assert options == OPTIONS[path]
+
+
+# the subcommands whose --json output is a record, by its kind
+RECORD_KINDS = {"fill": "fill", "kappa": "kappa",
+                "mitosis build-abelian": "mitosis", "tower": "tower"}
+
+
+@pytest.mark.parametrize("path", sorted(SMOKE))
+def test_reports_name_their_command_and_records_do_not(z2_inputs, capsys,
+                                                       path):
+    assert run(SMOKE[path].format(**z2_inputs).split() + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if path in RECORD_KINDS:
+        assert out["kind"] == RECORD_KINDS[path]
+        assert "command" not in out and "version" not in out
+    else:
+        assert (out["command"], out["version"]) == (path, barl1.__version__)
+
+
+# fileio's readers of record fields; a file format is read in fileio
+RECORD_READERS = {"required", "parse_int", "parse_list", "read_group",
+                  "read_table"}
+
+
+def record_reader_calls(text):
+    """The lines of a module text that call a RECORD_READERS function,
+    bare or as an attribute of fileio."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            name = f.attr if f.value.id == "fileio" else None
+        else:
+            name = getattr(f, "id", None)
+        if name in RECORD_READERS:
+            out.append(node.lineno)
+    return out
+
+
+def test_the_cli_reads_no_record_fields():
+    # every file format, the pipeline config's included, has one home
+    sample = ("fileio.required(d, 'x')\nparse_int(v, 'n')\n"
+              "args.required(d)\nfileio.load_group(p)\nread_table(d)\n")
+    assert record_reader_calls(sample) == [1, 2, 5]
+    cli = Path(importlib.import_module("barl1.cli").__file__)
+    assert record_reader_calls(cli.read_text(encoding="utf-8")) == []

@@ -40,7 +40,8 @@ def test_fraction_codec():
     assert parse_fraction("-5") == -5
     assert format_fraction(Fraction(3, 4)) == "3/4"
     assert format_fraction(Fraction(10, 5)) == "2"
-    for bad in (True, 1.5, "a/b", "1/0", None):
+    for bad in (True, 1.5, "a/b", "1/0", None, "1e10000000", "1.5",
+                " 1/2"):
         with pytest.raises(FileFormatError):
             parse_fraction(bad)
     for x in (Fraction(-7, 3), Fraction(0), Fraction(22)):

@@ -550,20 +550,34 @@ def test_fill_min_free_group_non_boundary(monkeypatch):
         fill_min(Chain.single(F, ((1,),)))
 
 
+@pytest.mark.parametrize("word", [(1,), (1, 2)])
+def test_free_group_of_rank_two_non_boundary_builds_no_ball(monkeypatch,
+                                                            word):
+    # the exponent sum of x1 is 1, so the word is no boundary; that is
+    # decided before any word ball is built (the radius-6 ball's pairs
+    # are over the size cap)
+    builds = record_calls(monkeypatch, l1opt, "boundary_over")
+    with pytest.raises(Infeasible, match="not a boundary"):
+        fill_min(Chain.single(FreeGroup(2), (word,)))
+    assert builds == []
+
+
 def test_free_group_non_boundary_is_infeasible_not_exhausted(monkeypatch):
     # (x1) has exponent sum 1, so no word ball of any radius fills it;
-    # is_boundary decides that only once every ball has failed
+    # is_boundary decides that for a free group before any ball is
+    # built, and a finite group's fill never asks it
     calls = []
     monkeypatch.setattr(l1opt, "is_boundary",
                         lambda z: calls.append(z) or is_boundary(z))
     F = FreeGroup(1)
-    fill_min(boundary(Chain.single(F, ((1,), (1,)))))
+    zf = boundary(Chain.single(F, ((1,), (1,))))
+    fill_min(zf)
     fill_min(boundary(Chain.single(G3, (1, 2))))
-    assert calls == []
+    assert calls == [zf]
     z = Chain.single(F, ((1,),))
     with pytest.raises(Infeasible, match="not a boundary"):
         fill_min(z)
-    assert calls == [z]
+    assert calls == [zf, z]
 
 
 def test_free_group_target_off_the_support_runs_no_lp(monkeypatch):
